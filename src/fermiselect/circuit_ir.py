@@ -332,6 +332,12 @@ def _multi_controlled_x(controls: tuple[int, ...], target: int, n: int) -> list[
     raise ValueError("more than three controls are not supported")
 
 
+SDG_TWO_CONTROLS = (
+    "a doubly-controlled S† is not exactly expressible in "
+    "ancilla-free Clifford+T; use a single control"
+)
+
+
 def _controlled_unit(g: Gate, controls: tuple[int, ...], n: int) -> list[Gate]:
     """Attach global controls to one marked gate (already index-shifted)."""
     G = Gate
@@ -345,10 +351,7 @@ def _controlled_unit(g: Gate, controls: tuple[int, ...], n: int) -> list[Gate]:
     if k == "Sdg":
         if nc == 1:
             return [G("CSdg", (controls[0], q[0]))]
-        raise ValueError(
-            "a doubly-controlled S† is not exactly expressible in "
-            "ancilla-free Clifford+T; use a single control"
-        )
+        raise ValueError(SDG_TWO_CONTROLS)
     if k == "CZ":
         if nc == 1:
             return [G("CCZ", (controls[0], *q))]

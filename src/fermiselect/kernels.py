@@ -1,100 +1,96 @@
-"""Statevector update kernels with a numba fast path.
+"""Statevector update kernels: one numpy engine, batched, in place.
 
-Set FERMISELECT_KERNELS=numpy to force the pure-numpy fallback, or
-=numba to require the compiled path (import error if numba is missing).
-Unset, the compiled path is used whenever numba imports.
+An amplitude array has shape ``(2**n, *batch)``: the n qubits index the
+leading axis, qubit 0 most significant (weight ``2**(n-1-q)``), and any
+trailing axes are independent states (words, trials, or the columns of
+a unitary).  The array must be C-contiguous, so that its reshaped
+views write through.  ``mask``, when given, is a boolean array over the
+first trailing axis; the gate then acts only where it is set, and as
+the identity elsewhere.
 
-Both backends update the amplitude array in place.  Qubit 0 is the most
-significant bit of the flat index, so qubit q has bit weight
-2**(n-1-q).  See benchmarks/bench_kernels.py for a speed comparison.
+Each update picks a path from the 2×2 matrix: a diagonal one (Z, S, T)
+multiplies the half where the target is 1 (and the other half, if that
+entry is not 1); an anti-diagonal one (X, Y) swaps the two halves and
+then applies its phases; any other one (H, A) does the general 2×2
+update.
 """
 
 from __future__ import annotations
 
-import os
+from typing import Optional
 
 import numpy as np
 
-try:
-    import numba
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - depends on environment
-    numba = None
-    HAS_NUMBA = False
-
-_choice = os.environ.get("FERMISELECT_KERNELS", "").strip().lower()
-if _choice == "numpy":
-    USE_NUMBA = False
-elif _choice == "numba":
-    if not HAS_NUMBA:
-        raise ImportError("FERMISELECT_KERNELS=numba but numba is not installed")
-    USE_NUMBA = True
-elif _choice == "":
-    USE_NUMBA = HAS_NUMBA
-else:
-    raise ValueError(f"FERMISELECT_KERNELS must be 'numba' or 'numpy', got {_choice!r}")
+def _pairs(amps: np.ndarray, n: int, t: int, c: Optional[int] = None):
+    """A view of amps with qubit t on its own axis (where qubit c is 1),
+    that axis, and the word axis."""
+    batch = amps.shape[1:]
+    if c is None:
+        return amps.reshape((1 << t, 2, 1 << (n - 1 - t)) + batch), 1, 3
+    lo, hi = (c, t) if c < t else (t, c)
+    view = amps.reshape((1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (n - 1 - hi)) + batch)
+    if c < t:
+        return view[:, 1], 2, 4
+    return view[:, :, :, 1], 1, 4
 
 
-def _one_qubit_loop(amps, n, q, m00, m01, m10, m11):
-    stride = 1 << (n - 1 - q)
-    period = stride << 1
-    for base in range(0, amps.shape[0], period):
-        for off in range(base, base + stride):
-            a0 = amps[off]
-            a1 = amps[off + stride]
-            amps[off] = m00 * a0 + m01 * a1
-            amps[off + stride] = m10 * a0 + m11 * a1
+def _update(
+    v: np.ndarray, axis: int, word: int, mat: np.ndarray, mask: Optional[np.ndarray]
+) -> None:
+    """mat on ``axis`` of v, in place; ``mask`` selects along ``word``.
+
+    No numpy call reads one half of ``axis`` into the other: the halves
+    interleave, so numpy would copy the operand first, and two large
+    temporaries alive at once cost fresh pages on every call.  Each path
+    keeps at most one temporary.
+    """
+    if mask is not None:
+        if not mask.any():
+            return
+        if mask.all():
+            mask = None
+    m00, m01, m10, m11 = mat.ravel()
+    if m01 == 0 and m10 == 0:
+        for bit, d in ((0, m00), (1, m11)):
+            if d != 1:
+                if mask is not None:
+                    d = np.where(mask, d, 1).reshape(mask.shape + (1,) * (v.ndim - word - 1))
+                v[(slice(None),) * axis + (bit,)] *= d
+        return
+    if mask is not None:
+        index = (slice(None),) * word + (mask,)
+        sub = v[index]
+        _update(sub, axis, word, mat, None)
+        v[index] = sub
+        return
+    pair = [1] * v.ndim
+    pair[axis] = 2
+    flipped = v[(slice(None),) * axis + (slice(None, None, -1),)]
+    if m00 == 0 and m11 == 0:
+        v[...] = flipped
+        if m01 != 1 or m10 != 1:
+            v *= np.array([m01, m10]).reshape(pair)
+        return
+    swapped = flipped * np.array([m01, m10]).reshape(pair)
+    v *= np.array([m00, m11]).reshape(pair)
+    v += swapped
 
 
-def _controlled_loop(amps, n, c, t, m00, m01, m10, m11):
-    cbit = 1 << (n - 1 - c)
-    tbit = 1 << (n - 1 - t)
-    for i in range(amps.shape[0]):
-        if (i & cbit) and not (i & tbit):
-            a0 = amps[i]
-            a1 = amps[i | tbit]
-            amps[i] = m00 * a0 + m01 * a1
-            amps[i | tbit] = m10 * a0 + m11 * a1
-
-
-if HAS_NUMBA:
-    _one_qubit_nb = numba.njit(cache=True)(_one_qubit_loop)
-    _controlled_nb = numba.njit(cache=True)(_controlled_loop)
-
-
-def _one_qubit_np(amps, n, q, mat):
-    view = amps.reshape(1 << q, 2, -1)
-    a0 = view[:, 0, :].copy()
-    a1 = view[:, 1, :]
-    view[:, 0, :] = mat[0, 0] * a0 + mat[0, 1] * a1
-    view[:, 1, :] = mat[1, 0] * a0 + mat[1, 1] * a1
-
-
-def _controlled_np(amps, n, c, t, mat):
-    view = amps.reshape((2,) * n)
-    sub = view[(slice(None),) * c + (1,)]
-    axis = t - 1 if t > c else t
-    moved = np.moveaxis(sub, axis, 0)
-    a0 = moved[0].copy()
-    a1 = moved[1]
-    moved[0] = mat[0, 0] * a0 + mat[0, 1] * a1
-    moved[1] = mat[1, 0] * a0 + mat[1, 1] * a1
-
-
-def apply_one_qubit(amps: np.ndarray, n: int, q: int, mat: np.ndarray) -> None:
+def apply_one_qubit(
+    amps: np.ndarray, n: int, q: int, mat: np.ndarray, mask: Optional[np.ndarray] = None
+) -> None:
     """In-place single-qubit update amps <- (I ⊗ mat ⊗ I) amps."""
-    if USE_NUMBA:
-        _one_qubit_nb(amps, n, q, mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1])
-    else:
-        _one_qubit_np(amps, n, q, mat)
+    _update(*_pairs(amps, n, q), mat, mask)
 
 
 def apply_controlled_one_qubit(
-    amps: np.ndarray, n: int, c: int, t: int, mat: np.ndarray
+    amps: np.ndarray,
+    n: int,
+    c: int,
+    t: int,
+    mat: np.ndarray,
+    mask: Optional[np.ndarray] = None,
 ) -> None:
     """In-place controlled update: mat on qubit t where qubit c is 1."""
-    if USE_NUMBA:
-        _controlled_nb(amps, n, c, t, mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1])
-    else:
-        _controlled_np(amps, n, c, t, mat)
+    _update(*_pairs(amps, n, t, c), mat, mask)

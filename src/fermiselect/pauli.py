@@ -125,15 +125,16 @@ def pauli_apply(p: PauliString, amps: np.ndarray) -> np.ndarray:
 
     Args:
         p: the Pauli string to apply.
-        amps: statevector of length 2**n, qubit 0 most significant.
+        amps: statevector of length 2**n, qubit 0 most significant, or
+            a batch of m such states as the columns of a (2**n, m) array.
 
     Returns:
-        A new statevector; the input is not modified.
+        A new statevector (or batch); the input is not modified.
     """
     n = p.n_qubits
     amps = np.asarray(amps, dtype=np.complex128)
-    if amps.shape != (1 << n,):
-        raise ValueError(f"state has shape {amps.shape}, expected ({1 << n},)")
+    if amps.ndim not in (1, 2) or amps.shape[0] != 1 << n:
+        raise ValueError(f"state has shape {amps.shape}, expected ({1 << n},) or ({1 << n}, m)")
     flip = 0
     diag = 0
     n_y = 0
@@ -148,7 +149,7 @@ def pauli_apply(p: PauliString, amps: np.ndarray) -> np.ndarray:
     idx = np.arange(1 << n, dtype=np.int64)
     coeff = (1j ** ((p.phase + n_y) % 4)) * np.where(_parity(idx & diag), -1.0, 1.0)
     out = np.empty_like(amps)
-    out[idx ^ flip] = coeff * amps
+    out[idx ^ flip] = coeff.reshape((-1,) + (1,) * (amps.ndim - 1)) * amps
     return out
 
 

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .circuit_ir import Circuit, Gate, add_global_controls, compose, inverse
+from .circuit_ir import SDG_TWO_CONTROLS, Circuit, Gate, add_global_controls, compose, inverse
 from .gadgets import (
     address_bits,
     inject,
@@ -533,7 +533,14 @@ def synth_select_general(n: int, k: int, variant: str = "star") -> Circuit:
 def controlled_select(
     n: int, k: int, variant: str = "star", num_controls: int = 0
 ) -> Circuit:
-    """A SELECT circuit with optional global controls prepended."""
+    """A SELECT circuit with optional global controls prepended.
+
+    Two controls need k = 2: the general layout's flag phases are S†
+    extension points, which two controls cannot reach exactly, so that
+    case raises before anything is synthesized.
+    """
+    if k != 2 and num_controls == 2:
+        raise ValueError(SDG_TWO_CONTROLS)
     if k == 2:
         c = synth_select_k2(n, variant)
     else:

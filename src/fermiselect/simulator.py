@@ -1,29 +1,30 @@
 """Dense statevector simulation and SELECT verification.
 
 Qubit 0 is the most significant bit of the state index, matching the
-Pauli-string convention.  Three independent routes exist on purpose:
+Pauli-string convention.  One statevector engine, :mod:`fermiselect.kernels`,
+runs every gate; on top of it sit two independent routes:
 
-* ``apply_circuit`` / ``unitary_of`` simulate gates directly;
-* ``apply_classical_control`` tracks selection qubits as classical bits
-  and plays only the system-side gates, which is how large SELECT
-  circuits are checked state by state;
-* ``pauli_apply`` (in :mod:`fermiselect.pauli`) is the oracle both are
-  compared against.
+* ``apply_circuit`` / ``unitary_of`` simulate every qubit directly
+  (``unitary_of`` runs the kernels on the columns of the identity);
+* ``apply_classical_control`` holds the selection qubits as classical
+  bits and plays only the system-side gates, for a batch of selection
+  words in one walk of the circuit.
 
-``verify_select`` ties them together: for every valid selection word it
-walks the synthesized circuit classically and compares the resulting
-system unitary action with the decoded Pauli string on random states.
+Both are compared against ``pauli_apply`` (in :mod:`fermiselect.pauli`),
+the oracle, which shares no code with either.  ``verify_select`` walks
+the synthesized circuit once per chunk of selection words and compares
+each word's system action with its decoded Pauli string on random states.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import kernels
 from .circuit_ir import TERMINAL_KINDS, Circuit, Gate, expand_macro
-from .pauli import PauliString, pauli_apply
+from .pauli import pauli_apply
 from .select_synth import (
     SelectionLayout,
     decode_index,
@@ -46,6 +47,10 @@ __all__ = [
 
 MAX_DENSE_QUBITS = 24
 MAX_UNITARY_QUBITS = 12
+
+# verify_select walks at most this many amplitudes at once (words ×
+# trials × 2**n_sys), which bounds its memory at every size
+_WALK_AMPLITUDES = 1 << 16
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 _C8 = np.cos(np.pi / 8)
@@ -106,6 +111,13 @@ def _terminal_stream(gates: Iterable[Gate]) -> Iterator[Gate]:
             stack.extend(reversed(expansion))
 
 
+def _apply_gate(amps: np.ndarray, n: int, kind: str, qubits: tuple[int, ...]) -> None:
+    if len(qubits) == 1:
+        kernels.apply_one_qubit(amps, n, qubits[0], GATE_1Q[kind])
+    else:
+        kernels.apply_controlled_one_qubit(amps, n, qubits[0], qubits[1], GATE_1Q[kind[1:]])
+
+
 def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
     """Run the circuit on a full statevector (macros expand on the fly)."""
     n = c.n_qubits
@@ -115,34 +127,8 @@ def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
     if amps.shape != (1 << n,):
         raise ValueError(f"state must have {1 << n} amplitudes")
     for g in _terminal_stream(c.gates):
-        if len(g.qubits) == 1:
-            kernels.apply_one_qubit(amps, n, g.qubits[0], GATE_1Q[g.kind])
-        else:
-            ctrl, tgt = g.qubits
-            kernels.apply_controlled_one_qubit(amps, n, ctrl, tgt, GATE_1Q[g.kind[1:]])
+        _apply_gate(amps, n, g.kind, g.qubits)
     return amps
-
-
-def _mix_rows(arr: np.ndarray, r0: np.ndarray, r1: np.ndarray, mat: np.ndarray) -> None:
-    top = arr[r0].copy()
-    bot = arr[r1]
-    arr[r0] = mat[0, 0] * top + mat[0, 1] * bot
-    arr[r1] = mat[1, 0] * top + mat[1, 1] * bot
-
-
-def _apply_rows(arr: np.ndarray, n: int, g: Gate, idx: np.ndarray) -> None:
-    """Terminal gate on the row dimension of a stacked array of states."""
-    if len(g.qubits) == 1:
-        q = g.qubits[0]
-        tbit = 1 << (n - 1 - q)
-        r0 = idx[(idx & tbit) == 0]
-        _mix_rows(arr, r0, r0 | tbit, GATE_1Q[g.kind])
-    else:
-        ctrl, tgt = g.qubits
-        cbit = 1 << (n - 1 - ctrl)
-        tbit = 1 << (n - 1 - tgt)
-        r0 = idx[((idx & cbit) != 0) & ((idx & tbit) == 0)]
-        _mix_rows(arr, r0, r0 | tbit, GATE_1Q[g.kind[1:]])
 
 
 def unitary_of(c: Circuit) -> np.ndarray:
@@ -150,82 +136,15 @@ def unitary_of(c: Circuit) -> np.ndarray:
     n = c.n_qubits
     if n > MAX_UNITARY_QUBITS:
         raise ValueError(f"{n} qubits exceeds the unitary cap of {MAX_UNITARY_QUBITS}")
-    dim = 1 << n
-    mat = np.eye(dim, dtype=np.complex128)
-    idx = np.arange(dim)
+    mat = np.eye(1 << n, dtype=np.complex128)
     for g in _terminal_stream(c.gates):
-        _apply_rows(mat, n, g, idx)
+        _apply_gate(mat, n, g.kind, g.qubits)
     return mat
 
 
 # ---------------------------------------------------------------------------
 # Classical tracking of selection qubits
 # ---------------------------------------------------------------------------
-
-
-def _walk(
-    gates: Iterable[Gate],
-    bits: dict[int, int],
-    sel: set[int],
-    on_1q: Callable[[int, str], None],
-    on_2q: Callable[[int, int, str], None],
-) -> complex:
-    """Play a circuit with the ``sel`` qubits held classical.
-
-    Selection qubits may only see bit flips, diagonal phases, and
-    controls; anything else raises.  Returns the accumulated global
-    phase, mutating ``bits`` along the way.
-    """
-    phase = 1.0 + 0j
-    for g in _terminal_stream(gates):
-        qs = g.qubits
-        kind = g.kind
-        if len(qs) == 1:
-            (q,) = qs
-            if q not in sel:
-                on_1q(q, kind)
-                continue
-            b = bits[q]
-            if kind == "X":
-                bits[q] = b ^ 1
-            elif kind == "Y":
-                bits[q] = b ^ 1
-                phase *= 1j if b == 0 else -1j
-            elif kind in _SEL_PHASE:
-                if b:
-                    phase *= _SEL_PHASE[kind]
-            else:
-                raise ValueError(f"cannot track {kind} on a selection qubit")
-            continue
-        ctrl, tgt = qs
-        if kind == "CZ":
-            if ctrl in sel and tgt in sel:
-                if bits[ctrl] and bits[tgt]:
-                    phase *= -1.0
-            elif ctrl in sel:
-                if bits[ctrl]:
-                    on_1q(tgt, "Z")
-            elif tgt in sel:
-                if bits[tgt]:
-                    on_1q(ctrl, "Z")
-            else:
-                on_2q(ctrl, tgt, kind)
-        elif ctrl in sel:
-            if tgt in sel:
-                if not bits[ctrl]:
-                    continue
-                if kind == "CX":
-                    bits[tgt] ^= 1
-                else:  # CY
-                    phase *= 1j if bits[tgt] == 0 else -1j
-                    bits[tgt] ^= 1
-            elif bits[ctrl]:
-                on_1q(tgt, kind[1:])
-        elif tgt in sel:
-            raise ValueError(f"cannot track a system-controlled {kind} onto a selection qubit")
-        else:
-            on_2q(ctrl, tgt, kind)
-    return phase
 
 
 def _selection_qubits(c: Circuit) -> tuple[tuple[int, ...], list[int]]:
@@ -237,41 +156,95 @@ def _selection_qubits(c: Circuit) -> tuple[tuple[int, ...], list[int]]:
     return system, sel
 
 
-def _bits_of(word: int, sel: list[int]) -> dict[int, int]:
+def _walk(
+    c: Circuit, gates: list[Gate], words: np.ndarray, states: np.ndarray
+) -> np.ndarray:
+    """Play terminal ``gates`` of ``c`` for a batch of selection words.
+
+    The selection qubits are held classical: one boolean array per
+    qubit over ``words``.  ``states`` has shape ``(2**n_sys, len(words),
+    ...)`` and is updated in place; a system gate controlled by a
+    selection qubit acts only on the words where that bit is set.
+    Selection qubits may only see bit flips, diagonal phases and
+    controls; anything else raises, as does a word whose selection
+    register is not restored.  Returns the phase of each word.
+    """
+    system, sel = _selection_qubits(c)
     width = len(sel)
-    return {q: (word >> (width - 1 - r)) & 1 for r, q in enumerate(sel)}
+    if words.size and not (words.min() >= 0 and words.max() < (1 << width)):
+        raise ValueError(f"selection word needs {width} bits")
+    n_sys = len(system)
+    pos = {q: i for i, q in enumerate(system)}
+    start = {q: (words >> (width - 1 - r)) & 1 == 1 for r, q in enumerate(sel)}
+    bits = dict(start)
+    phase = np.ones(len(words), dtype=np.complex128)
+    for g in gates:
+        kind = g.kind
+        if len(g.qubits) == 1:
+            (q,) = g.qubits
+            if q in pos:
+                kernels.apply_one_qubit(states, n_sys, pos[q], GATE_1Q[kind])
+            elif kind == "X":
+                bits[q] = ~bits[q]
+            elif kind == "Y":
+                phase *= np.where(bits[q], -1j, 1j)
+                bits[q] = ~bits[q]
+            elif kind in _SEL_PHASE:
+                phase[bits[q]] *= _SEL_PHASE[kind]
+            else:
+                raise ValueError(f"cannot track {kind} on a selection qubit")
+            continue
+        ctrl, tgt = g.qubits
+        if ctrl in pos and tgt in pos:
+            kernels.apply_controlled_one_qubit(
+                states, n_sys, pos[ctrl], pos[tgt], GATE_1Q[kind[1:]]
+            )
+        elif ctrl in pos:
+            if kind != "CZ":
+                raise ValueError(
+                    f"cannot track a system-controlled {kind} onto a selection qubit"
+                )
+            kernels.apply_one_qubit(states, n_sys, pos[ctrl], GATE_1Q["Z"], bits[tgt])
+        elif tgt in pos:
+            kernels.apply_one_qubit(states, n_sys, pos[tgt], GATE_1Q[kind[1:]], bits[ctrl])
+        elif kind == "CZ":
+            phase[bits[ctrl] & bits[tgt]] *= -1.0
+        else:
+            on = bits[ctrl]
+            if kind == "CY":
+                phase[on] *= np.where(bits[tgt][on], -1j, 1j)
+            bits[tgt] = bits[tgt] ^ on
+    for q in sel:
+        moved = np.flatnonzero(bits[q] != start[q])
+        if moved.size:
+            word = int(words[moved[0]])
+            raise ValueError(f"selection register was not restored for word {word:0{width}b}")
+    return phase
 
 
 def apply_classical_control(
-    c: Circuit, selection_bits: int, system_state: np.ndarray
-) -> tuple[complex, np.ndarray]:
+    c: Circuit, selection_bits: int | Sequence[int], system_state: np.ndarray
+) -> tuple[complex, np.ndarray] | tuple[np.ndarray, np.ndarray]:
     """Act on the system register with the selection register classical.
 
     ``selection_bits`` packs the selection qubits most significant
     first.  Returns ``(phase, state)``; raises if the circuit would ever
     put a selection qubit into superposition or fails to restore it.
+    Given a sequence of words instead, every word acts on its own copy
+    of ``system_state``: the phases get one entry per word and the
+    states a word axis after the system index.
     """
-    system, sel = _selection_qubits(c)
-    width = len(sel)
-    if not 0 <= selection_bits < (1 << width):
-        raise ValueError(f"selection word needs {width} bits")
+    system, _ = _selection_qubits(c)
     n_sys = len(system)
-    state = np.array(system_state, dtype=np.complex128)
+    state = np.asarray(system_state, dtype=np.complex128)
     if state.shape != (1 << n_sys,):
         raise ValueError(f"system state must have {1 << n_sys} amplitudes")
-    pos = {q: i for i, q in enumerate(system)}
-
-    def on_1q(q: int, kind: str) -> None:
-        kernels.apply_one_qubit(state, n_sys, pos[q], GATE_1Q[kind])
-
-    def on_2q(ctrl: int, tgt: int, kind: str) -> None:
-        kernels.apply_controlled_one_qubit(state, n_sys, pos[ctrl], pos[tgt], GATE_1Q[kind[1:]])
-
-    bits = _bits_of(selection_bits, sel)
-    phase = _walk(c.gates, bits, set(sel), on_1q, on_2q)
-    if bits != _bits_of(selection_bits, sel):
-        raise ValueError("selection register was not restored")
-    return phase, state
+    words = np.atleast_1d(np.asarray(selection_bits, dtype=np.int64))
+    states = np.repeat(state[:, None], len(words), axis=1)
+    phase = _walk(c, list(_terminal_stream(c.gates)), words, states)
+    if np.ndim(selection_bits) == 0:
+        return complex(phase[0]), states[:, 0]
+    return phase, states
 
 
 def verify_select(
@@ -288,9 +261,12 @@ def verify_select(
     For every valid selection word (or the given ``words``), plays the
     circuit with classical selection bits on a batch of random system
     states and compares with ``pauli_apply`` of the decoded string.
+    Words are walked together, in chunks of at most ``_WALK_AMPLITUDES``
+    amplitudes.
 
-    Returns a report dict with the worst amplitude error and a boolean
-    ``pass``.
+    Returns a report dict with the worst amplitude error, the word that
+    reached it (``worst_word``, its selection bits) and its decoded
+    string (``worst_string``), and a boolean ``pass``.
     """
     if k == 2:
         layout = SelectionLayout(n, 2, "k2")
@@ -298,45 +274,35 @@ def verify_select(
     else:
         layout = SelectionLayout(n, k, "general")
         circuit = synth_select_general(n, k, variant)
-    system, sel = _selection_qubits(circuit)
-    n_sys = len(system)
-    pos = {q: i for i, q in enumerate(system)}
     rng = np.random.default_rng(seed)
-    dim = 1 << n_sys
+    dim = 1 << len(circuit.register_labels["system"])
     base = rng.standard_normal((dim, trials)) + 1j * rng.standard_normal((dim, trials))
     base /= np.linalg.norm(base, axis=0, keepdims=True)
-    idx = np.arange(dim)
     gates = list(_terminal_stream(circuit.gates))
+    all_words = np.fromiter(layout.valid_states() if words is None else words, dtype=np.int64)
+    chunk = max(1, _WALK_AMPLITUDES // (dim * trials))
 
     max_error = 0.0
-    states_checked = 0
-    for word in layout.valid_states() if words is None else words:
-        target = decode_index(word, layout)
-        batch = base.copy()
-
-        def on_1q(q: int, kind: str) -> None:
-            _apply_rows(batch, n_sys, Gate(kind, (pos[q],)), idx)
-
-        def on_2q(ctrl: int, tgt: int, kind: str) -> None:
-            _apply_rows(batch, n_sys, Gate(kind, (pos[ctrl], pos[tgt])), idx)
-
-        bits = _bits_of(word, sel)
-        phase = _walk(gates, bits, set(sel), on_1q, on_2q)
-        if bits != _bits_of(word, sel):
-            raise ValueError("selection register was not restored")
-        batch *= phase
-        for t in range(trials):
-            expected = pauli_apply(target, base[:, t])
-            err = float(np.abs(batch[:, t] - expected).max())
-            if err > max_error:
+    worst_word = worst_string = None
+    for lo in range(0, len(all_words), chunk):
+        batch_words = all_words[lo : lo + chunk]
+        states = np.repeat(base[:, None, :], len(batch_words), axis=1)
+        states *= _walk(circuit, gates, batch_words, states)[:, None]
+        for i, word in enumerate(batch_words.tolist()):
+            target = decode_index(word, layout)
+            err = float(np.abs(states[:, i] - pauli_apply(target, base)).max())
+            if worst_word is None or err > max_error:
                 max_error = err
-        states_checked += 1
+                worst_word = f"{word:0{layout.width}b}"
+                worst_string = str(target)
     return {
         "n": n,
         "k": k,
         "variant": variant,
-        "states_checked": states_checked,
+        "states_checked": len(all_words),
         "trials": trials,
         "max_error": max_error,
+        "worst_word": worst_word,
+        "worst_string": worst_string,
         "pass": bool(max_error <= tol),
     }

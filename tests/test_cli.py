@@ -134,6 +134,12 @@ def test_synth_controls_add_qubits(capsys):
     assert out.splitlines()[0] == "qubits 12;"
 
 
+def test_synth_two_controls_needs_k2(capsys):
+    rc, out, err = run(["synth", "--n", "4", "--k", "4", "--controls", "2"], capsys)
+    assert rc == 2 and out == ""
+    assert "doubly-controlled S† is not exactly expressible" in err
+
+
 def test_synth_output_file(tmp_path, capsys):
     dest = tmp_path / "circ.txt"
     rc, out, _ = run(["synth", "--n", "2", "--output", str(dest)], capsys)

@@ -98,6 +98,23 @@ def test_apply_matches_dense(letters, phase, seed):
 
 
 @settings(max_examples=40, deadline=None)
+@given(letters_st, phase_st, st.integers(min_value=1, max_value=4), st.integers(0, 2**32 - 1))
+def test_apply_batch_matches_dense(letters, phase, m, seed):
+    ps = PauliString(letters, phase)
+    rng = np.random.default_rng(seed)
+    n = len(letters)
+    vs = rng.standard_normal((1 << n, m)) + 1j * rng.standard_normal((1 << n, m))
+    assert np.abs(pauli_apply(ps, vs) - dense_pauli(letters, phase) @ vs).max() < 1e-10
+
+
+def test_apply_rejects_wrong_length():
+    ps = PauliString("XZ", 0)
+    for shape in [(3,), (8,), (3, 2), (8, 2), (4, 2, 2)]:
+        with pytest.raises(ValueError, match="shape"):
+            pauli_apply(ps, np.zeros(shape))
+
+
+@settings(max_examples=40, deadline=None)
 @given(letters_st, phase_st)
 def test_apply_involution_for_hermitian(letters, phase):
     # P with a real sign squares to the identity

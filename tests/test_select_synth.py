@@ -247,6 +247,17 @@ def test_controlled_select_passthrough():
     assert c2.n_qubits == 13
 
 
+def test_controlled_select_two_controls_general_fails_early(monkeypatch):
+    from fermiselect import select_synth
+
+    def never(*args):
+        raise AssertionError("synthesized before rejecting two controls")
+
+    monkeypatch.setattr(select_synth, "synth_select_general", never)
+    with pytest.raises(ValueError, match="doubly-controlled S"):
+        controlled_select(4, 4, "star", 2)
+
+
 def test_select_t_counts_match_table():
     for n in (3, 4, 8):
         plain = schedule(lower_macros(synth_select_k2(n, "plain")))

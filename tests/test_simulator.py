@@ -1,12 +1,17 @@
-"""Statevector engine, kernel backends, and classical selection tracking."""
+"""Statevector kernels, dense simulation, and classical selection tracking."""
 
 import numpy as np
 import pytest
 
-from fermiselect import kernels
+from fermiselect import kernels, simulator
 from fermiselect.circuit_ir import Circuit
 from fermiselect.pauli import PauliString, pauli_apply
-from fermiselect.select_synth import SelectionLayout, synth_select_k2
+from fermiselect.select_synth import (
+    SelectionLayout,
+    decode_index,
+    synth_select_general,
+    synth_select_k2,
+)
 from fermiselect.simulator import (
     GATE_1Q,
     MAX_DENSE_QUBITS,
@@ -41,7 +46,7 @@ def test_gate_matrices_unitary():
     assert np.abs(a8 + np.eye(2)).max() < 1e-12
 
 
-# --- kernels: both backends, against dense one-qubit math ---------------------
+# --- kernels, against dense one-qubit math --------------------------------------
 
 
 def _dense_one_qubit(n, q, mat):
@@ -67,10 +72,7 @@ def test_one_qubit_kernels_match_dense(n, q, rng):
     v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     want = _dense_one_qubit(n, q, mat) @ v
     got = v.astype(np.complex128).copy()
-    kernels._one_qubit_np(got, n, q, mat.astype(np.complex128))
-    assert np.abs(got - want).max() < 1e-12
-    got = v.astype(np.complex128).copy()
-    kernels._one_qubit_loop(got, n, q, mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1])
+    kernels.apply_one_qubit(got, n, q, mat.astype(np.complex128))
     assert np.abs(got - want).max() < 1e-12
 
 
@@ -80,18 +82,41 @@ def test_controlled_kernels_match_dense(n, c, t, rng):
     v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     want = _dense_controlled(n, c, t, mat) @ v
     got = v.astype(np.complex128).copy()
-    kernels._controlled_np(got, n, c, t, mat.astype(np.complex128))
-    assert np.abs(got - want).max() < 1e-12
-    got = v.astype(np.complex128).copy()
-    kernels._controlled_loop(got, n, c, t, mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1])
+    kernels.apply_controlled_one_qubit(got, n, c, t, mat.astype(np.complex128))
     assert np.abs(got - want).max() < 1e-12
 
 
-def test_backend_flag_dispatch():
-    # the active backend is decided at import from FERMISELECT_KERNELS
-    assert kernels.USE_NUMBA in (True, False)
-    if kernels.USE_NUMBA:
-        assert kernels.HAS_NUMBA
+# one matrix per fast path: diagonal (Z, T), anti-diagonal (X, Y), dense (H, A)
+_FAST_PATHS = ["Z", "T", "X", "Y", "H", "A"]
+
+
+@pytest.mark.parametrize("kind", _FAST_PATHS)
+@pytest.mark.parametrize(
+    "batch,masked", [((), False), ((5,), False), ((5,), True), ((5, 3), False), ((5, 3), True)]
+)
+@pytest.mark.parametrize("qubits", [(2,), (0,), (1, 3), (3, 0)])
+def test_kernel_fast_paths_match_dense(kind, batch, masked, qubits, rng):
+    n = 4
+    mat = GATE_1Q[kind]
+    if len(qubits) == 1:
+        dense = _dense_one_qubit(n, qubits[0], mat)
+    else:
+        dense = _dense_controlled(n, *qubits, mat)
+    shape = (1 << n,) + batch
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mask = rng.random(batch[0]) < 0.5 if masked else None
+    if masked:
+        mask[:2] = (True, False)
+    flat = v.reshape(1 << n, -1)
+    want = (dense @ flat).reshape(shape)
+    if masked:
+        want[:, ~mask] = v[:, ~mask]
+    got = v.copy()
+    if len(qubits) == 1:
+        kernels.apply_one_qubit(got, n, qubits[0], mat, mask)
+    else:
+        kernels.apply_controlled_one_qubit(got, n, *qubits, mat, mask)
+    assert np.abs(got - want).max() < 1e-12
 
 
 # --- apply_circuit / unitary_of -------------------------------------------------
@@ -151,6 +176,36 @@ def test_classical_control_matches_full_simulation(rng):
         assert np.abs(ref).max() < 1e-12
 
 
+@pytest.mark.parametrize(
+    "circuit,layout",
+    [
+        (synth_select_k2(4, "star"), SelectionLayout(4, 2, "k2")),
+        (synth_select_k2(4, "plain"), SelectionLayout(4, 2, "k2")),
+        # k = 4 at n = 2: 19 qubits; n = 4 would need 25, past the dense cap
+        (synth_select_general(2, 4, "star"), SelectionLayout(2, 4, "general")),
+    ],
+    ids=["k2-n4-star", "k2-n4-plain", "k4-n2-star"],
+)
+def test_batched_walk_matches_full_simulation(circuit, layout, rng):
+    # one walk for every word against one dense run over the whole register
+    words = sorted(layout.valid_states())
+    n_sys = layout.n
+    dim = 1 << n_sys
+    psi = random_state(n_sys, rng)
+    weights = rng.standard_normal(len(words)) + 1j * rng.standard_normal(len(words))
+    phases, outs = apply_classical_control(circuit, words, psi)
+    assert outs.shape == (dim, len(words))
+    full = np.zeros(1 << circuit.n_qubits, dtype=complex)
+    for word, a in zip(words, weights):
+        full[word * dim : (word + 1) * dim] = a * psi
+    ref = apply_circuit(circuit, full)
+    for i, (word, a) in enumerate(zip(words, weights)):
+        block = ref[word * dim : (word + 1) * dim]
+        assert np.abs(a * phases[i] * outs[:, i] - block).max() < 1e-12
+        block[:] = 0
+    assert np.abs(ref).max() < 1e-12
+
+
 def test_classical_control_requires_system_label():
     c = Circuit(2)
     with pytest.raises(ValueError, match="system"):
@@ -176,6 +231,18 @@ def test_classical_control_detects_unrestored_selection():
     c.add("X", 0)
     with pytest.raises(ValueError, match="restored"):
         apply_classical_control(c, 0, zero_state(1))
+    # in a batch, the error names the first word that is not restored
+    c = Circuit(3, [], {"system": (2,)})
+    c.add("CX", 0, 1)
+    with pytest.raises(ValueError, match="restored for word 10"):
+        apply_classical_control(c, [0b00, 0b01, 0b10, 0b11], zero_state(1))
+
+
+def test_classical_control_rejects_out_of_range_words():
+    c = Circuit(3, [], {"system": (2,)})
+    for words in (4, [0, 4], [-1]):
+        with pytest.raises(ValueError, match="needs 2 bits"):
+            apply_classical_control(c, words, zero_state(1))
 
 
 def test_classical_control_tracks_phases():
@@ -217,4 +284,28 @@ def test_verify_select_words_subset():
 
 def test_verify_select_report_fields():
     rep = verify_select(2, 2, "plain", trials=1, seed=3)
-    assert set(rep) == {"n", "k", "variant", "states_checked", "trials", "max_error", "pass"}
+    assert set(rep) == {
+        "n", "k", "variant", "states_checked", "trials", "max_error",
+        "worst_word", "worst_string", "pass",
+    }
+
+
+def test_verify_select_names_the_failing_word(monkeypatch):
+    # one extra selection-controlled Z on a system qubit breaks exactly the
+    # words whose control bit is set
+    lay = SelectionLayout(3, 2, "k2")
+    real = simulator.synth_select_k2
+    ctrl = lay.width - 1  # the last selection qubit, set in half the words
+
+    def broken(n, variant):
+        c = real(n, variant)
+        c.add("CZ", ctrl, c.register_labels["system"][0])
+        return c
+
+    monkeypatch.setattr(simulator, "synth_select_k2", broken)
+    rep = verify_select(3, 2, "star", trials=2, seed=4)
+    assert not rep["pass"] and rep["max_error"] > 0.1
+    assert len(rep["worst_word"]) == lay.width and rep["worst_word"][ctrl] == "1"
+    assert rep["worst_string"] == str(decode_index(int(rep["worst_word"], 2), lay))
+    unset = [w for w in lay.valid_states() if not w & 1]
+    assert verify_select(3, 2, "star", trials=2, seed=4, words=unset)["pass"]
