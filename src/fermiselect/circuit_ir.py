@@ -5,6 +5,11 @@ alphabet is {X, Y, Z, H, S, Sdg, T, Tdg, A, Adg, CX, CY, CZ}; everything
 else is a macro that ``lower_macros`` expands into terminals.  A is the
 pi/8 Y-rotation [[cos, sin], [-sin, cos]](pi/8); it costs one T.
 
+Circuits are built in place: ``Circuit.append`` adds another circuit's
+gates through a qubit map, and ``conjugated`` wraps a block of gates as
+net · block · net† with the net remapped once.  ``compose`` is a copy
+followed by ``append``.
+
 ``asap_layers`` gives greedy ASAP layering.  ``schedule`` measures
 T-depth and Clifford depth as longest dependency chains counting only
 gates of the respective class, so Cliffords never pad T-depth.
@@ -17,8 +22,9 @@ Sdg/CSdg on the controls).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional, Sequence
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "Gate",
@@ -28,8 +34,10 @@ __all__ = [
     "MACRO_KINDS",
     "NON_CLIFFORD_KINDS",
     "compose",
+    "conjugated",
     "inverse",
     "expand_macro",
+    "terminal_gates",
     "lower_macros",
     "asap_layers",
     "schedule",
@@ -111,6 +119,41 @@ class Circuit:
             self._check(g)
             self.gates.append(g)
 
+    def append(self, b: Circuit, qubit_map: Optional[Sequence[int]] = None) -> None:
+        """Add b's gates in place, b's qubit i landing on qubit_map[i].
+
+        With no map the circuits must have equal width.  b's register
+        labels are dropped (the host circuit owns the naming).
+        """
+        self.gates.extend(_remapped(self, b, qubit_map))
+
+
+def _remapped(host: Circuit, b: Circuit, qubit_map: Optional[Sequence[int]]) -> list[Gate]:
+    """b's gates with b's qubit i moved to qubit_map[i] of ``host``."""
+    if qubit_map is None:
+        if b.n_qubits != host.n_qubits:
+            raise ValueError("word sizes differ; supply a qubit_map")
+        return list(b.gates)
+    qubit_map = tuple(qubit_map)
+    if len(qubit_map) != b.n_qubits:
+        raise ValueError(f"qubit_map length {len(qubit_map)} != {b.n_qubits}")
+    if any(not 0 <= q < host.n_qubits for q in qubit_map):
+        raise ValueError("qubit_map leaves the host circuit")
+    return [
+        Gate(g.kind, tuple(qubit_map[q] for q in g.qubits),
+             g.control_extension_point, g.extension_group)
+        for g in b.gates
+    ]
+
+
+def _inverted(gates: Sequence[Gate]) -> list[Gate]:
+    """Reversed gate list with each gate inverted; self-inverse gates are kept."""
+    return [
+        Gate(_INVERSE[g.kind], g.qubits, g.control_extension_point, g.extension_group)
+        if g.kind in _INVERSE else g
+        for g in reversed(gates)
+    ]
+
 
 @dataclass(frozen=True)
 class ResourceReport:
@@ -122,32 +165,28 @@ class ResourceReport:
 
 
 def compose(a: Circuit, b: Circuit, qubit_map: Optional[Sequence[int]] = None) -> Circuit:
-    """Append circuit b to a, with b's qubit i landing on qubit_map[i].
-
-    With no map the circuits must have equal width.  Register labels of a
-    are kept; b's are dropped (the host circuit owns the naming).
-    """
-    if qubit_map is None:
-        if b.n_qubits != a.n_qubits:
-            raise ValueError("word sizes differ; supply a qubit_map")
-        qubit_map = range(a.n_qubits)
-    qubit_map = tuple(qubit_map)
-    if len(qubit_map) != b.n_qubits:
-        raise ValueError(f"qubit_map length {len(qubit_map)} != {b.n_qubits}")
-    if any(not 0 <= q < a.n_qubits for q in qubit_map):
-        raise ValueError("qubit_map leaves the host circuit")
+    """A copy of a with b appended (see ``Circuit.append``); a is unchanged."""
     out = Circuit(a.n_qubits, list(a.gates), dict(a.register_labels))
-    for g in b.gates:
-        out.gates.append(replace(g, qubits=tuple(qubit_map[q] for q in g.qubits)))
+    out.append(b, qubit_map)
     return out
 
 
 def inverse(c: Circuit) -> Circuit:
     """Reverse the gate list and invert each gate."""
-    gates = [
-        replace(g, kind=_INVERSE.get(g.kind, g.kind)) for g in reversed(c.gates)
-    ]
-    return Circuit(c.n_qubits, gates, dict(c.register_labels))
+    return Circuit(c.n_qubits, _inverted(c.gates), dict(c.register_labels))
+
+
+@contextmanager
+def conjugated(c: Circuit, net: Circuit, qubit_map: Optional[Sequence[int]] = None):
+    """Wrap the gates the block adds to c as net · block · net†.
+
+    The net is remapped once; its inverse is built from those remapped
+    gates.  Yields c.
+    """
+    gates = _remapped(c, net, qubit_map)
+    c.gates.extend(gates)
+    yield c
+    c.gates.extend(_inverted(gates))
 
 
 def _ccz_network(a: int, b: int, c: int) -> list[Gate]:
@@ -204,6 +243,18 @@ def expand_macro(g: Gate) -> Optional[list[Gate]]:
     raise AssertionError(f"no expansion for {k}")
 
 
+def terminal_gates(gates: Iterable[Gate]) -> Iterator[Gate]:
+    """The terminal gates of ``gates`` in time order, macros expanded."""
+    stack = list(gates)
+    stack.reverse()
+    while stack:
+        g = stack.pop()
+        if g.kind in TERMINAL_KINDS:
+            yield g
+        else:
+            stack.extend(reversed(expand_macro(g)))
+
+
 def lower_macros(c: Circuit, pure_clifford_t: bool = False) -> Circuit:
     """Expand all macros into the terminal alphabet.
 
@@ -214,21 +265,15 @@ def lower_macros(c: Circuit, pure_clifford_t: bool = False) -> Circuit:
     before lowering, not after.
     """
     out: list[Gate] = []
-    stack = list(reversed(c.gates))
-    while stack:
-        g = stack.pop()
-        expansion = expand_macro(g)
-        if expansion is not None:
-            stack.extend(reversed(expansion))
-            continue
+    for g in terminal_gates(c.gates):
         if pure_clifford_t and g.kind in ("A", "Adg"):
             (t,) = g.qubits
             mid = "T" if g.kind == "A" else "Tdg"
-            out.extend(
-                Gate(kk, (t,)) for kk in ("S", "H", mid, "H", "Sdg")
-            )
-            continue
-        out.append(replace(g, control_extension_point=False, extension_group=None))
+            out.extend(Gate(kk, (t,)) for kk in ("S", "H", mid, "H", "Sdg"))
+        elif g.control_extension_point or g.extension_group is not None:
+            out.append(Gate(g.kind, g.qubits))
+        else:
+            out.append(g)
     return Circuit(c.n_qubits, out, dict(c.register_labels))
 
 
@@ -398,12 +443,7 @@ def add_global_controls(c: Circuit, num_controls: int) -> Circuit:
     out = Circuit(n, [], labels)
     done_groups: set[int] = set()
     for g in c.gates:
-        shifted = replace(
-            g,
-            qubits=tuple(q + nc for q in g.qubits),
-            control_extension_point=False,
-            extension_group=None,
-        )
+        shifted = Gate(g.kind, tuple(q + nc for q in g.qubits))
         if not g.control_extension_point:
             out.gates.append(shifted)
             continue

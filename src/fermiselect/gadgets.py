@@ -3,7 +3,7 @@
 Register conventions: address registers are most-significant-bit first
 (qubit 0 of the register is the highest address bit).  Gadgets that
 combine an address with data lay qubits out as [address | flags | data]
-and carry register labels so hosts can embed them with ``compose``.
+and carry register labels so hosts can embed them with ``Circuit.append``.
 
 The swap network ("swap-up") conditionally permutes data qubit x to
 position 0 for address value x.  The plain variant uses exact controlled
@@ -13,15 +13,19 @@ fanout, giving 2(n-1) controlled swaps per network for n >= 3.  The star
 variant instead uses a cheaper controlled swap that is wrong by a -1
 phase on one basis state; conjugation cancels the phases, so every
 injector built from it is still exact.
+
+Every injector is one move, a payload conjugated by a network
+(``circuit_ir.conjugated``); ``letter_select`` writes the flagged X/Y
+payload for both variants and ``basis_change`` the frame it runs in.
 """
 
 from __future__ import annotations
 
-import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .circuit_ir import Circuit, Gate, compose, inverse
+from .circuit_ir import Circuit, Gate, conjugated, expand_macro
 
 __all__ = [
     "MultiSwapLayout",
@@ -35,6 +39,8 @@ __all__ = [
     "swap_up",
     "swap_up_star",
     "cswap_phase_incorrect",
+    "basis_change",
+    "letter_select",
     "select_q",
     "select_p",
     "inject",
@@ -265,16 +271,17 @@ def swap_up_star(n: int) -> Circuit:
     c = Circuit(bits + n, [], _swap_up_labels(n))
     for j, _m, data_pairs in _swap_levels(n):
         control = bits - 1 - j
-        pairs = [(bits + a, bits + b) for a, b in data_pairs]
-        for a, b in pairs:
-            c.extend(
-                [Gate("CX", (b, a)), Gate("A", (b,)), Gate("CX", (a, b)), Gate("A", (b,))]
-            )
-        c.extend(_fanout_gates(control, [b for _, b in pairs]))
-        for a, b in pairs:
-            c.extend(
-                [Gate("Adg", (b,)), Gate("CX", (a, b)), Gate("Adg", (b,)), Gate("CX", (b, a))]
-            )
+        # each expansion's middle gate is its CX(control, b); the level
+        # replaces those with one fanout
+        halves = [
+            expand_macro(Gate("CSWAP_STAR", (control, bits + a, bits + b)))
+            for a, b in data_pairs
+        ]
+        for h in halves:
+            c.extend(h[:4])
+        c.extend(_fanout_gates(control, [bits + b for _, b in data_pairs]))
+        for h in halves:
+            c.extend(h[5:])
     return c
 
 
@@ -282,22 +289,79 @@ def cswap_phase_incorrect() -> Circuit:
     """Controlled swap up to a -1 phase on |100>: 4 T, no ancillas.
 
     Qubit 0 controls a swap of qubits 1 and 2; the unitary equals CSWAP
-    except that |100> picks up a minus sign.
+    except that |100> picks up a minus sign.  This is the CSWAP_STAR
+    macro's expansion.
     """
-    c = Circuit(3)
-    c.extend(
-        [
-            Gate("CX", (2, 1)), Gate("A", (2,)), Gate("CX", (1, 2)), Gate("A", (2,)),
-            Gate("CX", (0, 2)),
-            Gate("Adg", (2,)), Gate("CX", (1, 2)), Gate("Adg", (2,)), Gate("CX", (2, 1)),
-        ]
-    )
-    return c
+    return Circuit(3, expand_macro(Gate("CSWAP_STAR", (0, 1, 2))))
 
 
 # ---------------------------------------------------------------------------
 # Payload selectors and injectors
 # ---------------------------------------------------------------------------
+
+
+@contextmanager
+def basis_change(c: Circuit, qubits: Sequence[int], letter: str):
+    """Run the block in the ``letter`` frame of ``qubits``: Z there acts as X or Y.
+
+    Before the block each qubit gets H (X) or Sdg·H (Y, time order);
+    after it, H or H·S.
+    """
+    for q in qubits:
+        if letter == "Y":
+            c.add("Sdg", q)
+        c.add("H", q)
+    yield c
+    for q in qubits:
+        c.add("H", q)
+        if letter == "Y":
+            c.add("S", q)
+
+
+def letter_select(
+    c: Circuit,
+    net: Circuit,
+    net_map: Sequence[int],
+    flags: Sequence[int],
+    data: Sequence[int],
+    first: str,
+    star: bool,
+) -> None:
+    """Flagged X/Y on the addressed data qubit ``data[0]``, appended to c.
+
+    Letter ``first`` fires when the last flag is 0 and the other letter
+    when it is 1, both under any earlier flag.  Plain: one ``net``
+    conjugation around CX/CY (one flag) or TOFFOLI, S-conjugated for Y
+    (two flags).  Star: per letter, a ``net``-conjugated CZ or CCZ in
+    that letter's frame of every data qubit.  The payload gates are
+    control extension points.
+    """
+    sel, d0 = flags[-1], data[0]
+    letters = (first, "Y" if first == "X" else "X")
+    if not star:
+        with conjugated(c, net, net_map):
+            for letter, open_on in zip(letters, (True, False)):
+                if open_on:
+                    c.add("X", sel)
+                if len(flags) == 1:
+                    c.add("C" + letter, sel, d0, control_extension_point=True)
+                else:
+                    if letter == "Y":
+                        c.add("Sdg", d0)
+                    c.add("TOFFOLI", *flags, d0, control_extension_point=True)
+                    if letter == "Y":
+                        c.add("S", d0)
+                if open_on:
+                    c.add("X", sel)
+        return
+    for letter, open_on in zip(letters, (True, False)):
+        with basis_change(c, data, letter):
+            if open_on:
+                c.add("X", sel)
+            with conjugated(c, net, net_map):
+                c.add("C" * len(flags) + "Z", *flags, d0, control_extension_point=True)
+            if open_on:
+                c.add("X", sel)
 
 
 def select_q() -> Circuit:
@@ -310,20 +374,22 @@ def select_q() -> Circuit:
     c = Circuit(3)
     c.add("Z", 0, control_extension_point=True)
     c.add("Z", 1, control_extension_point=True)
-    c.add("X", 0)
-    c.add("CY", 0, 2, control_extension_point=True)
-    c.add("X", 0)
-    c.add("CX", 0, 2, control_extension_point=True)
+    letter_select(c, Circuit(0), (), (0,), (2,), "Y", star=False)
     return c
 
 
 def select_p() -> Circuit:
     """One flag qubit (0) picks X (flag 0) or Y (flag 1) on qubit 1."""
     c = Circuit(2)
-    c.add("X", 0)
-    c.add("CX", 0, 1, control_extension_point=True)
-    c.add("X", 0)
-    c.add("CY", 0, 1, control_extension_point=True)
+    letter_select(c, Circuit(0), (), (0,), (1,), "X", star=False)
+    return c
+
+
+def _injector(u: str, net: Circuit, n: int) -> Circuit:
+    """Payload ``u`` on the front data qubit, conjugated by ``net``."""
+    c = Circuit(net.n_qubits, [], dict(net.register_labels))
+    with conjugated(c, net):
+        c.add(u, address_bits(n), control_extension_point=True)
     return c
 
 
@@ -336,48 +402,33 @@ def inject(u: str, n: int) -> Circuit:
     """
     if u not in _ONE_QUBIT_TERMINALS:
         raise ValueError(f"payload must be a one-qubit terminal gate, got {u!r}")
-    net = swap_up(n)
-    c = Circuit(net.n_qubits, list(net.gates), dict(net.register_labels))
-    c.add(u, address_bits(n), control_extension_point=True)
-    c.extend(inverse(net).gates)
-    return c
+    return _injector(u, swap_up(n), n)
 
 
 def inject_star_z(n: int) -> Circuit:
     """Addressed Z via the phase-incorrect network; exact by conjugation."""
-    net = swap_up_star(n)
-    c = Circuit(net.n_qubits, list(net.gates), dict(net.register_labels))
-    c.add("Z", address_bits(n), control_extension_point=True)
-    c.extend(inverse(net).gates)
-    return c
+    return _injector("Z", swap_up_star(n), n)
 
 
-def _star_block(c: Circuit, flag: int, data0: int, net: Circuit, open_on: bool) -> None:
-    """Flag-controlled addressed-Z block in the star construction."""
-    if open_on:
-        c.add("X", flag)
-    c.extend(net.gates)
-    c.add("CZ", flag, data0, control_extension_point=True)
-    c.extend(inverse(net).gates)
-    if open_on:
-        c.add("X", flag)
+def _letter_injector(n: int, variant: str, signed: bool) -> Circuit:
+    """[address | flags | data] circuit: flagged X/Y on the addressed qubit.
 
-
-def _basis_change(c: Circuit, data: Sequence[int], to: str, forward: bool) -> None:
-    """Map Z to X (to='X') or Z to Y (to='Y') on every data qubit.
-
-    forward=True emits the change *into* the rotated frame (applied before
-    the diagonal payload), forward=False the return trip.
+    Signed: flags a, b, both marked with Z, and a picks Y (0) or X (1).
+    Unsigned: one flag picks X (0) or Y (1).
     """
-    for q in data:
-        if to == "X":
-            c.add("H", q)
-        elif forward:
-            c.add("Sdg", q)  # B_Y† = (S·H)†, time order Sdg then H
-            c.add("H", q)
-        else:
-            c.add("H", q)
-            c.add("S", q)
+    star = _check_variant(variant)
+    bits = address_bits(n)
+    flags = tuple(range(bits, bits + (2 if signed else 1)))
+    data = tuple(range(bits + len(flags), bits + len(flags) + n))
+    labels = {"address": tuple(range(bits)), "flags": flags, "data": data}
+    c = Circuit(bits + len(flags) + n, [], labels)
+    if signed:
+        for f in flags:
+            c.add("Z", f, control_extension_point=True)
+    net = swap_up_star(n) if star else swap_up(n)
+    net_map = list(range(bits)) + list(data)
+    letter_select(c, net, net_map, flags[:1], data, "Y" if signed else "X", star)
+    return c
 
 
 def inject_select_q(n: int, variant: str = "star") -> Circuit:
@@ -387,36 +438,7 @@ def inject_select_q(n: int, variant: str = "star") -> Circuit:
     under X -> Y -> -X of the signed Pauli (+X, -X, +Y, -Y for ab = 00,
     01, 10, 11) at the addressed position.
     """
-    star = _check_variant(variant)
-    bits = address_bits(n)
-    a, b = bits, bits + 1
-    data = tuple(range(bits + 2, bits + 2 + n))
-    labels = {"address": tuple(range(bits)), "flags": (a, b), "data": data}
-    c = Circuit(bits + 2 + n, [], labels)
-    c.add("Z", a, control_extension_point=True)
-    c.add("Z", b, control_extension_point=True)
-    if not star:
-        net = swap_up(n)
-        net_map = list(range(bits)) + list(data)
-        c = compose(c, net, net_map)
-        c.add("X", a)
-        c.add("CY", a, data[0], control_extension_point=True)
-        c.add("X", a)
-        c.add("CX", a, data[0], control_extension_point=True)
-        c = compose(c, inverse(net), net_map)
-        return c
-    net = swap_up_star(n)
-    net_map = list(range(bits)) + list(data)
-    embedded = compose(Circuit(c.n_qubits, [], labels), net, net_map)
-    # a = 0 branch: Y payload, via the Z->Y frame
-    _basis_change(c, data, "Y", forward=True)
-    _star_block(c, a, data[0], embedded, open_on=True)
-    _basis_change(c, data, "Y", forward=False)
-    # a = 1 branch: X payload, via the Z->X frame
-    _basis_change(c, data, "X", forward=True)
-    _star_block(c, a, data[0], embedded, open_on=False)
-    _basis_change(c, data, "X", forward=False)
-    return c
+    return _letter_injector(n, variant, signed=True)
 
 
 def inject_select_p(n: int, variant: str = "star") -> Circuit:
@@ -424,31 +446,7 @@ def inject_select_p(n: int, variant: str = "star") -> Circuit:
 
     Layout: [address | flag | data].
     """
-    star = _check_variant(variant)
-    bits = address_bits(n)
-    flag = bits
-    data = tuple(range(bits + 1, bits + 1 + n))
-    labels = {"address": tuple(range(bits)), "flags": (flag,), "data": data}
-    c = Circuit(bits + 1 + n, [], labels)
-    net_map = list(range(bits)) + list(data)
-    if not star:
-        net = swap_up(n)
-        c = compose(c, net, net_map)
-        c.add("X", flag)
-        c.add("CX", flag, data[0], control_extension_point=True)
-        c.add("X", flag)
-        c.add("CY", flag, data[0], control_extension_point=True)
-        c = compose(c, inverse(net), net_map)
-        return c
-    net = swap_up_star(n)
-    embedded = compose(Circuit(c.n_qubits, [], labels), net, net_map)
-    _basis_change(c, data, "X", forward=True)
-    _star_block(c, flag, data[0], embedded, open_on=True)
-    _basis_change(c, data, "X", forward=False)
-    _basis_change(c, data, "Y", forward=True)
-    _star_block(c, flag, data[0], embedded, open_on=False)
-    _basis_change(c, data, "Y", forward=False)
-    return c
+    return _letter_injector(n, variant, signed=False)
 
 
 @dataclass(frozen=True)

@@ -301,6 +301,7 @@ def _sum_mul(a: dict[str, complex], b: dict[str, complex]) -> dict[str, complex]
 
 
 def _term_expansion(term: FermionTerm, n: int) -> dict[str, complex]:
+    """Letter-string coefficients of the term, without its ``+hc`` part."""
     _validate_term(term, n)
     acc: dict[str, complex] = {"I" * n: complex(term.coefficient)}
     for f in term.factors:
@@ -311,24 +312,30 @@ def _term_expansion(term: FermionTerm, n: int) -> dict[str, complex]:
         else:
             image = _number_image(f.orbital, n)
         acc = _sum_mul(acc, image)
-    if term.include_hc:
-        # bare letter-strings are Hermitian, so conjugating coefficients
-        # conjugates the whole operator
-        acc = {letters: c + c.conjugate() for letters, c in acc.items()}
     return acc
 
 
-def _collect(acc: dict[str, complex], n: int, scale: float) -> PauliLCU:
-    """LCU from summed coefficients; ``scale`` is the largest input magnitude.
+def _collect(terms: Iterable[FermionTerm], n: int) -> PauliLCU:
+    """Merged LCU of ``terms``: positive alphas, sorted by letters.
 
-    Entries at or below ``_TOL * scale`` are cancellation residue and are
-    dropped, so a uniformly small Hamiltonian keeps all of its terms.
+    A term with ``include_hc`` contributes c and its conjugate to each
+    string (bare letter-strings are Hermitian, so conjugating the
+    coefficients conjugates the operator).  A string's sum that is
+    exactly zero, or below ``_TOL`` times the largest contribution merged
+    into that string, is cancellation residue and is dropped.
     """
-    cutoff = _TOL * scale
+    acc: dict[str, complex] = {}
+    scale: dict[str, float] = {}
+    for term in terms:
+        hc = term.include_hc
+        for letters, c in _term_expansion(term, n).items():
+            acc[letters] = acc.get(letters, 0.0) + (c + c.conjugate() if hc else c)
+            scale[letters] = max(scale.get(letters, 0.0), abs(c))
     entries = []
     for letters in sorted(acc):
         c = acc[letters]
-        if abs(c) <= cutoff:
+        cutoff = _TOL * scale[letters]
+        if c == 0 or abs(c) < cutoff:
             continue
         if abs(c.imag) > cutoff:
             raise ValueError(
@@ -353,23 +360,17 @@ def jw_transform_term(term: FermionTerm, n: int) -> PauliLCU:
 
     Returns:
         PauliLCU with positive alphas, signs pushed into string phases and
-        entries sorted by letters.  Coefficients at most 1e-12 times the
-        largest expansion coefficient are dropped.
+        entries sorted by letters.  A coefficient that is zero or below
+        1e-12 times the largest contribution to its string is dropped.
     """
-    acc = _term_expansion(term, n)
-    return _collect(acc, n, max(map(abs, acc.values()), default=0.0))
+    return _collect((term,), n)
 
 
 def jw_transform(h: FermionHamiltonian) -> PauliLCU:
     """Transform a fermionic Hamiltonian; like-strings are merged.
 
-    Merged coefficients at most 1e-12 times the largest per-term
-    coefficient are dropped as cancellation residue.
+    A merged coefficient that is zero or below 1e-12 times the largest
+    contribution merged into its string is dropped as cancellation
+    residue, so small terms survive next to large ones.
     """
-    acc: dict[str, complex] = {}
-    scale = 0.0
-    for term in h.terms:
-        for letters, c in _term_expansion(term, h.n_orbitals).items():
-            acc[letters] = acc.get(letters, 0.0) + c
-            scale = max(scale, abs(c))
-    return _collect(acc, h.n_orbitals, scale)
+    return _collect(h.terms, h.n_orbitals)

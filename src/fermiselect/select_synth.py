@@ -23,16 +23,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
-from .circuit_ir import SDG_TWO_CONTROLS, Circuit, Gate, add_global_controls, compose, inverse
+from .circuit_ir import SDG_TWO_CONTROLS, Circuit, add_global_controls, conjugated
 from .gadgets import (
-    address_bits,
     inject,
     inject_select_p,
     inject_select_q,
     inject_star_z,
     ladder_tree,
+    letter_select,
     swap_up,
     swap_up_star,
 )
@@ -381,9 +381,15 @@ def encode_lcu(lcu: PauliLCU, layout: SelectionLayout) -> list[tuple[int, float,
 def _phase_block(c: Circuit, qubit: int, group: int) -> None:
     """Four Cliffords realizing a global -i, marked as one extension unit."""
     for kind in ("X", "Sdg", "X", "Sdg"):
-        c.gates.append(
-            Gate(kind, (qubit,), control_extension_point=True, extension_group=group)
-        )
+        c.add(kind, qubit, control_extension_point=True, extension_group=group)
+
+
+def _select_host(layout: SelectionLayout) -> tuple[Circuit, dict[str, tuple[int, ...]], list[int]]:
+    """Empty SELECT circuit, its selection registers and its system qubits."""
+    regs = layout.registers()
+    system = list(range(layout.width, layout.width + layout.n))
+    labels = {**regs, "system": tuple(system)}
+    return Circuit(layout.width + layout.n, [], labels), regs, system
 
 
 def synth_select_k2(n: int, variant: str = "star") -> Circuit:
@@ -392,89 +398,15 @@ def synth_select_k2(n: int, variant: str = "star") -> Circuit:
     Applies (P1)_p Z...Z (P2)_q with the sign carried by P1, for every
     p < q.  Width is 2*ceil(log2 n) + 3 + n.
     """
-    layout = SelectionLayout(n, 2, "k2")
-    L = layout.address_width
-    width = layout.width
-    labels = {name: qs for name, qs in layout.registers().items()}
-    system = tuple(range(width, width + n))
-    labels["system"] = system
-    c = Circuit(width + n, [], labels)
-
-    lad = ladder_tree(n)
-    sys_map = list(system)
-    c = compose(c, lad, sys_map)
+    c, regs, system = _select_host(SelectionLayout(n, 2, "k2"))
+    p, q = list(regs["p"]), list(regs["q"])
     injz = inject("Z", n) if variant == "plain" else inject_star_z(n)
-    c = compose(c, injz, list(range(L)) + sys_map)
-    c = compose(c, injz, list(range(L, 2 * L)) + sys_map)
-    c = compose(c, inverse(lad), sys_map)
+    with conjugated(c, ladder_tree(n), system):
+        c.append(injz, p + system)
+        c.append(injz, q + system)
     _phase_block(c, 0, group=0)
-    c = compose(c, inject_select_q(n, variant), list(range(L)) + [2 * L, 2 * L + 1] + sys_map)
-    c = compose(c, inject_select_p(n, variant), list(range(L, 2 * L)) + [2 * L + 2] + sys_map)
-    return c
-
-
-def _flagged_inject_z(
-    c: Circuit, net: Circuit, net_map: list[int], flag: int, data0: int
-) -> Circuit:
-    """Swap-conjugated CZ(flag, front data qubit), an extension point."""
-    c = compose(c, net, net_map)
-    c.add("CZ", flag, data0, control_extension_point=True)
-    return compose(c, inverse(net), net_map)
-
-
-def _basis_gates(c: Circuit, system: tuple[int, ...], to: str, forward: bool) -> None:
-    for q in system:
-        if to == "X":
-            c.add("H", q)
-        elif forward:
-            c.add("Sdg", q)
-            c.add("H", q)
-        else:
-            c.add("H", q)
-            c.add("S", q)
-
-
-def _flagged_select_block(
-    c: Circuit,
-    variant: str,
-    net: Circuit,
-    net_map: list[int],
-    iflag: int,
-    pflag: int,
-    system: tuple[int, ...],
-    first: str,
-) -> Circuit:
-    """Interaction-flag-controlled letter selection at the addressed qubit.
-
-    ``first`` names the letter applied when the letter flag is 0; the
-    opposite letter fires when it is 1.  Payload gates carry extension
-    markers.
-    """
-    d0 = system[0]
-    order = (first, "Y" if first == "X" else "X")
-    if variant == "plain":
-        c = compose(c, net, net_map)
-        for phase_letter, open_on in zip(order, (True, False)):
-            if open_on:
-                c.add("X", pflag)
-            if phase_letter == "Y":
-                c.add("Sdg", d0)
-            c.add("TOFFOLI", iflag, pflag, d0, control_extension_point=True)
-            if phase_letter == "Y":
-                c.add("S", d0)
-            if open_on:
-                c.add("X", pflag)
-        return compose(c, inverse(net), net_map)
-    for basis_letter, open_on in zip(order, (True, False)):
-        _basis_gates(c, system, basis_letter, forward=True)
-        if open_on:
-            c.add("X", pflag)
-        c = compose(c, net, net_map)
-        c.add("CCZ", iflag, pflag, d0, control_extension_point=True)
-        c = compose(c, inverse(net), net_map)
-        if open_on:
-            c.add("X", pflag)
-        _basis_gates(c, system, basis_letter, forward=False)
+    c.append(inject_select_q(n, variant), p + list(regs["P1"]) + system)
+    c.append(inject_select_p(n, variant), q + list(regs["P2"]) + system)
     return c
 
 
@@ -488,45 +420,34 @@ def synth_select_general(n: int, k: int, variant: str = "star") -> Circuit:
     """
     if n < 2:
         raise ValueError("need at least two system qubits")
-    layout = SelectionLayout(n, k, "general")
-    L = layout.address_width
-    width = layout.width
-    labels = dict(layout.registers())
-    system = tuple(range(width, width + n))
-    labels["system"] = system
-    regs = layout.registers()
-    addr_maps = [list(regs[f"addr{j}"]) for j in range(k)]
+    c, regs, system = _select_host(SelectionLayout(n, k, "general"))
     pflags = [regs[f"P{j}"][0] for j in range(k)]
     iflags = [regs[f"i{j}"][0] for j in range(k)]
     nflags = [regs[f"n{j}"][0] for j in range(k)]
-
-    c = Circuit(width + n, [], labels)
     c.add("Z", 0, control_extension_point=True)
     for t in range(k // 2):
         c.add("Sdg", iflags[2 * t], control_extension_point=True)
 
-    net = swap_up(n) if variant == "plain" else swap_up_star(n)
-    sys_map = list(system)
-    lad = ladder_tree(n)
+    star = variant != "plain"
+    net = swap_up_star(n) if star else swap_up(n)
+    net_maps = [list(regs[f"addr{j}"]) + system for j in range(k)]
 
-    c = compose(c, lad, sys_map)
-    for j in range(k):
-        c = _flagged_inject_z(c, net, addr_maps[j] + sys_map, iflags[j], system[0])
-    c = compose(c, inverse(lad), sys_map)
+    def flagged_z(flags: list[int]) -> None:
+        # swap-conjugated CZ(flag j, front system qubit) for every slot j
+        for j in range(k):
+            with conjugated(c, net, net_maps[j]):
+                c.add("CZ", flags[j], system[0], control_extension_point=True)
 
+    with conjugated(c, ladder_tree(n), system):
+        flagged_z(iflags)
     for t in range(k // 2):
         a, b = 2 * t, 2 * t + 1
-        c = _flagged_select_block(
-            c, variant, net, addr_maps[a] + sys_map, iflags[a], pflags[a], system, "Y"
-        )
+        letter_select(c, net, net_maps[a], (iflags[a], pflags[a]), system, "Y", star)
         # the letter-sign phase of the first endpoint: -1 when its letter
         # flag is set, only for an active pair
         c.add("CZ", iflags[a], pflags[a], control_extension_point=True)
-        c = _flagged_select_block(
-            c, variant, net, addr_maps[b] + sys_map, iflags[b], pflags[b], system, "X"
-        )
-    for j in range(k):
-        c = _flagged_inject_z(c, net, addr_maps[j] + sys_map, nflags[j], system[0])
+        letter_select(c, net, net_maps[b], (iflags[b], pflags[b]), system, "X", star)
+    flagged_z(nflags)
     return c
 
 

@@ -18,12 +18,12 @@ each word's system action with its decoded Pauli string on random states.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import kernels
-from .circuit_ir import TERMINAL_KINDS, Circuit, Gate, expand_macro
+from .circuit_ir import Circuit, Gate, terminal_gates
 from .pauli import pauli_apply
 from .select_synth import (
     SelectionLayout,
@@ -99,23 +99,14 @@ def random_state(n_qubits: int, rng=None) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
-def _terminal_stream(gates: Iterable[Gate]) -> Iterator[Gate]:
-    stack = list(gates)
-    stack.reverse()
-    while stack:
-        g = stack.pop()
-        if g.kind in TERMINAL_KINDS:
-            yield g
+def _run(c: Circuit, amps: np.ndarray) -> np.ndarray:
+    """Apply c's terminal gates, in place, to amps of shape (2**n, ...)."""
+    for g in terminal_gates(c.gates):
+        if len(g.qubits) == 1:
+            kernels.apply_one_qubit(amps, c.n_qubits, g.qubits[0], GATE_1Q[g.kind])
         else:
-            expansion = expand_macro(g)
-            stack.extend(reversed(expansion))
-
-
-def _apply_gate(amps: np.ndarray, n: int, kind: str, qubits: tuple[int, ...]) -> None:
-    if len(qubits) == 1:
-        kernels.apply_one_qubit(amps, n, qubits[0], GATE_1Q[kind])
-    else:
-        kernels.apply_controlled_one_qubit(amps, n, qubits[0], qubits[1], GATE_1Q[kind[1:]])
+            kernels.apply_controlled_one_qubit(amps, c.n_qubits, *g.qubits, GATE_1Q[g.kind[1:]])
+    return amps
 
 
 def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
@@ -126,9 +117,7 @@ def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
     amps = np.array(state, dtype=np.complex128)
     if amps.shape != (1 << n,):
         raise ValueError(f"state must have {1 << n} amplitudes")
-    for g in _terminal_stream(c.gates):
-        _apply_gate(amps, n, g.kind, g.qubits)
-    return amps
+    return _run(c, amps)
 
 
 def unitary_of(c: Circuit) -> np.ndarray:
@@ -136,10 +125,7 @@ def unitary_of(c: Circuit) -> np.ndarray:
     n = c.n_qubits
     if n > MAX_UNITARY_QUBITS:
         raise ValueError(f"{n} qubits exceeds the unitary cap of {MAX_UNITARY_QUBITS}")
-    mat = np.eye(1 << n, dtype=np.complex128)
-    for g in _terminal_stream(c.gates):
-        _apply_gate(mat, n, g.kind, g.qubits)
-    return mat
+    return _run(c, np.eye(1 << n, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +227,7 @@ def apply_classical_control(
         raise ValueError(f"system state must have {1 << n_sys} amplitudes")
     words = np.atleast_1d(np.asarray(selection_bits, dtype=np.int64))
     states = np.repeat(state[:, None], len(words), axis=1)
-    phase = _walk(c, list(_terminal_stream(c.gates)), words, states)
+    phase = _walk(c, list(terminal_gates(c.gates)), words, states)
     if np.ndim(selection_bits) == 0:
         return complex(phase[0]), states[:, 0]
     return phase, states
@@ -268,6 +254,8 @@ def verify_select(
     reached it (``worst_word``, its selection bits) and its decoded
     string (``worst_string``), and a boolean ``pass``.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if k == 2:
         layout = SelectionLayout(n, 2, "k2")
         circuit = synth_select_k2(n, variant)
@@ -278,7 +266,7 @@ def verify_select(
     dim = 1 << len(circuit.register_labels["system"])
     base = rng.standard_normal((dim, trials)) + 1j * rng.standard_normal((dim, trials))
     base /= np.linalg.norm(base, axis=0, keepdims=True)
-    gates = list(_terminal_stream(circuit.gates))
+    gates = list(terminal_gates(circuit.gates))
     all_words = np.fromiter(layout.valid_states() if words is None else words, dtype=np.int64)
     chunk = max(1, _WALK_AMPLITUDES // (dim * trials))
 

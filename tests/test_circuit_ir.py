@@ -16,6 +16,7 @@ from fermiselect.circuit_ir import (
     asap_layers,
     chain_depth,
     compose,
+    conjugated,
     count_extension_points,
     emit_text,
     expand_macro,
@@ -23,6 +24,7 @@ from fermiselect.circuit_ir import (
     lower_macros,
     schedule,
 )
+from fermiselect.gadgets import address_bits, inject, swap_up
 from fermiselect.simulator import unitary_of
 
 from conftest import permutation_matrix
@@ -199,6 +201,44 @@ def test_compose_preserves_extension_markers():
     b.add("Z", 0, control_extension_point=True)
     out = compose(Circuit(2), b, [1])
     assert out.gates[0].control_extension_point
+
+
+def test_compose_copies_and_append_extends_in_place():
+    a = Circuit(2, [Gate("H", (0,))])
+    b = Circuit(2, [Gate("CX", (0, 1))])
+    out = compose(a, b)
+    assert a.gates == [Gate("H", (0,))]
+    assert out.gates == [Gate("H", (0,)), Gate("CX", (0, 1))]
+    a.append(b, [1, 0])
+    assert a.gates == [Gate("H", (0,)), Gate("CX", (1, 0))]
+    for bad in ([0], [0, 2]):  # wrong length, leaves the host
+        with pytest.raises(ValueError):
+            a.append(b, bad)
+    with pytest.raises(ValueError):
+        a.append(Circuit(3))  # widths differ and no map
+    assert len(a.gates) == 2
+
+
+def test_conjugated_remaps_once_and_inverts():
+    net = Circuit(2, [Gate("S", (0,)), Gate("CX", (0, 1))])
+    c = Circuit(3)
+    with conjugated(c, net, [2, 0]) as host:
+        assert host is c
+        c.add("Z", 1)
+    assert [(g.kind, g.qubits) for g in c.gates] == [
+        ("S", (2,)), ("CX", (2, 0)), ("Z", (1,)), ("CX", (2, 0)), ("Sdg", (2,)),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_conjugated_swap_network_is_inject(n):
+    net = swap_up(n)
+    c = Circuit(net.n_qubits, [], dict(net.register_labels))
+    with conjugated(c, net):
+        c.add("Z", address_bits(n), control_extension_point=True)
+    payload = Gate("Z", (address_bits(n),), control_extension_point=True)
+    assert c.gates == net.gates + [payload] + inverse(net).gates
+    assert c.gates == inject("Z", n).gates
 
 
 # --- global controls -------------------------------------------------------

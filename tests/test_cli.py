@@ -176,6 +176,12 @@ def test_verify_passes(capsys):
     assert report["max_error"] < 1e-9
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_rejects_too_few_trials(trials, capsys):
+    rc, out, err = run(["verify", "--n", "3", "--trials", trials], capsys)
+    assert rc == 2 and "trials" in err and not out
+
+
 def test_verify_capacity_guard(capsys):
     rc, _, err = run(["verify", "--n", "16"], capsys)
     assert rc == 2 and "at most" in err

@@ -260,6 +260,10 @@ def test_hamiltonian_validation():
     st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
 )
 @example(0, 0, 1e-12)  # a uniformly small term must not be dropped
+# a small real part next to a large imaginary one is input, not residue
+@example(0, 0, 1e-12 + 1j)
+@example(0, 0, 1e-12 + 2j)
+@example(0, 0, 0j)  # every string sums to an exact zero
 def test_jw_pair_hermitian_property(p, dq, coeff):
     # every transformed hopping term is a Hermitian LCU matching the oracle
     q = p + 1 + dq

@@ -1,7 +1,9 @@
 """Resource accounting: measured circuit costs against closed-form predictions."""
 
+import numpy as np
 import pytest
 
+from fermiselect.circuit_ir import lower_macros
 from fermiselect.resources import (
     FORMULAS,
     GROWTH_CAP,
@@ -9,6 +11,8 @@ from fermiselect.resources import (
     check_against_formulas,
     measure,
 )
+from fermiselect.select_synth import synth_select_general, synth_select_k2
+from fermiselect.simulator import unitary_of
 
 
 def _rows(n_list):
@@ -90,3 +94,35 @@ def test_n2_plain_known_shortfalls():
 def test_measure_rejects_unknown_component():
     with pytest.raises(KeyError):
         measure("NoSuchThing", 4)
+
+
+# --- pure_clifford_t lowering ------------------------------------------------
+
+
+def _a_balance(circuit):
+    kinds = [g.kind for g in lower_macros(circuit).gates]
+    return kinds.count("A"), kinds.count("Adg")
+
+
+@pytest.mark.parametrize("name", sorted(FORMULAS))
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_every_formula_circuit_balances_a_gates(name, n):
+    # the A -> S·H·T·H·Sdg rewrite is exact only when A and Adg pair up
+    a, adg = _a_balance(FORMULAS[name].build(n))
+    assert a == adg
+
+
+@pytest.mark.parametrize("variant", ["plain", "star"])
+@pytest.mark.parametrize("n", [2, 5])
+def test_general_select_balances_a_gates(variant, n):
+    a, adg = _a_balance(synth_select_general(n, 4, variant))
+    assert a == adg
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: synth_select_k2(2, "star"), lambda: FORMULAS["InjSelQStar"].build(4)]
+)
+def test_pure_clifford_t_lowering_is_exact(build):
+    c = build()
+    exact = unitary_of(lower_macros(c))
+    assert np.abs(unitary_of(lower_macros(c, pure_clifford_t=True)) - exact).max() < 1e-12

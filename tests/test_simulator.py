@@ -309,3 +309,13 @@ def test_verify_select_names_the_failing_word(monkeypatch):
     assert rep["worst_string"] == str(decode_index(int(rep["worst_word"], 2), lay))
     unset = [w for w in lay.valid_states() if not w & 1]
     assert verify_select(3, 2, "star", trials=2, seed=4, words=unset)["pass"]
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_verify_select_rejects_too_few_trials(trials, monkeypatch):
+    def never(*args):
+        raise AssertionError("synthesized before the trials check")
+
+    monkeypatch.setattr(simulator, "synth_select_k2", never)
+    with pytest.raises(ValueError, match="trials"):
+        verify_select(3, 2, "star", trials=trials)
