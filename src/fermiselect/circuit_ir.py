@@ -5,6 +5,12 @@ alphabet is {X, Y, Z, H, S, Sdg, T, Tdg, A, Adg, CX, CY, CZ}; everything
 else is a macro that ``lower_macros`` expands into terminals.  A is the
 pi/8 Y-rotation [[cos, sin], [-sin, cos]](pi/8); it costs one T.
 
+Gates are plain records, checked once where they enter a circuit:
+``Circuit(...)``, ``add`` and ``extend`` run ``Circuit._check``, the one
+definition of a valid gate.  Gates derived from gates already in a
+circuit (remapped, inverted, lowered or shifted under global controls)
+are written to ``gates`` unchecked; a remap checks its qubit map instead.
+
 Circuits are built in place: ``Circuit.append`` adds another circuit's
 gates through a qubit map, and ``conjugated`` wraps a block of gates as
 net · block · net† with the net remapped once.  ``compose`` is a copy
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
     "Gate",
@@ -66,27 +72,17 @@ _INVERSE = {
 }
 
 
-@dataclass(frozen=True)
-class Gate:
-    """A single gate application; ``qubits`` lists controls first."""
+class Gate(NamedTuple):
+    """A single gate application; ``qubits`` lists controls first.
+
+    A plain record: ``Circuit._check`` validates it where it enters a
+    circuit, not here.
+    """
 
     kind: str
     qubits: tuple[int, ...]
     control_extension_point: bool = False
     extension_group: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "qubits", tuple(self.qubits))
-        if self.kind not in _ARITY:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if len(self.qubits) != _ARITY[self.kind]:
-            raise ValueError(
-                f"{self.kind} takes {_ARITY[self.kind]} qubits, got {self.qubits}"
-            )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"repeated qubit in {self.kind}{self.qubits}")
-        if any(q < 0 for q in self.qubits):
-            raise ValueError(f"negative qubit index in {self.kind}{self.qubits}")
 
 
 @dataclass
@@ -104,13 +100,21 @@ class Circuit:
             self.register_labels[name] = tuple(qs)
 
     def _check(self, g: Gate) -> None:
-        if any(q >= self.n_qubits for q in g.qubits):
-            raise ValueError(
-                f"gate {g.kind}{g.qubits} out of range for {self.n_qubits} qubits"
-            )
+        """Raise ValueError unless g is a valid gate on this circuit."""
+        kind, qubits = g.kind, g.qubits
+        if kind not in _ARITY:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        if not isinstance(qubits, tuple):
+            raise ValueError(f"{kind} qubits must be a tuple, got {qubits!r}")
+        if len(qubits) != _ARITY[kind]:
+            raise ValueError(f"{kind} takes {_ARITY[kind]} qubits, got {qubits}")
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"repeated qubit in {kind}{qubits}")
+        if not all(0 <= q < self.n_qubits for q in qubits):
+            raise ValueError(f"gate {kind}{qubits} out of range for {self.n_qubits} qubits")
 
     def add(self, kind: str, *qubits: int, **kw) -> None:
-        g = Gate(kind, tuple(qubits), **kw)
+        g = Gate(kind, qubits, **kw)
         self._check(g)
         self.gates.append(g)
 
@@ -139,6 +143,8 @@ def _remapped(host: Circuit, b: Circuit, qubit_map: Optional[Sequence[int]]) -> 
         raise ValueError(f"qubit_map length {len(qubit_map)} != {b.n_qubits}")
     if any(not 0 <= q < host.n_qubits for q in qubit_map):
         raise ValueError("qubit_map leaves the host circuit")
+    if len(set(qubit_map)) != len(qubit_map):
+        raise ValueError(f"qubit_map {qubit_map} sends two qubits to one")
     return [
         Gate(g.kind, tuple(qubit_map[q] for q in g.qubits),
              g.control_extension_point, g.extension_group)
@@ -166,14 +172,16 @@ class ResourceReport:
 
 def compose(a: Circuit, b: Circuit, qubit_map: Optional[Sequence[int]] = None) -> Circuit:
     """A copy of a with b appended (see ``Circuit.append``); a is unchanged."""
-    out = Circuit(a.n_qubits, list(a.gates), dict(a.register_labels))
-    out.append(b, qubit_map)
+    out = Circuit(a.n_qubits, [], dict(a.register_labels))
+    out.gates = a.gates + _remapped(out, b, qubit_map)
     return out
 
 
 def inverse(c: Circuit) -> Circuit:
     """Reverse the gate list and invert each gate."""
-    return Circuit(c.n_qubits, _inverted(c.gates), dict(c.register_labels))
+    out = Circuit(c.n_qubits, [], dict(c.register_labels))
+    out.gates = _inverted(c.gates)
+    return out
 
 
 @contextmanager
@@ -264,7 +272,8 @@ def lower_macros(c: Circuit, pure_clifford_t: bool = False) -> Circuit:
     cancel circuit-wide.  Extension markers are dropped: add controls
     before lowering, not after.
     """
-    out: list[Gate] = []
+    lowered = Circuit(c.n_qubits, [], dict(c.register_labels))
+    out = lowered.gates
     for g in terminal_gates(c.gates):
         if pure_clifford_t and g.kind in ("A", "Adg"):
             (t,) = g.qubits
@@ -274,7 +283,7 @@ def lower_macros(c: Circuit, pure_clifford_t: bool = False) -> Circuit:
             out.append(Gate(g.kind, g.qubits))
         else:
             out.append(g)
-    return Circuit(c.n_qubits, out, dict(c.register_labels))
+    return lowered
 
 
 def asap_layers(c: Circuit) -> list[int]:
@@ -458,7 +467,7 @@ def add_global_controls(c: Circuit, num_controls: int) -> Circuit:
             else:
                 out.gates.append(Gate("CSdg", controls))
             continue
-        out.extend(_controlled_unit(shifted, controls, n))
+        out.gates.extend(_controlled_unit(shifted, controls, n))
     return out
 
 

@@ -49,9 +49,6 @@ __all__ = [
     "inject_select_p",
 ]
 
-_ONE_QUBIT_TERMINALS = {"X", "Y", "Z", "H", "S", "Sdg", "T", "Tdg", "A", "Adg"}
-
-
 def address_bits(n: int) -> int:
     """Width of an address register for n data qubits (>= 1 for n = 2)."""
     if n < 2:
@@ -398,10 +395,8 @@ def inject(u: str, n: int) -> Circuit:
 
     Swap-network conjugation of ``u`` on data position 0: |x>|d> ->
     |x> U_x |d>.  The payload gate is the circuit's control extension
-    point.
+    point; ``Circuit.add`` rejects a ``u`` that is not a one-qubit gate.
     """
-    if u not in _ONE_QUBIT_TERMINALS:
-        raise ValueError(f"payload must be a one-qubit terminal gate, got {u!r}")
     return _injector(u, swap_up(n), n)
 
 

@@ -30,15 +30,7 @@ from .circuit_ir import (
     lower_macros,
     schedule,
 )
-from .gadgets import (
-    address_bits,
-    inject,
-    inject_select_p,
-    inject_select_q,
-    inject_star_z,
-    swap_up,
-    swap_up_star,
-)
+from .gadgets import GADGETS, address_bits
 from .select_synth import synth_select_k2
 
 __all__ = [
@@ -46,8 +38,6 @@ __all__ = [
     "FORMULAS",
     "GROWTH_CAP",
     "measure",
-    "expected_t_count",
-    "expected_t_depth_bound",
     "check_against_formulas",
 ]
 
@@ -83,42 +73,42 @@ FORMULAS: dict[str, CostFormula] = {
     f.name: f
     for f in (
         CostFormula(
-            "SwapUp", swap_up,
+            "SwapUp", GADGETS["SwapUp"].build,
             _plain_t(1), lambda n: 16 * _L(n),
             0, lambda n: _L(n) + n, toffoli_ratio=True,
         ),
         CostFormula(
-            "SwapUpStar", swap_up_star,
+            "SwapUpStar", GADGETS["SwapUpStar"].build,
             lambda n: 4 * (n - 1), lambda n: 4 * _L(n),
             0, lambda n: _L(n) + n,
         ),
         CostFormula(
-            "InjectZ", lambda n: inject("Z", n),
+            "InjectZ", GADGETS["InjectZ"].build,
             _plain_t(2), lambda n: 32 * _L(n),
             1, lambda n: _L(n) + n, toffoli_ratio=True,
         ),
         CostFormula(
-            "InjectZStar", inject_star_z,
+            "InjectZStar", GADGETS["InjectZStar"].build,
             lambda n: 8 * (n - 1), lambda n: 8 * _L(n),
             1, lambda n: _L(n) + n,
         ),
         CostFormula(
-            "InjSelQ", lambda n: inject_select_q(n, "plain"),
+            "InjSelQ", GADGETS["InjSelQ"].build,
             _plain_t(2), lambda n: 32 * _L(n),
             4, lambda n: _L(n) + 2 + n, toffoli_ratio=True,
         ),
         CostFormula(
-            "InjSelQStar", lambda n: inject_select_q(n, "star"),
+            "InjSelQStar", GADGETS["InjSelQStar"].build,
             lambda n: 16 * (n - 1), lambda n: 16 * _L(n),
             4, lambda n: _L(n) + 2 + n,
         ),
         CostFormula(
-            "InjSelP", lambda n: inject_select_p(n, "plain"),
+            "InjSelP", GADGETS["InjSelP"].build,
             _plain_t(2), lambda n: 32 * _L(n),
             2, lambda n: _L(n) + 1 + n, toffoli_ratio=True,
         ),
         CostFormula(
-            "InjSelPStar", lambda n: inject_select_p(n, "star"),
+            "InjSelPStar", GADGETS["InjSelPStar"].build,
             lambda n: 16 * (n - 1), lambda n: 16 * _L(n),
             2, lambda n: _L(n) + 1 + n,
         ),
@@ -146,14 +136,6 @@ GROWTH_CAP = {
 }
 
 GROWTH_SIZES = (8, 16, 32, 64, 128, 256)
-
-
-def expected_t_count(name: str, n: int) -> int:
-    return FORMULAS[name].t_count(n)
-
-
-def expected_t_depth_bound(name: str, n: int) -> int:
-    return FORMULAS[name].t_depth_bound(n)
 
 
 def measure(name: str, n: int) -> tuple[ResourceReport, int, int]:

@@ -27,6 +27,7 @@ from typing import Iterator
 
 from .circuit_ir import SDG_TWO_CONTROLS, Circuit, add_global_controls, conjugated
 from .gadgets import (
+    _check_variant,
     inject,
     inject_select_p,
     inject_select_q,
@@ -398,9 +399,10 @@ def synth_select_k2(n: int, variant: str = "star") -> Circuit:
     Applies (P1)_p Z...Z (P2)_q with the sign carried by P1, for every
     p < q.  Width is 2*ceil(log2 n) + 3 + n.
     """
+    star = _check_variant(variant)
     c, regs, system = _select_host(SelectionLayout(n, 2, "k2"))
     p, q = list(regs["p"]), list(regs["q"])
-    injz = inject("Z", n) if variant == "plain" else inject_star_z(n)
+    injz = inject_star_z(n) if star else inject("Z", n)
     with conjugated(c, ladder_tree(n), system):
         c.append(injz, p + system)
         c.append(injz, q + system)
@@ -418,6 +420,7 @@ def synth_select_general(n: int, k: int, variant: str = "star") -> Circuit:
     (0,1), (2,3), ...; the first slot of each active pair contributes a
     -i that cancels the pair's ladder-endpoint i.
     """
+    star = _check_variant(variant)
     if n < 2:
         raise ValueError("need at least two system qubits")
     c, regs, system = _select_host(SelectionLayout(n, k, "general"))
@@ -428,7 +431,6 @@ def synth_select_general(n: int, k: int, variant: str = "star") -> Circuit:
     for t in range(k // 2):
         c.add("Sdg", iflags[2 * t], control_extension_point=True)
 
-    star = variant != "plain"
     net = swap_up_star(n) if star else swap_up(n)
     net_maps = [list(regs[f"addr{j}"]) + system for j in range(k)]
 

@@ -25,12 +25,7 @@ import numpy as np
 from . import kernels
 from .circuit_ir import Circuit, Gate, terminal_gates
 from .pauli import pauli_apply
-from .select_synth import (
-    SelectionLayout,
-    decode_index,
-    synth_select_general,
-    synth_select_k2,
-)
+from .select_synth import SelectionLayout, controlled_select, decode_index
 
 __all__ = [
     "MAX_DENSE_QUBITS",
@@ -256,12 +251,8 @@ def verify_select(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if k == 2:
-        layout = SelectionLayout(n, 2, "k2")
-        circuit = synth_select_k2(n, variant)
-    else:
-        layout = SelectionLayout(n, k, "general")
-        circuit = synth_select_general(n, k, variant)
+    layout = SelectionLayout(n, k, "k2" if k == 2 else "general")
+    circuit = controlled_select(n, k, variant)
     rng = np.random.default_rng(seed)
     dim = 1 << len(circuit.register_labels["system"])
     base = rng.standard_normal((dim, trials)) + 1j * rng.standard_normal((dim, trials))

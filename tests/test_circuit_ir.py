@@ -4,6 +4,8 @@ Macro references are built as explicit permutation/diagonal matrices,
 not from the package's own expansions.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,20 @@ from fermiselect.circuit_ir import (
     lower_macros,
     schedule,
 )
-from fermiselect.gadgets import address_bits, inject, swap_up
+from fermiselect.gadgets import (
+    GADGETS,
+    MultiSwapLayout,
+    address_bits,
+    cswap_phase_incorrect,
+    fanout_cnot,
+    inject,
+    multi_target_controlled_swap,
+    select_p,
+    select_q,
+    swap_up,
+)
+from fermiselect.resources import FORMULAS
+from fermiselect.select_synth import controlled_select
 from fermiselect.simulator import unitary_of
 
 from conftest import permutation_matrix
@@ -172,17 +187,43 @@ def test_schedule_counts():
 
 
 def test_gate_validation():
-    with pytest.raises(ValueError):
-        Gate("XX", (0,))
-    with pytest.raises(ValueError):
-        Gate("CX", (0,))  # wrong arity
-    with pytest.raises(ValueError):
-        Gate("CX", (1, 1))  # duplicate qubits
-    with pytest.raises(ValueError):
-        Gate("X", (-1,))
-    c = Circuit(2)
+    # a Gate is a plain record; every way into a circuit checks it
+    bad = [
+        Gate("XX", (0,)),
+        Gate("CX", (0,)),  # wrong arity
+        Gate("CX", (1, 1)),  # duplicate qubits
+        Gate("X", (-1,)),
+    ]
+    for g in bad:
+        c = Circuit(2)
+        with pytest.raises(ValueError):
+            Circuit(2, [g])
+        with pytest.raises(ValueError):
+            c.extend([g])
+        with pytest.raises(ValueError):
+            c.add(g.kind, *g.qubits)
+        assert c.gates == []
+    listed = Gate("CX", [0, 1])
+    with pytest.raises(ValueError, match="tuple"):
+        Circuit(2, [listed])
+    with pytest.raises(ValueError, match="tuple"):
+        c.extend([listed])
     with pytest.raises(ValueError):
         c.add("X", 5)
+
+
+def test_append_and_conjugated_reject_a_non_injective_map():
+    # no gate touches both merged qubits, so only the map check sees it
+    b = Circuit(2, [Gate("X", (0,)), Gate("Z", (1,))])
+    c = Circuit(2)
+    with pytest.raises(ValueError, match="two qubits to one"):
+        c.append(b, [0, 0])
+    with pytest.raises(ValueError, match="two qubits to one"):
+        with conjugated(c, b, [1, 1]):
+            c.add("H", 0)
+    with pytest.raises(ValueError, match="two qubits to one"):
+        compose(c, b, [0, 0])
+    assert c.gates == []
 
 
 def test_compose_embeds_and_keeps_labels():
@@ -357,3 +398,35 @@ def test_emit_text_rejects_macros():
     c.add("CSWAP", 0, 1, 2)
     with pytest.raises(ValueError):
         emit_text(c)
+
+
+# --- gates from the unchecked paths ------------------------------------------
+
+_REGISTERED = {name: spec.build for name, spec in GADGETS.items()}
+_REGISTERED.update((name, f.build) for name, f in FORMULAS.items())
+
+_SOURCES = [
+    *((f"{name}-n{n}", partial(build, n)) for name, build in _REGISTERED.items()
+      for n in (2, 3, 5)),
+    ("select_q", select_q),
+    ("select_p", select_p),
+    ("cswap_phase_incorrect", cswap_phase_incorrect),
+    ("fanout_cnot", partial(fanout_cnot, 2, [0, 4, 1, 3, 5])),
+    *((f"multi_swap-m{m}", partial(multi_target_controlled_swap, m)) for m in (1, 2, 3)),
+    ("multi_swap-borrow", partial(
+        multi_target_controlled_swap, 3, MultiSwapLayout(7, ((0, 1), (2, 3), (4, 5)), 6, 8)
+    )),
+    *((f"select-k{k}-{v}-n{n}-c{nc}", partial(controlled_select, n, k, v, nc))
+      for k, controls in ((2, (0, 1, 2)), (4, (0, 1)))
+      for v in ("plain", "star") for n in (2, 3, 5) for nc in controls),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in _SOURCES], ids=[i for i, _ in _SOURCES])
+def test_unchecked_paths_make_valid_gates(build):
+    # remaps, inverses, lowering and the control shift skip the entry
+    # check; rebuilding each circuit runs it on every gate they produced
+    c = build()
+    for out in (c, lower_macros(c), lower_macros(c, pure_clifford_t=True)):
+        for d in (out, inverse(out)):
+            Circuit(d.n_qubits, list(d.gates))

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from fermiselect import kernels, simulator
+from fermiselect import kernels, select_synth, simulator
 from fermiselect.circuit_ir import Circuit
 from fermiselect.pauli import PauliString, pauli_apply
 from fermiselect.select_synth import (
     SelectionLayout,
+    controlled_select,
     decode_index,
     synth_select_general,
     synth_select_k2,
@@ -294,15 +295,15 @@ def test_verify_select_names_the_failing_word(monkeypatch):
     # one extra selection-controlled Z on a system qubit breaks exactly the
     # words whose control bit is set
     lay = SelectionLayout(3, 2, "k2")
-    real = simulator.synth_select_k2
+    real = simulator.controlled_select
     ctrl = lay.width - 1  # the last selection qubit, set in half the words
 
-    def broken(n, variant):
-        c = real(n, variant)
+    def broken(n, k, variant):
+        c = real(n, k, variant)
         c.add("CZ", ctrl, c.register_labels["system"][0])
         return c
 
-    monkeypatch.setattr(simulator, "synth_select_k2", broken)
+    monkeypatch.setattr(simulator, "controlled_select", broken)
     rep = verify_select(3, 2, "star", trials=2, seed=4)
     assert not rep["pass"] and rep["max_error"] > 0.1
     assert len(rep["worst_word"]) == lay.width and rep["worst_word"][ctrl] == "1"
@@ -316,6 +317,27 @@ def test_verify_select_rejects_too_few_trials(trials, monkeypatch):
     def never(*args):
         raise AssertionError("synthesized before the trials check")
 
-    monkeypatch.setattr(simulator, "synth_select_k2", never)
+    monkeypatch.setattr(simulator, "controlled_select", never)
     with pytest.raises(ValueError, match="trials"):
         verify_select(3, 2, "star", trials=trials)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: synth_select_general(3, 4, "foo"),
+        lambda: controlled_select(3, 2, "foo"),
+        lambda: controlled_select(3, 4, "foo", 1),
+        lambda: verify_select(3, 2, "foo", trials=1),
+        lambda: verify_select(3, 4, "foo", trials=1, words=[0]),
+    ],
+    ids=["general", "controlled-k2", "controlled-k4", "verify-k2", "verify-k4"],
+)
+def test_unknown_variant_raises_before_synthesis(call, monkeypatch):
+    # every synthesizer starts from _select_host; it must never be reached
+    def never(*args):
+        raise AssertionError("synthesized before the variant check")
+
+    monkeypatch.setattr(select_synth, "_select_host", never)
+    with pytest.raises(ValueError, match="'foo'"):
+        call()
