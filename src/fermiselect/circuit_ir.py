@@ -119,9 +119,11 @@ class Circuit:
         self.gates.append(g)
 
     def extend(self, gates: Iterable[Gate]) -> None:
+        """Append every gate, or none of them when one fails the check."""
+        gates = list(gates)
         for g in gates:
             self._check(g)
-            self.gates.append(g)
+        self.gates.extend(gates)
 
     def append(self, b: Circuit, qubit_map: Optional[Sequence[int]] = None) -> None:
         """Add b's gates in place, b's qubit i landing on qubit_map[i].
@@ -443,6 +445,11 @@ def add_global_controls(c: Circuit, num_controls: int) -> Circuit:
     """
     if num_controls not in (1, 2):
         raise ValueError("num_controls must be 1 or 2")
+    if not any(g.control_extension_point for g in c.gates):
+        raise ValueError(
+            "no marked extension point to control; the input must be an "
+            "unlowered SELECT circuit"
+        )
     nc = num_controls
     n = c.n_qubits + nc
     controls = tuple(range(nc))

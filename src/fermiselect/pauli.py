@@ -13,10 +13,19 @@ Conventions used throughout the package:
       a†_p  ->  Z_0 .. Z_{p-1} (X_p - i Y_p) / 2
       n_p   ->  (I - Z_p) / 2
 
-``pauli_apply`` is the reference oracle the rest of the package is tested
-against; it is a direct vectorized implementation of the flip/phase action
-of a Pauli string and deliberately shares no code with the circuit
-simulator.
+Inside the transform a string is held in the symplectic form: a pair of
+int bitmasks (x, z), bit p set in x when qubit p carries X or Y and in z
+when it carries Z or Y.  A product is then an XOR with its phase taken
+from popcounts (Aaronson-Gottesman, quant-ph/0406196), and each image
+above is built in O(1).  Strings become ``PauliString.letters`` once, per
+output row.
+
+``pauli_mul`` and ``pauli_apply`` stay letter-based on purpose: they are
+the oracle's code path, and sharing no code with the transform (or with
+the decoder) keeps them an independent check of it.  ``pauli_apply`` is
+the reference oracle the rest of the package is tested against; it is a
+direct vectorized implementation of the flip/phase action of a Pauli
+string and deliberately shares no code with the circuit simulator.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ __all__ = [
 ]
 
 _TOL = 1e-12
+_LETTER_SET = frozenset("IXYZ")
 
 # (a, b) -> (a*b letter, power of i picked up).  Products follow the cyclic
 # rule X*Y = iZ and friends.
@@ -65,8 +75,8 @@ class PauliString:
     phase: int = 0
 
     def __post_init__(self) -> None:
-        bad = set(self.letters) - set("IXYZ")
-        if bad:
+        if not _LETTER_SET.issuperset(self.letters):
+            bad = set(self.letters) - _LETTER_SET
             raise ValueError(f"invalid Pauli letters {sorted(bad)} in {self.letters!r}")
         object.__setattr__(self, "phase", self.phase % 4)
 
@@ -273,45 +283,58 @@ def _validate_term(term: FermionTerm, n: int) -> None:
         )
 
 
-def _ladder_image(p: int, n: int, raising: bool) -> dict[str, complex]:
-    base = "Z" * p
-    tail = "I" * (n - p - 1)
-    y_coeff = -0.5j if raising else 0.5j
-    return {base + "X" + tail: 0.5, base + "Y" + tail: y_coeff}
+# Inside the transform a string is the int key ``x | z << n``.  One int,
+# not an (x, z) tuple, keeps the merge dicts small.
+_I_POWERS = tuple(1j ** k for k in range(4))
+# 2 * (z digit) + (x digit), read as ASCII "0"/"1" bytes, is 144 + 2z + x
+_MASK_LETTERS = bytes.maketrans(bytes(range(144, 148)), b"IXZY")
 
 
-def _number_image(p: int, n: int) -> dict[str, complex]:
-    z = "I" * p + "Z" + "I" * (n - p - 1)
-    return {"I" * n: 0.5, z: -0.5}
+def _mask_mul(acc: dict[int, complex], image, n: int) -> dict[int, complex]:
+    """Product acc · image of two sums of strings, like terms merged.
 
-
-def _sum_mul(a: dict[str, complex], b: dict[str, complex]) -> dict[str, complex]:
-    out: dict[str, complex] = {}
-    for la, ca in a.items():
-        for lb, cb in b.items():
-            phase = 0
-            letters = []
-            for x, y in zip(la, lb):
-                letter, k = _SINGLE_MUL[(x, y)]
-                letters.append(letter)
-                phase += k
-            key = "".join(letters)
-            out[key] = out.get(key, 0.0) + ca * cb * (1j ** (phase % 4))
+    ``acc`` maps keys to coefficients; ``image`` holds (x, z, c) rows.
+    With a string read as i^|x&z| X^x Z^z, the product of (x1, z1) and
+    (x2, z2) is (x1^x2, z1^z2) times i to the power
+    |x1&z1| + |x2&z2| + 2|z1&x2| - |x3&z3| (Aaronson-Gottesman).
+    """
+    low = (1 << n) - 1
+    out: dict[int, complex] = {}
+    for key, ca in acc.items():
+        xa, za = key & low, key >> n
+        ya = (xa & za).bit_count()
+        for xb, zb, cb in image:
+            x, z = xa ^ xb, za ^ zb
+            k = ya + (xb & zb).bit_count() + 2 * (za & xb).bit_count() - (x & z).bit_count()
+            key_out = x | z << n
+            out[key_out] = out.get(key_out, 0.0) + ca * cb * _I_POWERS[k & 3]
     return out
 
 
-def _term_expansion(term: FermionTerm, n: int) -> dict[str, complex]:
-    """Letter-string coefficients of the term, without its ``+hc`` part."""
+def _letters(key: int, n: int) -> str:
+    """IXYZ letters of the string keyed ``x | z << n``, qubit 0 first."""
+    if n == 0:
+        return ""
+    digits = format(key, f"0{2 * n}b").encode()
+    code = 2 * int.from_bytes(digits[:n], "big") + int.from_bytes(digits[n:], "big")
+    return code.to_bytes(n, "little").translate(_MASK_LETTERS).decode()
+
+
+def _term_expansion(term: FermionTerm, n: int) -> dict[int, complex]:
+    """String coefficients of the term, without its ``+hc`` part.
+
+    a_p and a†_p map to Z^{<p} (X ± iY) / 2 and n_p to (I - Z_p) / 2.
+    """
     _validate_term(term, n)
-    acc: dict[str, complex] = {"I" * n: complex(term.coefficient)}
+    acc: dict[int, complex] = {0: complex(term.coefficient)}
     for f in term.factors:
-        if isinstance(f, Raise):
-            image = _ladder_image(f.orbital, n, raising=True)
-        elif isinstance(f, Lower):
-            image = _ladder_image(f.orbital, n, raising=False)
+        bit = 1 << f.orbital
+        if isinstance(f, Number):
+            image = ((0, 0, 0.5), (0, bit, -0.5))
         else:
-            image = _number_image(f.orbital, n)
-        acc = _sum_mul(acc, image)
+            y_coeff = -0.5j if isinstance(f, Raise) else 0.5j
+            image = ((bit, bit - 1, 0.5), (bit, (bit << 1) - 1, y_coeff))
+        acc = _mask_mul(acc, image, n)
     return acc
 
 
@@ -324,28 +347,36 @@ def _collect(terms: Iterable[FermionTerm], n: int) -> PauliLCU:
     exactly zero, or below ``_TOL`` times the largest contribution merged
     into that string, is cancellation residue and is dropped.
     """
-    acc: dict[str, complex] = {}
-    scale: dict[str, float] = {}
+    acc: dict[int, complex] = {}
+    scale: dict[int, float] = {}
     for term in terms:
         hc = term.include_hc
-        for letters, c in _term_expansion(term, n).items():
-            acc[letters] = acc.get(letters, 0.0) + (c + c.conjugate() if hc else c)
-            scale[letters] = max(scale.get(letters, 0.0), abs(c))
+        for key, c in _term_expansion(term, n).items():
+            acc[key] = acc.get(key, 0.0) + (c + c.conjugate() if hc else c)
+            scale[key] = max(scale.get(key, 0.0), abs(c))
     entries = []
-    for letters in sorted(acc):
-        c = acc[letters]
-        cutoff = _TOL * scale[letters]
+    complex_part = None  # (letters, c) of the first non-real sum by letters
+    while acc:  # popping frees each key as its letters are made
+        key, c = acc.popitem()
+        cutoff = _TOL * scale.pop(key)
         if c == 0 or abs(c) < cutoff:
             continue
+        letters = _letters(key, n)
         if abs(c.imag) > cutoff:
-            raise ValueError(
-                "expansion has a non-real coefficient "
-                f"({c:.3g} on {letters}); the input is not Hermitian — "
-                "ladder terms need include_hc"
-            )
+            if complex_part is None or letters < complex_part[0]:
+                complex_part = (letters, c)
+            continue
         alpha = abs(c.real)
         phase = 0 if c.real > 0 else 2
         entries.append((alpha, PauliString(letters, phase)))
+    if complex_part is not None:
+        letters, c = complex_part
+        raise ValueError(
+            "expansion has a non-real coefficient "
+            f"({c:.3g} on {letters}); the input is not Hermitian — "
+            "ladder terms need include_hc"
+        )
+    entries.sort(key=lambda entry: entry[1].letters)
     return PauliLCU(n, tuple(entries))
 
 

@@ -290,34 +290,48 @@ def decode_index(bits: int, layout: SelectionLayout) -> PauliString:
     return result
 
 
-def _pairs_and_numbers(letters: str) -> tuple[list[tuple[int, int]], list[int]]:
-    """Split a Pauli pattern into endpoint pairs and number positions.
+# letters -> "0"/"1" digits of the X/Y (x) and Z/Y (z) bitmasks
+_X_DIGITS = str.maketrans("IXYZ", "0110")
+_Z_DIGITS = str.maketrans("IXYZ", "0011")
 
-    Consecutive X/Y letters pair up; an I strictly inside a pair and any
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _pairs_and_numbers(letters: str) -> tuple[int, int, int]:
+    """(x, z, number) bitmasks of a Pauli pattern, bit j for qubit j.
+
+    x marks the X/Y letters (the pair endpoints) and z the Z/Y letters.
+    Consecutive endpoints pair up; an I strictly inside a pair and any
     Z outside every pair count as number (Z) factors.
     """
-    endpoints = [i for i, ch in enumerate(letters) if ch in ("X", "Y")]
-    if len(endpoints) % 2:
+    rev = letters[::-1]
+    x = int(rev.translate(_X_DIGITS) or "0", 2)
+    z = int(rev.translate(_Z_DIGITS) or "0", 2)
+    if x.bit_count() % 2:
         raise EncodingError("odd number of X/Y letters cannot form pairs")
-    pairs = [(endpoints[2 * t], endpoints[2 * t + 1]) for t in range(len(endpoints) // 2)]
-    numbers = []
-    covered: set[int] = set()
-    for u, v in pairs:
-        for w in range(u + 1, v):
-            covered.add(w)
-            if letters[w] == "I":
-                numbers.append(w)
-    for w, ch in enumerate(letters):
-        if ch == "Z" and w not in covered:
-            numbers.append(w)
-    numbers.sort()
-    return pairs, numbers
+    covered = 0
+    rest = x
+    while rest:
+        u = rest & -rest
+        rest ^= u
+        v = rest & -rest
+        rest ^= v
+        covered |= v - (u << 1)  # the bits strictly between u and v
+    return x, z, (covered & ~z) | (z & ~covered & ~x)
 
 
 def slots_needed(pattern: PauliString) -> int:
     """General-layout slots the pattern occupies (two per pair, one per Z)."""
-    pairs, numbers = _pairs_and_numbers(pattern.letters)
-    return 2 * len(pairs) + len(numbers)
+    x, _, numbers = _pairs_and_numbers(pattern.letters)
+    return x.bit_count() + numbers.bit_count()
 
 
 def encode_term(pattern: PauliString, layout: SelectionLayout) -> int:
@@ -333,40 +347,40 @@ def encode_term(pattern: PauliString, layout: SelectionLayout) -> int:
         )
     if pattern.phase not in (0, 2):
         raise EncodingError("imaginary prefactor cannot be encoded")
-    letters = pattern.letters
-    pairs, numbers = _pairs_and_numbers(letters)
+    x, z, numbers = _pairs_and_numbers(pattern.letters)
+    n_ends, n_numbers = x.bit_count(), numbers.bit_count()
+    sign = pattern.phase >> 1
 
     if layout.mode == "k2":
-        if len(pairs) != 1 or numbers:
+        if n_ends != 2 or n_numbers:
             raise EncodingError(
                 "the two-endpoint layout holds exactly one interaction pair "
                 "and no number factors"
             )
-        (u, v) = pairs[0]
-        p1 = (0 if letters[u] == "X" else 2) + (1 if pattern.phase == 2 else 0)
-        p2 = 0 if letters[v] == "X" else 1
+        u, v = _bits(x)
+        p1 = 2 * ((z >> u) & 1) + sign
+        p2 = (z >> v) & 1
         return layout.pack_k2(u, v, p1, p2)
 
-    if len(pairs) > layout.k // 2 or 2 * len(pairs) + len(numbers) > layout.k:
+    k = layout.k
+    if n_ends + n_numbers > k:
         raise EncodingError(
-            f"pattern needs {2 * len(pairs)} endpoint and {len(numbers)} number "
-            f"slots, but k={layout.k}"
+            f"pattern needs {n_ends} endpoint and {n_numbers} number "
+            f"slots, but k={k}"
         )
-    addr = [0] * layout.k
-    pfl = [0] * layout.k
-    ifl = [0] * layout.k
-    nfl = [0] * layout.k
-    for t, (u, v) in enumerate(pairs):
-        addr[2 * t], addr[2 * t + 1] = u, v
-        pfl[2 * t] = 1 if letters[u] == "Y" else 0
-        pfl[2 * t + 1] = 1 if letters[v] == "Y" else 0
-        ifl[2 * t] = ifl[2 * t + 1] = 1
-    free = iter(range(2 * len(pairs), layout.k))
-    for w in numbers:
-        slot = next(free)
-        addr[slot] = w
-        nfl[slot] = 1
-    return layout.pack_general(1 if pattern.phase == 2 else 0, addr, pfl, ifl, nfl)
+    # The word is, MSB first: the sign bit, k addresses of L bits, then k
+    # letter flags, k interaction flags and k number flags.  So slot j's
+    # address sits at bit (k-1-j)*L + 3k and its flags at bits 3k-1-j,
+    # 2k-1-j and k-1-j.  Endpoints fill slots 0.. in order, so pair t
+    # lands in slots 2t and 2t+1; the numbers take the next free slots.
+    L = layout.address_width
+    word = sign << (layout.width - 1)
+    for j, u in enumerate(_bits(x)):
+        word |= u << ((k - 1 - j) * L + 3 * k) | 1 << (2 * k - 1 - j)
+        word |= ((z >> u) & 1) << (3 * k - 1 - j)
+    for j, w in enumerate(_bits(numbers), n_ends):
+        word |= w << ((k - 1 - j) * L + 3 * k) | 1 << (k - 1 - j)
+    return word
 
 
 def encode_lcu(lcu: PauliLCU, layout: SelectionLayout) -> list[tuple[int, float, PauliString]]:

@@ -39,7 +39,7 @@ from fermiselect.gadgets import (
     swap_up,
 )
 from fermiselect.resources import FORMULAS
-from fermiselect.select_synth import controlled_select
+from fermiselect.select_synth import controlled_select, synth_select_k2
 from fermiselect.simulator import unitary_of
 
 from conftest import permutation_matrix
@@ -212,6 +212,20 @@ def test_gate_validation():
         c.add("X", 5)
 
 
+def test_extend_is_atomic():
+    # a bad gate anywhere in the batch leaves the circuit as it was
+    c = Circuit(2)
+    with pytest.raises(ValueError, match="out of range"):
+        c.extend([Gate("X", (0,)), Gate("X", (5,))])
+    assert c.gates == []
+    c.add("H", 1)
+    with pytest.raises(ValueError, match="repeated qubit"):
+        c.extend(iter([Gate("Z", (0,)), Gate("CX", (1, 1))]))
+    assert c.gates == [Gate("H", (1,))]
+    c.extend(iter([Gate("Z", (0,)), Gate("CX", (0, 1))]))
+    assert c.gates == [Gate("H", (1,)), Gate("Z", (0,)), Gate("CX", (0, 1))]
+
+
 def test_append_and_conjugated_reject_a_non_injective_map():
     # no gate touches both merged qubits, so only the map check sees it
     b = Circuit(2, [Gate("X", (0,)), Gate("Z", (1,))])
@@ -331,11 +345,28 @@ def test_add_one_control_on_three_qubit_marked_gate(kind, qubits):
 
 
 def test_unmarked_gates_untouched():
+    # the H passes through uncontrolled; only the marked Z gains the control
     c = Circuit(1)
     c.add("H", 0)
+    c.add("Z", 0, control_extension_point=True)
     cc = add_global_controls(c, 1)
-    ref = np.kron(np.eye(2), unitary_of(c))
+    assert cc.gates[0] == Gate("H", (1,))
+    h = Circuit(1)
+    h.add("H", 0)
+    z = Circuit(1)
+    z.add("Z", 0)
+    ref = controlled(unitary_of(z), 1) @ np.kron(np.eye(2), unitary_of(h))
     assert np.abs(unitary_of(cc) - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("num_controls", [1, 2])
+def test_add_global_controls_rejects_a_circuit_without_marks(num_controls):
+    lowered = lower_macros(synth_select_k2(2, "star"))
+    assert not any(g.control_extension_point for g in lowered.gates)
+    with pytest.raises(ValueError, match="no marked extension point.*unlowered"):
+        add_global_controls(lowered, num_controls)
+    with pytest.raises(ValueError, match="no marked extension point"):
+        add_global_controls(Circuit(2), num_controls)
 
 
 def test_phase_group_collapses_to_sdg():

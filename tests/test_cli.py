@@ -99,6 +99,25 @@ def test_transform_parse_error_exit_code(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("text,argv,msg", [
+    ("1 0 : adag 0 adag 1 a 2 a 3 +hc\n", ["--n", "4", "--k", "2"],
+     "needs 4 endpoint and 0 number slots, but k=2"),
+    ("1 0 : adag 0 a 5 +hc\n", ["--n", "4"], "orbital 5 out of range for n=4"),
+    ("1 0 : adag 0 a 1\n", ["--n", "4"], "not Hermitian"),
+])
+def test_transform_rejections_exit_2(text, argv, msg, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    rc, out, err = run(["transform", "-", *argv], capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and msg in err
+
+
+def test_transform_non_hermitian_names_the_string(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 0 : adag 0 a 1\n"))
+    rc, _, err = run(["transform", "-", "--n", "4"], capsys)
+    assert rc == 2 and "on XYII)" in err and "include_hc" in err
+
+
 def test_transform_missing_file(capsys):
     rc, _, err = run(["transform", "/no/such/file", "--n", "2"], capsys)
     assert rc == 2 and "error:" in err

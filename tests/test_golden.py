@@ -4,14 +4,20 @@ Each digest is the sha256 of an output taken before the construction
 code was refactored: the emitted text of lowered SELECT circuits, the
 ``resources`` CSV, and the un-lowered gate tuples (kind, qubits,
 extension marker, extension group) of the gadget builders and the
-general layout, with their width and register labels.
+general layout, with their width and register labels.  The
+``fermiselect transform`` digests were taken before the transform and
+the encoder moved to bitmask Pauli strings; their inputs are generated
+here from a seeded ``random.Random``.
 """
 
 import hashlib
+import itertools
+import random
 
 import pytest
 
 from fermiselect.circuit_ir import emit_text, lower_macros
+from fermiselect.cli import main
 from fermiselect.gadgets import GADGETS, cswap_phase_incorrect, select_p, select_q
 from fermiselect.resources import check_against_formulas
 from fermiselect.select_synth import controlled_select, synth_select_general, synth_select_k2
@@ -153,3 +159,70 @@ def test_resources_csv_is_unchanged(ns):
 @pytest.mark.parametrize("key", sorted(IR_BUILDERS))
 def test_unlowered_gates_are_unchanged(key):
     assert ir_digest(IR_BUILDERS[key]()) == IR_GOLDEN[key]
+
+
+# --- fermiselect transform ---------------------------------------------------
+
+
+def _molecular(rng, n):
+    """Hopping (complex), number operators and ordered double excitations."""
+    lines = [f"{rng.uniform(-1, 1)!r} {rng.uniform(-1, 1)!r} : adag {p} a {q} +hc"
+             for p, q in itertools.combinations(range(n), 2)]
+    lines += [f"{rng.uniform(-1, 1)!r} 0.0 : n {p}" for p in range(n)]
+    lines += [f"{rng.uniform(-1, 1)!r} 0.0 : adag {p} adag {q} a {r} a {s} +hc"
+              for p, q, r, s in itertools.combinations(range(n), 4)]
+    return lines
+
+
+def _hubbard(rng, side):
+    """Spinful periodic side x side Fermi-Hubbard model, spin-major orbitals."""
+    sites = side * side
+    t, u = rng.uniform(0.5, 1.5), rng.uniform(2.0, 8.0)
+    lines = []
+    for spin in range(2):
+        for x, y in itertools.product(range(side), repeat=2):
+            i = spin * sites + x * side + y
+            for j in (((x + 1) % side) * side + y, x * side + (y + 1) % side):
+                p, q = sorted((i, spin * sites + j))
+                lines.append(f"{-t!r} 0.0 : adag {p} a {q} +hc")
+            lines.append(f"{rng.uniform(-1, 1)!r} 0.0 : n {i}")
+    lines += [f"{u!r} 0.0 : n {i} n {sites + i}" for i in range(sites)]
+    return lines
+
+
+def _pairing(rng, n):
+    """Pair creation a†_p a†_q + h.c. for every p < q, plus number terms."""
+    lines = [f"{rng.uniform(-1, 1)!r} 0.0 : adag {p} adag {q} +hc"
+             for p, q in itertools.combinations(range(n), 2)]
+    lines += [f"{rng.uniform(-1, 1)!r} 0.0 : n {p}" for p in range(n)]
+    return lines
+
+
+TRANSFORM_CASES = {
+    "molecular8": (lambda rng: _molecular(rng, 8), ["--n", "8"]),
+    "hubbard3x3": (lambda rng: _hubbard(rng, 3), ["--n", "18"]),
+    "pairing12": (lambda rng: _pairing(rng, 12), ["--n", "12"]),
+    "molecular8_k6": (lambda rng: _molecular(rng, 8), ["--n", "8", "--k", "6"]),
+}
+
+
+def transform_digest(name, tmp_path, capsys):
+    generate, flags = TRANSFORM_CASES[name]
+    src = tmp_path / f"{name}.txt"
+    src.write_text("\n".join(generate(random.Random(7))) + "\n")
+    capsys.readouterr()
+    assert main(["transform", str(src), *flags]) == 0
+    return _sha(capsys.readouterr().out)
+
+
+TRANSFORM_GOLDEN = {
+    "hubbard3x3": "5dcdea99b0a24b32d35a01cbaab90dad54438dab8a2131389bc230580f56756e",
+    "molecular8": "2374f94e4a4a5d1373da89ec5e65964bb2a25b428d4676ccb1ab338d280643e0",
+    "molecular8_k6": "de63e8e38ca7343b91a5c99d2f4dc9998eeb0b39bb935be7fccbf1d19a4908ae",
+    "pairing12": "7e75a3ce49cfea703cf65c37fe02992154baaf03ec941a152939a6c38a838333",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORM_CASES))
+def test_transform_output_is_unchanged(name, tmp_path, capsys):
+    assert transform_digest(name, tmp_path, capsys) == TRANSFORM_GOLDEN[name]

@@ -24,6 +24,7 @@ from fermiselect.pauli import (
     pauli_apply,
     pauli_mul,
 )
+from fermiselect.pauli import _letters, _mask_mul
 
 from conftest import dense_pauli, kron_chain, SINGLE
 
@@ -273,3 +274,112 @@ def test_jw_pair_hermitian_property(p, dq, coeff):
     mat = lcu_matrix(lcu)
     assert np.abs(mat - mat.conj().T).max() < 1e-12
     assert np.abs(mat - dense_term(term, n)).max() < 1e-12
+
+
+# --- bitmask strings inside the transform --------------------------------------
+
+
+def masks_of(letters):
+    """(x, z) bitmasks of a letter word: bit p marks an X/Y (Z/Y) at qubit p."""
+    x = sum(1 << p for p, ch in enumerate(letters) if ch in "XY")
+    z = sum(1 << p for p, ch in enumerate(letters) if ch in "ZY")
+    return x, z
+
+
+same_length_pair_st = st.integers(min_value=1, max_value=9).flatmap(
+    lambda n: st.tuples(*[st.text(alphabet="IXYZ", min_size=n, max_size=n)] * 2)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(same_length_pair_st, phase_st, phase_st)
+@example(("XYZI", "YZXI"), 1, 3)
+def test_mask_product_matches_pauli_mul(pair, pa, pb):
+    la, lb = pair
+    n = len(la)
+    (xa, za), (xb, zb) = masks_of(la), masks_of(lb)
+    got = _mask_mul({xa | za << n: 1j**pa}, [(xb, zb, 1j**pb)], n)
+    want = pauli_mul(PauliString(la, pa), PauliString(lb, pb))
+    x, z = masks_of(want.letters)
+    assert got == {x | z << n: 1j**want.phase}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(alphabet="IXYZ", max_size=40))
+@example("")
+@example("IIIIIIII")
+def test_mask_letters_roundtrip(letters):
+    x, z = masks_of(letters)
+    assert _letters(x | z << len(letters), len(letters)) == letters
+
+
+def reference_jw(term, n):
+    """jw_transform_term's rows as {letters: real sum}, from letter-form
+    images multiplied with pauli_mul and the per-string residue rule."""
+
+    def image(f):
+        p = f.orbital
+        if isinstance(f, Number):
+            return {"I" * n: 0.5, "I" * p + "Z" + "I" * (n - p - 1): -0.5}
+        base, tail = "Z" * p, "I" * (n - p - 1)
+        return {base + "X" + tail: 0.5, base + "Y" + tail: -0.5j if isinstance(f, Raise) else 0.5j}
+
+    acc = {"I" * n: complex(term.coefficient)}
+    for f in term.factors:
+        out = {}
+        for la, ca in acc.items():
+            for lb, cb in image(f).items():
+                prod = pauli_mul(PauliString(la), PauliString(lb))
+                out[prod.letters] = out.get(prod.letters, 0.0) + ca * cb * 1j**prod.phase
+        acc = out
+    rows = {}
+    for letters, c in acc.items():
+        total = c + c.conjugate() if term.include_hc else c
+        if total == 0 or abs(total) < 1e-12 * abs(c):
+            continue
+        assert total.imag == 0
+        rows[letters] = total.real
+    return rows
+
+
+@st.composite
+def canonical_terms(draw):
+    """A canonical Hermitian term on n <= 6 orbitals: up to two ordered
+    ladder pairs and up to two number factors placed anywhere."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    n_pairs = draw(st.integers(min_value=0, max_value=min(2, n // 2)))
+    ends = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2 * n_pairs,
+                                max_size=2 * n_pairs, unique=True)))
+    factors = []
+    for u, v in zip(ends[::2], ends[1::2]):
+        first, second = draw(st.sampled_from([(Raise, Lower), (Raise, Raise), (Lower, Lower)]))
+        factors += [first(u), second(v)]
+    for w in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        factors.insert(draw(st.integers(0, len(factors))), Number(w))
+    hc = n_pairs > 0 or draw(st.booleans())
+    part = st.floats(min_value=-2, max_value=2)
+    coefficient = complex(draw(part), draw(part) if hc else 0.0)
+    return FermionTerm(coefficient, tuple(factors), hc), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(canonical_terms())
+@example((FermionTerm(0.5, (Number(1), Number(1), Number(1)), False), 2))
+@example((FermionTerm(1.0, (Number(0), Raise(0), Lower(2), Number(2)), True), 3))
+@example((FermionTerm(0.7, (), False), 3))
+def test_jw_term_matches_letter_reference(case):
+    term, n = case
+    want = reference_jw(term, n)
+    lcu = jw_transform_term(term, n)
+    assert [ps.letters for _, ps in lcu.entries] == sorted(want)
+    for alpha, ps in lcu.entries:
+        c = want[ps.letters]
+        assert alpha == abs(c)
+        assert ps.phase == (0 if c > 0 else 2)
+
+
+def test_non_hermitian_message_names_first_string():
+    # both Y strings of a bare hopping term survive; the message names the
+    # first one in letter order
+    with pytest.raises(ValueError, match=r"on XYII\)"):
+        jw_transform_term(FermionTerm(1.0, (Raise(0), Lower(1)), False), 4)

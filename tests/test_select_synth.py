@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fermiselect.circuit_ir import count_extension_points, inverse, lower_macros, schedule
 from fermiselect.pauli import PauliString
@@ -19,6 +21,7 @@ from fermiselect.select_synth import (
     synth_select_general,
     synth_select_k2,
 )
+from fermiselect.select_synth import _pairs_and_numbers
 
 
 def test_layout_widths():
@@ -197,6 +200,84 @@ def test_encode_lcu_rows():
     for word, alpha, ps in rows:
         assert alpha == pytest.approx(0.5)
         assert str(decode_index(word, lay)) == str(ps)
+
+
+def scan_pairs_and_numbers(letters):
+    """Letter-by-letter split: consecutive X/Y endpoints pair up; an I
+    strictly inside a pair and a Z outside every pair are numbers."""
+    endpoints = [i for i, ch in enumerate(letters) if ch in "XY"]
+    pairs = list(zip(endpoints[::2], endpoints[1::2]))
+    covered = {w for u, v in pairs for w in range(u + 1, v)}
+    numbers = [w for w in covered if letters[w] == "I"]
+    numbers += [w for w, ch in enumerate(letters) if ch == "Z" and w not in covered]
+    return pairs, sorted(numbers)
+
+
+def set_bits(mask):
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def xy_parity(letters):
+    return sum(ch in "XY" for ch in letters) % 2
+
+
+even_st = st.text(alphabet="IXYZ", max_size=12).filter(lambda s: not xy_parity(s))
+odd_st = st.text(alphabet="IXYZ", min_size=1, max_size=12).filter(xy_parity)
+
+
+@settings(max_examples=200, deadline=None)
+@given(even_st)
+@example("")
+@example("XIZIYZ")
+@example("ZXYZXIIYZ")
+def test_mask_split_matches_letter_scan(letters):
+    x, z, numbers = _pairs_and_numbers(letters)
+    pairs, want_numbers = scan_pairs_and_numbers(letters)
+    ends = set_bits(x)
+    assert list(zip(ends[::2], ends[1::2])) == pairs
+    assert set_bits(numbers) == want_numbers
+    assert set_bits(z) == [j for j, ch in enumerate(letters) if ch in "YZ"]
+    assert slots_needed(PauliString(letters)) == 2 * len(pairs) + len(want_numbers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(odd_st)
+def test_odd_xy_count_cannot_be_encoded(letters):
+    odd = "odd number of X/Y letters"
+    with pytest.raises(EncodingError, match=odd):
+        _pairs_and_numbers(letters)
+    with pytest.raises(EncodingError, match=odd):
+        slots_needed(PauliString(letters))
+    layouts = [SelectionLayout(len(letters), 4, "general")]
+    if len(letters) >= 2:
+        layouts.append(SelectionLayout(len(letters), 2, "k2"))
+    for layout in layouts:
+        with pytest.raises(EncodingError, match=odd):
+            encode_term(PauliString(letters), layout)
+
+
+@settings(max_examples=200, deadline=None)
+@given(even_st.filter(len), st.sampled_from([0, 2]), st.sampled_from([2, 4, 6]))
+@example("XIZY", 2, 4)
+@example("Z", 0, 2)
+def test_general_encode_matches_pack_general(letters, phase, k):
+    # the direct-shift word equals the field-by-field pack of the same split
+    layout = SelectionLayout(len(letters), k, "general")
+    pattern = PauliString(letters, phase)
+    pairs, numbers = scan_pairs_and_numbers(letters)
+    if 2 * len(pairs) + len(numbers) > k:
+        need = f"needs {2 * len(pairs)} endpoint and {len(numbers)} number slots, but k={k}"
+        with pytest.raises(EncodingError, match=need):
+            encode_term(pattern, layout)
+        return
+    addr, pfl, ifl, nfl = ([0] * k for _ in range(4))
+    for slot, u in enumerate(u for pair in pairs for u in pair):
+        addr[slot], pfl[slot], ifl[slot] = u, int(letters[u] == "Y"), 1
+    for slot, w in enumerate(numbers, 2 * len(pairs)):
+        addr[slot], nfl[slot] = w, 1
+    word = encode_term(pattern, layout)
+    assert word == layout.pack_general(phase // 2, addr, pfl, ifl, nfl)
+    assert decode_index(word, layout) == pattern
 
 
 # --- circuit structure --------------------------------------------------------
