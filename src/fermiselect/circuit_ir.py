@@ -270,21 +270,29 @@ def lower_macros(c: Circuit, pure_clifford_t: bool = False) -> Circuit:
 
     With ``pure_clifford_t`` the A gates are further rewritten as
     S·H·T·H·Sdg (time order), which equals A only up to a global phase
-    exp(i*pi/8); every built circuit is balanced in A/Adg so the phases
-    cancel circuit-wide.  Extension markers are dropped: add controls
-    before lowering, not after.
+    exp(i*pi/8), and Adg up to exp(-i*pi/8); the phases cancel only when
+    the circuit holds as many A as Adg, so any other count raises
+    ValueError.  Extension markers are dropped: add controls before
+    lowering, not after.
     """
     lowered = Circuit(c.n_qubits, [], dict(c.register_labels))
     out = lowered.gates
+    unmatched = 0  # A count minus Adg count
     for g in terminal_gates(c.gates):
         if pure_clifford_t and g.kind in ("A", "Adg"):
             (t,) = g.qubits
             mid = "T" if g.kind == "A" else "Tdg"
+            unmatched += 1 if g.kind == "A" else -1
             out.extend(Gate(kk, (t,)) for kk in ("S", "H", mid, "H", "Sdg"))
         elif g.control_extension_point or g.extension_group is not None:
             out.append(Gate(g.kind, g.qubits))
         else:
             out.append(g)
+    if unmatched:
+        raise ValueError(
+            f"pure_clifford_t needs as many A as Adg gates; A minus Adg is "
+            f"{unmatched:+d}, which would leave a global phase exp({unmatched:+d}·iπ/8)"
+        )
     return lowered
 
 

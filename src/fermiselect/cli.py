@@ -97,8 +97,9 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     max_orbitals = max((len(set(t.orbitals())) for t in terms), default=0)
     hamiltonian = FermionHamiltonian(args.n, _even_at_least_two(max_orbitals), tuple(terms))
     lcu = jw_transform(hamiltonian)
-    needed = max((slots_needed(ps) for _, ps in lcu.entries), default=0)
-    k = args.k if args.k is not None else _even_at_least_two(needed)
+    k = args.k
+    if k is None:
+        k = _even_at_least_two(max((slots_needed(ps) for _, ps in lcu.entries), default=0))
     layout = SelectionLayout(args.n, k, "general")
     rows = encode_lcu(lcu, layout)
     lines = [

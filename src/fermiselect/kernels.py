@@ -8,16 +8,23 @@ views write through.  ``mask``, when given, is a boolean array over the
 first trailing axis; the gate then acts only where it is set, and as
 the identity elsewhere.
 
-Each update picks a path from the 2×2 matrix: a diagonal one (Z, S, T)
-multiplies the half where the target is 1 (and the other half, if that
-entry is not 1); an anti-diagonal one (X, Y) swaps the two halves and
-then applies its phases; any other one (H, A) does the general 2×2
-update.
+Each one-qubit update picks a path from the 2×2 matrix: a diagonal one
+(Z, S, T) multiplies the half where the target is 1 (and the other half,
+if that entry is not 1); an anti-diagonal one (X, Y) swaps the two
+halves and then applies its phases; any other one (H, A) does the
+general 2×2 update.
+
+``apply_blocks`` applies a sequence of small dense matrices instead,
+one matmul per block over the whole array.  It works in two state-size
+buffers, the input and one spare, and moves each block's qubits to the
+front by a transposing copy into the spare.  The axis order is tracked
+between blocks and restored once at the end, so a block costs one copy
+and one matmul.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -94,3 +101,32 @@ def apply_controlled_one_qubit(
 ) -> None:
     """In-place controlled update: mat on qubit t where qubit c is 1."""
     _update(*_pairs(amps, n, t, c), mat, mask)
+
+
+def apply_blocks(
+    amps: np.ndarray, n: int, blocks: Iterable[tuple[Sequence[int], np.ndarray]]
+) -> np.ndarray:
+    """Apply each ``(qubits, u)`` in turn and return the result.
+
+    ``u`` is the 2**m × 2**m matrix of the block in the basis where
+    ``qubits[0]`` is the most significant of its m qubits.  ``amps`` is
+    overwritten: it serves as one of the two buffers, and the result is
+    either it or the spare buffer, in the usual qubit order.
+    """
+    shape = amps.shape
+    tensor = (2,) * n + (-1,)
+    cur, spare = amps, np.empty_like(amps)
+    order = list(range(n))  # order[i] is the qubit on axis i of cur
+    for qubits, u in blocks:
+        m = len(qubits)
+        chosen = set(qubits)
+        new_order = list(qubits) + [q for q in order if q not in chosen]
+        axes = [order.index(q) for q in new_order] + [n]
+        np.copyto(spare.reshape(tensor), cur.reshape(tensor).transpose(axes))
+        np.matmul(u, spare.reshape(1 << m, -1), out=cur.reshape(1 << m, -1))
+        order = new_order
+    if order != list(range(n)):
+        axes = [order.index(q) for q in range(n)] + [n]
+        np.copyto(spare.reshape(tensor), cur.reshape(tensor).transpose(axes))
+        cur = spare
+    return cur.reshape(shape)

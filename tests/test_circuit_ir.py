@@ -149,6 +149,17 @@ def test_pure_clifford_t_removes_a_gates():
     assert np.abs(unitary_of(lowered) - unitary_of(lower_macros(c))).max() < 1e-12
 
 
+@pytest.mark.parametrize("kinds,diff", [(("A",), "+1"), (("Adg", "H", "Adg"), "-2")])
+def test_pure_clifford_t_rejects_unmatched_a_gates(kinds, diff):
+    # each unmatched A would leave a global phase exp(±iπ/8)
+    c = Circuit(2)
+    for kind in kinds:
+        c.add(kind, 1)
+    with pytest.raises(ValueError, match=f"A minus Adg is \\{diff}"):
+        lower_macros(c, pure_clifford_t=True)
+    assert len(lower_macros(c).gates) == len(kinds)
+
+
 def test_schedule_rejects_macros():
     c = Circuit(3)
     c.add("TOFFOLI", 0, 1, 2)

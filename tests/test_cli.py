@@ -82,6 +82,25 @@ def test_transform_infers_k(capsys, monkeypatch):
     assert out.splitlines()[0] == "# n=4 k=4 selection_width=21 terms=8"
 
 
+def test_transform_with_k_splits_each_row_once(capsys, monkeypatch):
+    # a given --k leaves nothing to infer, so only the encoder splits
+    from fermiselect import select_synth
+
+    split = select_synth._pairs_and_numbers
+    letters = []
+
+    def counted(pattern):
+        letters.append(pattern)
+        return split(pattern)
+
+    monkeypatch.setattr(select_synth, "_pairs_and_numbers", counted)
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 0 : adag 0 a 1 adag 2 a 3 +hc\n1 0 : n 2\n"))
+    rc, out, _ = run(["transform", "-", "--n", "4", "--k", "4"], capsys)
+    assert rc == 0
+    body = [ln.split()[-1][1:] for ln in out.splitlines() if not ln.startswith("#")]
+    assert sorted(letters) == sorted(body)
+
+
 def test_transform_empty_file(tmp_path, capsys):
     src = tmp_path / "empty.txt"
     src.write_text("# nothing here\n")

@@ -1,10 +1,12 @@
 """Statevector kernels, dense simulation, and classical selection tracking."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fermiselect import kernels, select_synth, simulator
-from fermiselect.circuit_ir import Circuit
+from fermiselect.circuit_ir import Circuit, lower_macros
 from fermiselect.pauli import PauliString, pauli_apply
 from fermiselect.select_synth import (
     SelectionLayout,
@@ -147,6 +149,120 @@ def test_unitary_is_unitary(rng):
         c.add(kind, *qs)
     U = unitary_of(c)
     assert np.abs(U @ U.conj().T - np.eye(4)).max() < 1e-10
+
+
+_ONE_QUBIT_KINDS = sorted(GATE_1Q)
+_CONTROLLED_KINDS = ["CX", "CY", "CZ"]
+
+
+def _random_circuit(n, gates, rng):
+    """Terminal gates of every kind; controls land above and below targets."""
+    c = Circuit(n)
+    for i in range(gates):
+        if n > 1 and i % 3 == 2:
+            ctrl, tgt = rng.choice(n, size=2, replace=False)
+            c.add(_CONTROLLED_KINDS[i % len(_CONTROLLED_KINDS)], int(ctrl), int(tgt))
+        else:
+            c.add(_ONE_QUBIT_KINDS[i % len(_ONE_QUBIT_KINDS)], int(rng.integers(n)))
+    return c
+
+
+def _dense_reference(c):
+    """The circuit's unitary as a product of Kronecker-built gate matrices."""
+    out = np.eye(1 << c.n_qubits, dtype=complex)
+    for g in c.gates:
+        if len(g.qubits) == 1:
+            out = _dense_one_qubit(c.n_qubits, g.qubits[0], GATE_1Q[g.kind]) @ out
+        else:
+            out = _dense_controlled(c.n_qubits, *g.qubits, GATE_1Q[g.kind[1:]]) @ out
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_fused_route_matches_kronecker_reference(n, rng):
+    c = _random_circuit(n, 60, rng)
+    want = _dense_reference(c)
+    blocks = list(simulator._blocks(c))
+    if n > 5:
+        # the plan closes blocks at the width limit
+        assert max(len(qs) for qs, _ in blocks) == 5 and len(blocks) > 1
+    else:
+        assert len(blocks) == 1
+    v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    assert np.abs(apply_circuit(c, v) - want @ v).max() < 1e-12
+    assert np.abs(unitary_of(c) - want).max() < 1e-12
+
+
+def test_apply_blocks_orders_each_block_by_its_qubit_list(rng):
+    # qubits[0] is the block's most significant qubit, whatever its place
+    n = 4
+    u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    v = rng.standard_normal((1 << n, 3)) + 1j * rng.standard_normal((1 << n, 3))
+    want = np.zeros((1 << n, 1 << n), dtype=complex)
+    for row in range(1 << n):
+        for col in range(1 << n):
+            r = [(row >> (n - 1 - i)) & 1 for i in range(n)]
+            b = [(col >> (n - 1 - i)) & 1 for i in range(n)]
+            if (r[0], r[2]) == (b[0], b[2]):
+                want[row, col] = u[2 * r[3] + r[1], 2 * b[3] + b[1]]
+    got = kernels.apply_blocks(v.copy(), n, [([3, 1], u)])
+    assert np.abs(got - want @ v).max() < 1e-12
+
+
+def test_fused_route_matches_gate_by_gate_replay(rng):
+    # the 17-qubit SELECT of the benchmark, against one kernel call per gate
+    c = lower_macros(synth_select_k2(8, "star"))
+    n = c.n_qubits
+    v = random_state(n, rng)
+    want = v.copy()
+    for g in c.gates:
+        if len(g.qubits) == 1:
+            kernels.apply_one_qubit(want, n, g.qubits[0], GATE_1Q[g.kind])
+        else:
+            kernels.apply_controlled_one_qubit(want, n, *g.qubits, GATE_1Q[g.kind[1:]])
+    assert np.abs(apply_circuit(c, v) - want).max() < 1e-12
+
+
+def test_apply_circuit_leaves_its_input_alone(rng):
+    c = _random_circuit(7, 40, rng)
+    v = random_state(7, rng)
+    kept = v.copy()
+    out = apply_circuit(c, v)
+    assert np.array_equal(v, kept)
+    assert not np.shares_memory(out, v)
+
+
+def test_apply_circuit_memory_stays_within_two_buffers(rng):
+    # the input copy and one spare; a third state-size buffer means a leak
+    n = 14
+    c = _random_circuit(n, 200, rng)
+    v = random_state(n, rng)
+    apply_circuit(c, v)  # lazy set-up (BLAS, imports) outside the trace
+    tracemalloc.start()
+    try:
+        apply_circuit(c, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * v.nbytes
+
+
+def test_unitary_of_works_in_column_chunks(rng):
+    # 10 qubits take 16 chunks of identity columns; beside the matrix a
+    # call holds only chunk-size buffers
+    n = 10
+    c = _random_circuit(n, 120, rng)
+    unitary_of(c)  # lazy set-up (BLAS, imports) outside the trace
+    tracemalloc.start()
+    try:
+        u = unitary_of(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * u.nbytes
+    v = random_state(n, rng)
+    assert np.abs(u @ v - apply_circuit(c, v)).max() < 1e-12
+    assert np.abs(u.conj().T @ u - np.eye(1 << n)).max() < 1e-12
 
 
 def test_capacity_limits():
@@ -310,6 +426,16 @@ def test_verify_select_names_the_failing_word(monkeypatch):
     assert rep["worst_string"] == str(decode_index(int(rep["worst_word"], 2), lay))
     unset = [w for w in lay.valid_states() if not w & 1]
     assert verify_select(3, 2, "star", trials=2, seed=4, words=unset)["pass"]
+
+
+def test_verify_select_rejects_no_words(monkeypatch):
+    def never(*args):
+        raise AssertionError("synthesized before the words check")
+
+    monkeypatch.setattr(simulator, "controlled_select", never)
+    for words in ([], iter(()), np.array([], dtype=int)):
+        with pytest.raises(ValueError, match="words"):
+            verify_select(3, 2, "star", words=words)
 
 
 @pytest.mark.parametrize("trials", [0, -1])
