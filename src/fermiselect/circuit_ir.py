@@ -16,6 +16,10 @@ gates through a qubit map, and ``conjugated`` wraps a block of gates as
 net · block · net† with the net remapped once.  ``compose`` is a copy
 followed by ``append``.
 
+The back-end passes (``terminal_gates`` and so ``lower_macros``,
+remapping, ``schedule`` and ``emit_text``) do their per-gate work once per
+distinct gate within a call and reuse it for the repeats.
+
 ``asap_layers`` gives greedy ASAP layering.  ``schedule`` measures
 T-depth and Clifford depth as longest dependency chains counting only
 gates of the respective class, so Cliffords never pad T-depth.
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
 
 __all__ = [
     "Gate",
@@ -147,11 +151,16 @@ def _remapped(host: Circuit, b: Circuit, qubit_map: Optional[Sequence[int]]) -> 
         raise ValueError("qubit_map leaves the host circuit")
     if len(set(qubit_map)) != len(qubit_map):
         raise ValueError(f"qubit_map {qubit_map} sends two qubits to one")
-    return [
-        Gate(g.kind, tuple(qubit_map[q] for q in g.qubits),
-             g.control_extension_point, g.extension_group)
-        for g in b.gates
-    ]
+    mapped: dict[Gate, Gate] = {}  # each distinct gate remapped once
+    out = []
+    for g in b.gates:
+        h = mapped.get(g)
+        if h is None:
+            qubits = tuple([qubit_map[q] for q in g.qubits])
+            # tuple.__new__ skips Gate's Python-level constructor; markers kept
+            h = mapped[g] = tuple.__new__(Gate, (g.kind, qubits, *g[2:]))
+        out.append(h)
+    return out
 
 
 def _inverted(gates: Sequence[Gate]) -> list[Gate]:
@@ -254,15 +263,19 @@ def expand_macro(g: Gate) -> Optional[list[Gate]]:
 
 
 def terminal_gates(gates: Iterable[Gate]) -> Iterator[Gate]:
-    """The terminal gates of ``gates`` in time order, macros expanded."""
-    stack = list(gates)
-    stack.reverse()
-    while stack:
-        g = stack.pop()
+    """The terminal gates of ``gates`` in time order, macros expanded.
+
+    Each distinct macro gate is expanded once per call; its repeats yield
+    the terminal list of the first expansion again.
+    """
+    expanded: dict[Gate, list[Gate]] = {}
+    for g in gates:
         if g.kind in TERMINAL_KINDS:
             yield g
-        else:
-            stack.extend(reversed(expand_macro(g)))
+            continue
+        if g not in expanded:
+            expanded[g] = list(terminal_gates(expand_macro(g)))
+        yield from expanded[g]
 
 
 def lower_macros(c: Circuit, pure_clifford_t: bool = False) -> Circuit:
@@ -317,31 +330,42 @@ def schedule(c: Circuit) -> ResourceReport:
     reverse.  Cliffords therefore never pad T-depth, matching how
     T-layers are batched in practice.
     """
-    bad = {g.kind for g in c.gates} & MACRO_KINDS
-    if bad:
-        raise ValueError(f"schedule needs a lowered circuit; found {sorted(bad)}")
     t_chain = [0] * c.n_qubits
     c_chain = [0] * c.n_qubits
     t_count = 0
-    c_count = 0
+    non_clifford: dict[str, bool] = {}  # each kind checked on first sight
     for g in c.gates:
-        non_clifford = g.kind in NON_CLIFFORD_KINDS
-        if non_clifford:
-            t_count += 1
-        else:
-            c_count += 1
-        t_here = max(t_chain[q] for q in g.qubits) + (1 if non_clifford else 0)
-        c_here = max(c_chain[q] for q in g.qubits) + (0 if non_clifford else 1)
-        for q in g.qubits:
+        kind, qubits = g.kind, g.qubits
+        nc = non_clifford.get(kind)
+        if nc is None:
+            if kind in MACRO_KINDS:
+                _reject_macros(c, "schedule")
+            nc = non_clifford[kind] = kind in NON_CLIFFORD_KINDS
+        t_count += nc
+        if len(qubits) == 1:
+            (q,) = qubits
+            if nc:
+                t_chain[q] += 1
+            else:
+                c_chain[q] += 1
+            continue
+        t_here = max(map(t_chain.__getitem__, qubits)) + nc
+        c_here = max(map(c_chain.__getitem__, qubits)) + (not nc)
+        for q in qubits:
             t_chain[q] = t_here
             c_chain[q] = c_here
     return ResourceReport(
         t_count=t_count,
         t_depth=max(t_chain, default=0),
-        clifford_count=c_count,
+        clifford_count=len(c.gates) - t_count,
         clifford_depth=max(c_chain, default=0),
         total_qubits=c.n_qubits,
     )
+
+
+def _reject_macros(c: Circuit, caller: str) -> NoReturn:
+    bad = {g.kind for g in c.gates} & MACRO_KINDS
+    raise ValueError(f"{caller} needs a lowered circuit; found {sorted(bad)}")
 
 
 def chain_depth(c: Circuit, kinds: Iterable[str]) -> int:
@@ -492,9 +516,6 @@ def emit_text(c: Circuit) -> str:
     One gate per line, ``kind q[i],q[j];`` with a ``qubits N;`` header and
     a comment line per named register.
     """
-    bad = {g.kind for g in c.gates} & MACRO_KINDS
-    if bad:
-        raise ValueError(f"emit_text needs a lowered circuit; found {sorted(bad)}")
     lines = [f"qubits {c.n_qubits};"]
     for name, qs in c.register_labels.items():
         if qs and qs == tuple(range(qs[0], qs[0] + len(qs))):
@@ -502,7 +523,13 @@ def emit_text(c: Circuit) -> str:
         else:
             span = ",".join(f"q[{i}]" for i in qs)
         lines.append(f"# {name}: {span}")
+    text: dict[Gate, str] = {}  # each distinct gate rendered once
     for g in c.gates:
-        args = ",".join(f"q[{i}]" for i in g.qubits)
-        lines.append(f"{g.kind.lower()} {args};")
+        line = text.get(g)
+        if line is None:
+            if g.kind in MACRO_KINDS:
+                _reject_macros(c, "emit_text")
+            args = ",".join(f"q[{i}]" for i in g.qubits)
+            line = text[g] = f"{g.kind.lower()} {args};"
+        lines.append(line)
     return "\n".join(lines) + "\n"

@@ -121,8 +121,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_resources(args: argparse.Namespace) -> int:
     if args.n is not None:
         n_list = [args.n]
-    elif args.n_list:
-        n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
+    elif args.n_list is not None:
+        try:
+            n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
+        except ValueError:
+            raise ValueError(f"--n-list takes comma-separated integers, got {args.n_list!r}") from None
+        if not n_list:
+            raise ValueError(f"--n-list names no size: {args.n_list!r}")
     else:
         n_list = [4, 8, 16, 32]
     _write(check_against_formulas(n_list), args.output)
@@ -163,8 +168,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("resources", help="measured vs closed-form costs, CSV")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--n-list", default=None, help="comma-separated sizes")
+    sizes = p.add_mutually_exclusive_group()
+    sizes.add_argument("--n", type=int, default=None)
+    sizes.add_argument("--n-list", default=None, help="comma-separated sizes")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_resources)
 

@@ -305,6 +305,8 @@ def verify_select(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     layout = SelectionLayout(n, k, "k2" if k == 2 else "general")
     all_words = np.fromiter(layout.valid_states() if words is None else words, dtype=np.int64)
     if not all_words.size:

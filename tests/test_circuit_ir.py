@@ -12,6 +12,7 @@ import pytest
 from fermiselect.circuit_ir import (
     Circuit,
     Gate,
+    ResourceReport,
     MACRO_KINDS,
     TERMINAL_KINDS,
     add_global_controls,
@@ -25,6 +26,7 @@ from fermiselect.circuit_ir import (
     inverse,
     lower_macros,
     schedule,
+    terminal_gates,
 )
 from fermiselect.gadgets import (
     GADGETS,
@@ -440,6 +442,97 @@ def test_emit_text_rejects_macros():
     c.add("CSWAP", 0, 1, 2)
     with pytest.raises(ValueError):
         emit_text(c)
+
+
+# --- reuse of repeated gates within one call ----------------------------------
+#
+# The back-end passes handle each distinct gate once per call and reuse the
+# result for its repeats.  These references do the per-gate work afresh.
+
+
+def _expand_reference(gates):
+    """Every macro expanded through expand_macro, one gate at a time."""
+    out = []
+    for g in gates:
+        step = expand_macro(g)
+        out.extend([g] if step is None else _expand_reference(step))
+    return out
+
+
+def _repeated_macros(rng):
+    """Shuffled macros of each kind on several qubit tuples, some marked."""
+    gates = []
+    for kind, (ref_qubits, _) in sorted(MACRO_REFS.items()):
+        for qs in [(0, 1, 2), (2, 1, 0), (3, 0, 1), (1, 3, 2)]:
+            qs = qs[: len(ref_qubits)]
+            gates += [Gate(kind, qs), Gate(kind, qs, True), Gate(kind, qs, True, 7)] * 3
+    gates += [Gate("H", (1,)), Gate("CX", (0, 1), True), Gate("T", (2,), False, 3)] * 4
+    return [gates[i] for i in rng.permutation(len(gates))]
+
+
+def test_terminal_gates_expands_each_repeat_like_the_first(rng):
+    gates = _repeated_macros(rng)
+    expected = _expand_reference(gates)
+    assert list(terminal_gates(gates)) == expected
+    assert list(terminal_gates(iter(gates))) == expected
+    lowered = lower_macros(Circuit(4, gates))
+    assert lowered.gates == [Gate(g.kind, g.qubits) for g in expected]
+
+
+def test_append_remaps_kinds_that_share_a_qubit_tuple():
+    b = Circuit(3)
+    for kind, qs, mark in [("CX", (0, 1), False), ("CZ", (0, 1), False), ("CX", (0, 1), True),
+                           ("CX", (1, 0), False), ("CX", (0, 1), False), ("S", (2,), False)]:
+        b.add(kind, *qs, control_extension_point=mark)
+    c = Circuit(5)
+    c.append(b, [4, 2, 0])
+    c.append(b, [1, 3, 2])  # a second call maps the same gates elsewhere
+    expected = [
+        Gate(g.kind, tuple(m[q] for q in g.qubits), g.control_extension_point)
+        for m in ([4, 2, 0], [1, 3, 2]) for g in b.gates
+    ]
+    assert c.gates == expected and all(type(g) is Gate for g in c.gates)
+    host = Circuit(5)
+    with conjugated(host, b, [2, 0, 4]):
+        host.add("H", 1)
+    net = [Gate(g.kind, tuple([2, 0, 4][q] for q in g.qubits), g.control_extension_point)
+           for g in b.gates]
+    assert host.gates == net + [Gate("H", (1,))] + inverse(Circuit(5, net)).gates
+
+
+def test_emit_text_renders_each_repeat_like_the_first(rng):
+    pool = [Gate("CX", (0, 1)), Gate("CX", (1, 0)), Gate("CZ", (0, 1)), Gate("CX", (0, 1), True),
+            Gate("T", (0,)), Gate("T", (2,)), Gate("Tdg", (2,)), Gate("A", (2,), False, 4)]
+    gates = [pool[i] for i in rng.integers(len(pool), size=200)]
+    lines = emit_text(Circuit(3, gates)).splitlines()
+    assert lines[1:] == [
+        f"{g.kind.lower()} " + ",".join(f"q[{q}]" for q in g.qubits) + ";" for g in gates
+    ]
+
+
+def test_a_macro_after_many_repeats_is_still_rejected():
+    c = Circuit(3, [Gate("CX", (0, 1))] * 5000 + [Gate("T", (2,))] * 5000)
+    c.add("SWAP", 1, 2)
+    c.add("CX", 0, 1)
+    c.add("CSWAP", 0, 1, 2)
+    found = r"needs a lowered circuit; found \['CSWAP', 'SWAP'\]"
+    with pytest.raises(ValueError, match="emit_text " + found):
+        emit_text(c)
+    with pytest.raises(ValueError, match="schedule " + found):
+        schedule(c)
+
+
+def test_schedule_mixed_arities_by_hand():
+    c = Circuit(4)
+    for kind, *qs in [("T", 0), ("H", 1), ("S", 0), ("CX", 0, 1), ("CCZ", 1, 2, 3),
+                      ("Z", 3), ("Adg", 2)]:
+        c.add(kind, *qs)
+    # (T, Clifford) chain per qubit after T, H, S, CX: q0 (1, 2), q1 (1, 2);
+    # the 14-gate CCZ network on (1, 2, 3) leaves q1 (5, 8), q2 (5, 8),
+    # q3 (5, 7); then Z makes q3 (5, 8) and Adg makes q2 (6, 8)
+    assert schedule(lower_macros(c)) == ResourceReport(
+        t_count=9, t_depth=6, clifford_count=11, clifford_depth=8, total_qubits=4
+    )
 
 
 # --- gates from the unchecked paths ------------------------------------------

@@ -203,6 +203,25 @@ def test_resources_n_list(capsys):
     assert sizes == {"4", "8"}
 
 
+def test_resources_n_and_n_list_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["resources", "--n", "3", "--n-list", "8"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "--n-list" in err and "not allowed" in err
+
+
+@pytest.mark.parametrize("value", [",", "", " , "])
+def test_resources_n_list_without_sizes_exits_2(value, capsys):
+    rc, out, err = run(["resources", f"--n-list={value}"], capsys)
+    assert rc == 2 and "--n-list" in err and not out
+
+
+@pytest.mark.parametrize("value", ["4,x", "4.5", "8,,y"])
+def test_resources_bad_n_list_token_names_the_flag(value, capsys):
+    rc, out, err = run(["resources", f"--n-list={value}"], capsys)
+    assert rc == 2 and "--n-list" in err and "invalid literal" not in err and not out
+
+
 # --- verify ----------------------------------------------------------------------
 
 
@@ -218,6 +237,11 @@ def test_verify_passes(capsys):
 def test_verify_rejects_too_few_trials(trials, capsys):
     rc, out, err = run(["verify", "--n", "3", "--trials", trials], capsys)
     assert rc == 2 and "trials" in err and not out
+
+
+def test_verify_rejects_a_negative_seed(capsys):
+    rc, out, err = run(["verify", "--n", "4", "--seed", "-1"], capsys)
+    assert rc == 2 and "seed" in err and not out
 
 
 def test_verify_capacity_guard(capsys):

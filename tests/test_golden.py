@@ -7,7 +7,9 @@ extension marker, extension group) of the gadget builders and the
 general layout, with their width and register labels.  The
 ``fermiselect transform`` digests were taken before the transform and
 the encoder moved to bitmask Pauli strings; their inputs are generated
-here from a seeded ``random.Random``.
+here from a seeded ``random.Random``.  The n = 512 digests, the
+benchmark's size, were taken before lowering, remapping and emission
+reused their work on repeated gates within a call.
 """
 
 import hashlib
@@ -149,6 +151,17 @@ IR_GOLDEN = {
 @pytest.mark.parametrize("n,k,v,c", EMIT_CASES)
 def test_emitted_select_is_unchanged(n, k, v, c):
     assert emit_digest(n, k, v, c) == EMIT_GOLDEN[(n, k, v, c)]
+
+
+LARGE_EMIT_GOLDEN = {
+    "plain": "04f090d7403a9c92995def691de0e864acb7ab948d5898bb555c390d2936c392",
+    "star": "d39fde040eb32a31f154607df37b4e771ec781c2c6ddf87191ac5eee15d26825",
+}
+
+
+@pytest.mark.parametrize("v", sorted(LARGE_EMIT_GOLDEN))
+def test_emitted_select_at_n512_is_unchanged(v):
+    assert _sha(emit_text(lower_macros(synth_select_k2(512, v)))) == LARGE_EMIT_GOLDEN[v]
 
 
 @pytest.mark.parametrize("ns", sorted(RESOURCES_GOLDEN))

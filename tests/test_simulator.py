@@ -448,6 +448,15 @@ def test_verify_select_rejects_too_few_trials(trials, monkeypatch):
         verify_select(3, 2, "star", trials=trials)
 
 
+def test_verify_select_rejects_a_negative_seed(monkeypatch):
+    def never(*args):
+        raise AssertionError("synthesized before the seed check")
+
+    monkeypatch.setattr(simulator, "controlled_select", never)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        verify_select(3, 2, "star", trials=2, seed=-1)
+
+
 @pytest.mark.parametrize(
     "call",
     [
