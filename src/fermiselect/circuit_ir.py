@@ -101,7 +101,9 @@ class Circuit:
         for g in self.gates:
             self._check(g)
         for name, qs in self.register_labels.items():
-            self.register_labels[name] = tuple(qs)
+            qs = self.register_labels[name] = tuple(qs)
+            if qs and (min(qs) < 0 or max(qs) >= self.n_qubits or len(set(qs)) != len(qs)):
+                raise ValueError(f"register {name!r} {qs} needs distinct qubits < {self.n_qubits}")
 
     def _check(self, g: Gate) -> None:
         """Raise ValueError unless g is a valid gate on this circuit."""
@@ -114,7 +116,7 @@ class Circuit:
             raise ValueError(f"{kind} takes {_ARITY[kind]} qubits, got {qubits}")
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"repeated qubit in {kind}{qubits}")
-        if not all(0 <= q < self.n_qubits for q in qubits):
+        if min(qubits) < 0 or max(qubits) >= self.n_qubits:
             raise ValueError(f"gate {kind}{qubits} out of range for {self.n_qubits} qubits")
 
     def add(self, kind: str, *qubits: int, **kw) -> None:

@@ -3,7 +3,7 @@
 Register conventions: address registers are most-significant-bit first
 (qubit 0 of the register is the highest address bit).  Gadgets that
 combine an address with data lay qubits out as [address | flags | data]
-and carry register labels so hosts can embed them with ``Circuit.append``.
+and label those registers.
 
 The swap network ("swap-up") conditionally permutes data qubit x to
 position 0 for address value x.  The plain variant uses exact controlled
@@ -15,8 +15,9 @@ phase on one basis state; conjugation cancels the phases, so every
 injector built from it is still exact.
 
 Every injector is one move, a payload conjugated by a network
-(``circuit_ir.conjugated``); ``letter_select`` writes the flagged X/Y
-payload for both variants and ``basis_change`` the frame it runs in.
+(``circuit_ir.conjugated``), written in place by a body that the
+catalogued injector and the SELECT circuits share; ``letter_select``
+writes the flagged X/Y payload and ``basis_change`` its frame.
 """
 
 from __future__ import annotations
@@ -315,6 +316,12 @@ def basis_change(c: Circuit, qubits: Sequence[int], letter: str):
             c.add("S", q)
 
 
+def _inject_into(c: Circuit, net: Circuit, net_map: Sequence[int], u: str, *qubits: int) -> None:
+    """Payload gate ``u`` on ``qubits``, conjugated by ``net``, written into c."""
+    with conjugated(c, net, net_map):
+        c.add(u, *qubits, control_extension_point=True)
+
+
 def letter_select(
     c: Circuit,
     net: Circuit,
@@ -355,10 +362,29 @@ def letter_select(
         with basis_change(c, data, letter):
             if open_on:
                 c.add("X", sel)
-            with conjugated(c, net, net_map):
-                c.add("C" * len(flags) + "Z", *flags, d0, control_extension_point=True)
+            _inject_into(c, net, net_map, "C" * len(flags) + "Z", *flags, d0)
             if open_on:
                 c.add("X", sel)
+
+
+def _letter_inject_into(
+    c: Circuit,
+    net: Circuit,
+    net_map: Sequence[int],
+    flags: Sequence[int],
+    data: Sequence[int],
+    star: bool,
+) -> None:
+    """Flagged X/Y on the addressed qubit of ``data``, written into c.
+
+    Signed (two flags a, b): both marked with Z, and a picks Y (0) or X
+    (1).  Unsigned (one flag): it picks X (0) or Y (1).
+    """
+    signed = len(flags) == 2
+    if signed:
+        for f in flags:
+            c.add("Z", f, control_extension_point=True)
+    letter_select(c, net, net_map, flags[:1], data, "Y" if signed else "X", star)
 
 
 def select_q() -> Circuit:
@@ -369,24 +395,21 @@ def select_q() -> Circuit:
     four non-conjugation gates are control extension points.
     """
     c = Circuit(3)
-    c.add("Z", 0, control_extension_point=True)
-    c.add("Z", 1, control_extension_point=True)
-    letter_select(c, Circuit(0), (), (0,), (2,), "Y", star=False)
+    _letter_inject_into(c, Circuit(0), (), (0, 1), (2,), star=False)
     return c
 
 
 def select_p() -> Circuit:
     """One flag qubit (0) picks X (flag 0) or Y (flag 1) on qubit 1."""
     c = Circuit(2)
-    letter_select(c, Circuit(0), (), (0,), (1,), "X", star=False)
+    _letter_inject_into(c, Circuit(0), (), (0,), (1,), star=False)
     return c
 
 
 def _injector(u: str, net: Circuit, n: int) -> Circuit:
     """Payload ``u`` on the front data qubit, conjugated by ``net``."""
     c = Circuit(net.n_qubits, [], dict(net.register_labels))
-    with conjugated(c, net):
-        c.add(u, address_bits(n), control_extension_point=True)
+    _inject_into(c, net, range(net.n_qubits), u, address_bits(n))
     return c
 
 
@@ -406,23 +429,15 @@ def inject_star_z(n: int) -> Circuit:
 
 
 def _letter_injector(n: int, variant: str, signed: bool) -> Circuit:
-    """[address | flags | data] circuit: flagged X/Y on the addressed qubit.
-
-    Signed: flags a, b, both marked with Z, and a picks Y (0) or X (1).
-    Unsigned: one flag picks X (0) or Y (1).
-    """
+    """[address | flags | data] circuit around ``_letter_inject_into``."""
     star = _check_variant(variant)
     bits = address_bits(n)
     flags = tuple(range(bits, bits + (2 if signed else 1)))
     data = tuple(range(bits + len(flags), bits + len(flags) + n))
     labels = {"address": tuple(range(bits)), "flags": flags, "data": data}
     c = Circuit(bits + len(flags) + n, [], labels)
-    if signed:
-        for f in flags:
-            c.add("Z", f, control_extension_point=True)
     net = swap_up_star(n) if star else swap_up(n)
-    net_map = list(range(bits)) + list(data)
-    letter_select(c, net, net_map, flags[:1], data, "Y" if signed else "X", star)
+    _letter_inject_into(c, net, list(range(bits)) + list(data), flags, data, star)
     return c
 
 
@@ -453,21 +468,15 @@ class GadgetSpec:
     registers: tuple[str, ...]
 
 
+_FLAGGED = ("address", "flags", "data")
+
 GADGETS: dict[str, GadgetSpec] = {
     "SwapUp": GadgetSpec("SwapUp", swap_up, ("address", "data")),
     "SwapUpStar": GadgetSpec("SwapUpStar", swap_up_star, ("address", "data")),
     "InjectZ": GadgetSpec("InjectZ", lambda n: inject("Z", n), ("address", "data")),
     "InjectZStar": GadgetSpec("InjectZStar", inject_star_z, ("address", "data")),
-    "InjSelQ": GadgetSpec(
-        "InjSelQ", lambda n: inject_select_q(n, "plain"), ("address", "flags", "data")
-    ),
-    "InjSelQStar": GadgetSpec(
-        "InjSelQStar", lambda n: inject_select_q(n, "star"), ("address", "flags", "data")
-    ),
-    "InjSelP": GadgetSpec(
-        "InjSelP", lambda n: inject_select_p(n, "plain"), ("address", "flags", "data")
-    ),
-    "InjSelPStar": GadgetSpec(
-        "InjSelPStar", lambda n: inject_select_p(n, "star"), ("address", "flags", "data")
-    ),
+    "InjSelQ": GadgetSpec("InjSelQ", lambda n: inject_select_q(n, "plain"), _FLAGGED),
+    "InjSelQStar": GadgetSpec("InjSelQStar", lambda n: inject_select_q(n, "star"), _FLAGGED),
+    "InjSelP": GadgetSpec("InjSelP", lambda n: inject_select_p(n, "plain"), _FLAGGED),
+    "InjSelPStar": GadgetSpec("InjSelPStar", lambda n: inject_select_p(n, "star"), _FLAGGED),
 }

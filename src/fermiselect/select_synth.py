@@ -28,10 +28,8 @@ from typing import Iterator
 from .circuit_ir import SDG_TWO_CONTROLS, Circuit, add_global_controls, conjugated
 from .gadgets import (
     _check_variant,
-    inject,
-    inject_select_p,
-    inject_select_q,
-    inject_star_z,
+    _inject_into,
+    _letter_inject_into,
     ladder_tree,
     letter_select,
     swap_up,
@@ -122,8 +120,7 @@ class SelectionLayout:
 
     def pack_k2(self, p: int, q: int, p1: int, p2: int) -> int:
         L = self.address_width
-        word = 0
-        word = self._put(word, 0, L, p)
+        word = self._put(0, 0, L, p)
         word = self._put(word, L, L, q)
         word = self._put(word, 2 * L, 2, p1)
         word = self._put(word, 2 * L + 2, 1, p2)
@@ -173,12 +170,9 @@ class SelectionLayout:
         for j in range(self.k):
             regs[f"addr{j}"] = tuple(range(1 + j * L, 1 + (j + 1) * L))
         base = 1 + self.k * L
-        for j in range(self.k):
-            regs[f"P{j}"] = (base + j,)
-        for j in range(self.k):
-            regs[f"i{j}"] = (base + self.k + j,)
-        for j in range(self.k):
-            regs[f"n{j}"] = (base + 2 * self.k + j,)
+        for r, flag in enumerate("Pin"):  # letter, interaction and number flags
+            for j in range(self.k):
+                regs[f"{flag}{j}"] = (base + r * self.k + j,)
         return regs
 
     def valid_states(self) -> Iterator[int]:
@@ -411,18 +405,19 @@ def synth_select_k2(n: int, variant: str = "star") -> Circuit:
     """SELECT for two-endpoint strings: |p>|q>|P1>|P2> ⊗ system.
 
     Applies (P1)_p Z...Z (P2)_q with the sign carried by P1, for every
-    p < q.  Width is 2*ceil(log2 n) + 3 + n.
+    p < q.  Width is 2*ceil(log2 n) + 3 + n.  Written in place around one
+    swap network by the bodies of the injector gadgets.
     """
     star = _check_variant(variant)
     c, regs, system = _select_host(SelectionLayout(n, 2, "k2"))
-    p, q = list(regs["p"]), list(regs["q"])
-    injz = inject_star_z(n) if star else inject("Z", n)
+    p, q = list(regs["p"]) + system, list(regs["q"]) + system
+    net = swap_up_star(n) if star else swap_up(n)
     with conjugated(c, ladder_tree(n), system):
-        c.append(injz, p + system)
-        c.append(injz, q + system)
+        _inject_into(c, net, p, "Z", system[0])
+        _inject_into(c, net, q, "Z", system[0])
     _phase_block(c, 0, group=0)
-    c.append(inject_select_q(n, variant), p + list(regs["P1"]) + system)
-    c.append(inject_select_p(n, variant), q + list(regs["P2"]) + system)
+    _letter_inject_into(c, net, p, regs["P1"], system, star)
+    _letter_inject_into(c, net, q, regs["P2"], system, star)
     return c
 
 
@@ -451,8 +446,7 @@ def synth_select_general(n: int, k: int, variant: str = "star") -> Circuit:
     def flagged_z(flags: list[int]) -> None:
         # swap-conjugated CZ(flag j, front system qubit) for every slot j
         for j in range(k):
-            with conjugated(c, net, net_maps[j]):
-                c.add("CZ", flags[j], system[0], control_extension_point=True)
+            _inject_into(c, net, net_maps[j], "CZ", flags[j], system[0])
 
     with conjugated(c, ladder_tree(n), system):
         flagged_z(iflags)
@@ -478,10 +472,5 @@ def controlled_select(
     """
     if k != 2 and num_controls == 2:
         raise ValueError(SDG_TWO_CONTROLS)
-    if k == 2:
-        c = synth_select_k2(n, variant)
-    else:
-        c = synth_select_general(n, k, variant)
-    if num_controls == 0:
-        return c
-    return add_global_controls(c, num_controls)
+    c = synth_select_k2(n, variant) if k == 2 else synth_select_general(n, k, variant)
+    return add_global_controls(c, num_controls) if num_controls else c

@@ -51,9 +51,9 @@ __all__ = [
 MAX_DENSE_QUBITS = 24
 MAX_UNITARY_QUBITS = 12
 
-# verify_select walks at most this many amplitudes at once (words ×
-# trials × 2**n_sys), and unitary_of applies its blocks to at most this
-# many identity amplitudes at once, which bounds their working memory
+# verify_select walks at most this many amplitudes at once (words × trials × 2**n_sys),
+# or one word that holds more (k = 2, n = 12, 20 trials: 81,920); unitary_of applies its
+# blocks to at most this many identity amplitudes at once.  This bounds their memory.
 _CHUNK_AMPLITUDES = 1 << 16
 
 # the dense route fuses gates into blocks on at most this many qubits: one
@@ -297,7 +297,7 @@ def verify_select(
     circuit with classical selection bits on a batch of random system
     states and compares with ``pauli_apply`` of the decoded string.
     Words are walked together, in chunks of at most ``_CHUNK_AMPLITUDES``
-    amplitudes.
+    amplitudes, or of one word when a word alone holds more.
 
     Returns a report dict with the worst amplitude error, the word that
     reached it (``worst_word``, its selection bits) and its decoded

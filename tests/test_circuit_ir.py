@@ -565,3 +565,28 @@ def test_unchecked_paths_make_valid_gates(build):
     for out in (c, lower_macros(c), lower_macros(c, pure_clifford_t=True)):
         for d in (out, inverse(out)):
             Circuit(d.n_qubits, list(d.gates))
+
+
+# --- register labels ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n,labels", [
+    (2, {"data": (0, 5)}),  # names a qubit past the end
+    (3, {"system": (1, 7)}),
+    (3, {"system": (-1, 2)}),
+    (3, {"ok": (0,), "data": (1, 1)}),  # repeats a qubit
+])
+def test_register_labels_are_checked(n, labels):
+    # a bad label used to reach emit_text (a "# data: q[0],q[5]" line for
+    # two qubits) or apply_classical_control (qubit 2 read as selection)
+    with pytest.raises(ValueError, match="register"):
+        Circuit(n, [Gate("X", (0,))], labels)
+
+
+@pytest.mark.parametrize("build", [b for _, b in _SOURCES], ids=[i for i, _ in _SOURCES])
+def test_builders_label_distinct_qubits_in_range(build):
+    c = build()
+    for out in (c, lower_macros(c)):
+        for qs in out.register_labels.values():
+            assert len(set(qs)) == len(qs)
+            assert all(0 <= q < out.n_qubits for q in qs)

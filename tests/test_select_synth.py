@@ -355,3 +355,67 @@ def test_inverse_select_composes_to_identity():
     both = compose(c, inverse(c))
     U = unitary_of(both)
     assert np.abs(U - np.eye(U.shape[0])).max() < 1e-12
+
+
+# --- the k = 2 SELECT is its injectors, written in place ---------------------
+
+
+@pytest.mark.parametrize("variant", ["plain", "star"])
+@pytest.mark.parametrize("n", [2, 3, 8, 33])
+def test_k2_builds_one_network_and_no_injector(monkeypatch, n, variant):
+    from fermiselect import gadgets, select_synth
+
+    calls = {"net": 0, "injector": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    injectors = ("inject", "inject_star_z", "inject_select_q", "inject_select_p")
+    for key, names in (("net", ("swap_up", "swap_up_star")), ("injector", injectors)):
+        for name in names:
+            wrapper = counted(key, getattr(gadgets, name))
+            for module in (gadgets, select_synth):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+    synth_select_k2(n, variant)
+    assert calls == {"net": 1, "injector": 0}
+
+
+def _k2_by_append(n, variant):
+    """The k = 2 SELECT composed from the public injector gadgets."""
+    from fermiselect.circuit_ir import Circuit, conjugated
+    from fermiselect.gadgets import (
+        inject, inject_select_p, inject_select_q, inject_star_z, ladder_tree,
+    )
+    from fermiselect.select_synth import _phase_block
+
+    layout = SelectionLayout(n, 2, "k2")
+    regs = layout.registers()
+    system = list(range(layout.width, layout.width + n))
+    c = Circuit(layout.width + n, [], {**regs, "system": tuple(system)})
+    p, q = list(regs["p"]), list(regs["q"])
+    injz = inject_star_z(n) if variant == "star" else inject("Z", n)
+    with conjugated(c, ladder_tree(n), system):
+        c.append(injz, p + system)
+        c.append(injz, q + system)
+    _phase_block(c, 0, group=0)
+    c.append(inject_select_q(n, variant), p + list(regs["P1"]) + system)
+    c.append(inject_select_p(n, variant), q + list(regs["P2"]) + system)
+    return c
+
+
+@pytest.mark.parametrize("variant", ["plain", "star"])
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 33])
+def test_k2_equals_its_injectors_composed(n, variant):
+    # the FORMULAS injector rows describe the SELECT's parts only while
+    # this holds; compares gate tuples, extension markers included
+    from fermiselect.circuit_ir import add_global_controls
+
+    ref, got = _k2_by_append(n, variant), synth_select_k2(n, variant)
+    assert (got.n_qubits, got.register_labels) == (ref.n_qubits, ref.register_labels)
+    assert got.gates == ref.gates
+    for nc in (1, 2):
+        assert add_global_controls(got, nc).gates == add_global_controls(ref, nc).gates
