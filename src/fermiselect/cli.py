@@ -19,6 +19,7 @@ with factors ``adag p`` / ``a p`` / ``n p``, an optional trailing
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from typing import Optional, Sequence
@@ -30,9 +31,10 @@ from .pauli import (
     Lower,
     Number,
     Raise,
+    _validate_term,
     jw_transform,
 )
-from .select_synth import SelectionLayout, controlled_select, encode_lcu, slots_needed
+from .select_synth import SelectionLayout, controlled_select, encode_lcu
 from .resources import check_against_formulas
 from .simulator import verify_select
 
@@ -54,6 +56,8 @@ def parse_hamiltonian(text: str) -> list[FermionTerm]:
             raise ValueError(f"line {lineno}: coefficient needs two floats, got {head!r}")
         try:
             coefficient = complex(float(parts[0]), float(parts[1]))
+            if not cmath.isfinite(coefficient):
+                raise ValueError(f"{head.strip()!r} is not finite")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad coefficient: {exc}") from None
         tokens = tail.split()
@@ -95,19 +99,28 @@ def _cmd_transform(args: argparse.Namespace) -> int:
             text = fh.read()
     terms = parse_hamiltonian(text)
     max_orbitals = max((len(set(t.orbitals())) for t in terms), default=0)
-    hamiltonian = FermionHamiltonian(args.n, _even_at_least_two(max_orbitals), tuple(terms))
-    lcu = jw_transform(hamiltonian)
-    k = args.k
-    if k is None:
-        k = _even_at_least_two(max((slots_needed(ps) for _, ps in lcu.entries), default=0))
-    layout = SelectionLayout(args.n, k, "general")
+    try:
+        lcu = jw_transform(FermionHamiltonian(args.n, _even_at_least_two(max_orbitals), tuple(terms)))
+    except ValueError:  # name the line of a term the transform rejects
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            for term in parse_hamiltonian(raw):
+                try:
+                    _validate_term(term, args.n)
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
+        raise
+    k, n, low = args.k, args.n, (1 << args.n) - 1
+    if k is None:  # the transform split every row: count endpoints and numbers
+        slots = ((m & low).bit_count() + (m >> 2 * n).bit_count() for m in lcu.masks)
+        k = _even_at_least_two(max(slots, default=0))
+    layout = SelectionLayout(n, k, "general")
     rows = encode_lcu(lcu, layout)
-    lines = [
-        f"# n={args.n} k={k} selection_width={layout.width} terms={len(rows)}",
-        f"# total_alpha={lcu.total_alpha!r}",
-    ]
-    for word, alpha, ps in rows:
-        lines.append(f"{word:0{layout.width}b} {alpha!r} {ps}")
+    lines = [f"# n={n} k={k} selection_width={layout.width} terms={len(rows)}",
+             f"# total_alpha={lcu.total_alpha!r}"]
+    del lcu  # the rows hold the table, so its masks need not outlive the packing
+    word_format = f"0{layout.width}b"
+    lines += (f"{word:{word_format}} {alpha!r} {'+-'[ps.phase >> 1]}{ps.letters}"
+              for word, alpha, ps in rows)
     _write("\n".join(lines) + "\n", args.output)
     return 0
 

@@ -18,7 +18,7 @@ int bitmasks (x, z), bit p set in x when qubit p carries X or Y and in z
 when it carries Z or Y.  A product is then an XOR with its phase taken
 from popcounts (Aaronson-Gottesman, quant-ph/0406196), and each image
 above is built in O(1).  Strings become ``PauliString.letters`` once, per
-output row.
+output row; ``PauliLCU.masks`` keeps each row's key and ``_number_mask``.
 
 ``pauli_mul`` and ``pauli_apply`` stay letter-based on purpose: they are
 the oracle's code path, and sharing no code with the transform (or with
@@ -235,16 +235,18 @@ class PauliLCU:
     """A linear combination of unitaries: sum_j alpha_j * P_j.
 
     Every alpha is strictly positive and every string phase is +1 or -1
-    (exponent 0 or 2); signs live in the string phases.
+    (exponent 0 or 2); signs live in the string phases.  ``masks`` is empty
+    or, from the transform, each entry's ``x | z << n | numbers << 2n``.
     """
 
     n_qubits: int
     entries: tuple[tuple[float, PauliString], ...]
+    masks: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
         for alpha, ps in self.entries:
-            if alpha <= 0:
+            if not alpha > 0:  # NaN too
                 raise ValueError(f"alpha must be positive, got {alpha}")
             if ps.phase not in (0, 2):
                 raise ValueError(f"LCU entry phase must be +/-1, got i^{ps.phase}")
@@ -313,11 +315,24 @@ def _mask_mul(acc: dict[int, complex], image, n: int) -> dict[int, complex]:
 
 def _letters(key: int, n: int) -> str:
     """IXYZ letters of the string keyed ``x | z << n``, qubit 0 first."""
-    if n == 0:
-        return ""
-    digits = format(key, f"0{2 * n}b").encode()
-    code = 2 * int.from_bytes(digits[:n], "big") + int.from_bytes(digits[n:], "big")
+    # the 2n binary digits of key as base-256 digits: z's n above x's n
+    digits = int.from_bytes(bin(key | 1 << 2 * n).encode(), "big")
+    low = (1 << 8 * n) - 1
+    code = 2 * (digits >> 8 * n & low) + (digits & low)
     return code.to_bytes(n, "little").translate(_MASK_LETTERS).decode()
+
+
+def _number_mask(x: int, z: int) -> int:
+    """Number (Z) factors of the string (x, z), x of even weight: an I
+    inside an X/Y pair's Z chain, or a Z outside every chain."""
+    covered, rest = 0, x
+    while rest:  # consecutive X/Y endpoints u < v pair up
+        u = rest & -rest
+        rest ^= u
+        v = rest & -rest
+        rest ^= v
+        covered |= v - (u << 1)  # the pair's Z chain, strictly between u and v
+    return (covered & ~z) | (z & ~covered & ~x)
 
 
 def _term_expansion(term: FermionTerm, n: int) -> dict[int, complex]:
@@ -354,11 +369,10 @@ def _collect(terms: Iterable[FermionTerm], n: int) -> PauliLCU:
         for key, c in _term_expansion(term, n).items():
             acc[key] = acc.get(key, 0.0) + (c + c.conjugate() if hc else c)
             scale[key] = max(scale.get(key, 0.0), abs(c))
-    entries = []
+    key_of: dict[str, int] = {}
     complex_part = None  # (letters, c) of the first non-real sum by letters
-    while acc:  # popping frees each key as its letters are made
-        key, c = acc.popitem()
-        cutoff = _TOL * scale.pop(key)
+    for key, c in acc.items():
+        cutoff = _TOL * scale[key]
         if c == 0 or abs(c) < cutoff:
             continue
         letters = _letters(key, n)
@@ -366,9 +380,7 @@ def _collect(terms: Iterable[FermionTerm], n: int) -> PauliLCU:
             if complex_part is None or letters < complex_part[0]:
                 complex_part = (letters, c)
             continue
-        alpha = abs(c.real)
-        phase = 0 if c.real > 0 else 2
-        entries.append((alpha, PauliString(letters, phase)))
+        key_of[letters] = key
     if complex_part is not None:
         letters, c = complex_part
         raise ValueError(
@@ -376,8 +388,17 @@ def _collect(terms: Iterable[FermionTerm], n: int) -> PauliLCU:
             f"({c:.3g} on {letters}); the input is not Hermitian — "
             "ladder terms need include_hc"
         )
-    entries.sort(key=lambda entry: entry[1].letters)
-    return PauliLCU(n, tuple(entries))
+    # sized up front, and no per-row temporary outlives its row: no heap holes
+    entries, masks = [None] * len(key_of), [None] * len(key_of)
+    low, new, put = (1 << n) - 1, object.__new__, object.__setattr__
+    for i, letters in enumerate(sorted(key_of)):
+        key, ps = key_of[letters], new(PauliString)  # letters written from masks: no re-check
+        c = acc[key]
+        put(ps, "letters", letters)
+        put(ps, "phase", 0 if c.real > 0 else 2)
+        entries[i] = (abs(c.real), ps)
+        masks[i] = key | _number_mask(key & low, key >> n) << 2 * n
+    return PauliLCU(n, tuple(entries), tuple(masks))
 
 
 def jw_transform_term(term: FermionTerm, n: int) -> PauliLCU:

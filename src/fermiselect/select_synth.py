@@ -12,7 +12,9 @@ Two register layouts address the Pauli strings produced by the transform:
   slot may carry a number index (distinct from all endpoints).
 
 Addresses are most-significant-bit first, and so is the packed selection
-word: qubit 0 of the selection register is the top bit of the word.
+word: qubit 0 of the selection register is the top bit of the word.  The
+word is packed from the string's (x, z, numbers) masks: the transform's
+rows carry them (``PauliLCU.masks``), a bare string is split here once.
 
 The synthesized circuits apply, for every valid selection basis state,
 exactly the decoded Pauli string to the system register — phases
@@ -35,7 +37,7 @@ from .gadgets import (
     swap_up,
     swap_up_star,
 )
-from .pauli import PauliLCU, PauliString, pauli_mul
+from .pauli import PauliLCU, PauliString, _number_mask, pauli_mul
 
 __all__ = [
     "EncodingError",
@@ -289,37 +291,51 @@ _X_DIGITS = str.maketrans("IXYZ", "0110")
 _Z_DIGITS = str.maketrans("IXYZ", "0011")
 
 
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _pairs_and_numbers(letters: str) -> tuple[int, int, int]:
-    """(x, z, number) bitmasks of a Pauli pattern, bit j for qubit j.
+    """(x, z, numbers) bitmasks of a bare Pauli pattern, bit j for qubit j.
 
-    x marks the X/Y letters (the pair endpoints) and z the Z/Y letters.
-    Consecutive endpoints pair up; an I strictly inside a pair and any
-    Z outside every pair count as number (Z) factors.
-    """
+    x marks the X/Y letters (the pair endpoints) and z the Z/Y letters."""
     rev = letters[::-1]
     x = int(rev.translate(_X_DIGITS) or "0", 2)
     z = int(rev.translate(_Z_DIGITS) or "0", 2)
     if x.bit_count() % 2:
         raise EncodingError("odd number of X/Y letters cannot form pairs")
-    covered = 0
-    rest = x
-    while rest:
-        u = rest & -rest
-        rest ^= u
-        v = rest & -rest
-        rest ^= v
-        covered |= v - (u << 1)  # the bits strictly between u and v
-    return x, z, (covered & ~z) | (z & ~covered & ~x)
+    return x, z, _number_mask(x, z)
+
+
+def _pack(entries, masks, layout: SelectionLayout) -> list[tuple[int, float, PauliString]]:
+    """(word, alpha, string) rows from each string's (x, z, numbers) masks.
+
+    A k2 word is p, q, P1, P2.  A general word is, MSB first, the sign bit,
+    k addresses of L bits, then k letter, k interaction and k number flags:
+    slot j's address sits at bit (k-1-j)*L + 3k and its flags at bits 3k-1-j,
+    2k-1-j and k-1-j.  Endpoints fill slots 0.. in order, numbers the next."""
+    k, L, top, k2 = layout.k, layout.address_width, layout.width - 1, layout.mode == "k2"
+    rows = []
+    for (alpha, ps), (x, z, numbers) in zip(entries, masks):
+        n_ends, n_numbers, sign, j = x.bit_count(), numbers.bit_count(), ps.phase >> 1, 0
+        if k2:
+            if n_ends != 2 or n_numbers:
+                raise EncodingError("the two-endpoint layout holds exactly one interaction "
+                                    "pair and no number factors")
+            u, v = (x & -x).bit_length() - 1, x.bit_length() - 1
+            word = u << (L + 3) | v << 3 | ((z >> u) & 1) << 2 | sign << 1 | ((z >> v) & 1)
+        elif n_ends + n_numbers > k:
+            raise EncodingError(f"pattern {ps.letters} needs {n_ends} endpoint and "
+                                f"{n_numbers} number slots, but k={k}")
+        else:
+            word = sign << top
+            while x:
+                bit = x & -x
+                word |= (bit.bit_length() - 1) << ((k - 1 - j) * L + 3 * k) | 1 << (2 * k - 1 - j)
+                word |= 1 << (3 * k - 1 - j) if z & bit else 0
+                x, j = x ^ bit, j + 1
+            while numbers:
+                bit = numbers & -numbers
+                word |= (bit.bit_length() - 1) << ((k - 1 - j) * L + 3 * k) | 1 << (k - 1 - j)
+                numbers, j = numbers ^ bit, j + 1
+        rows.append((word, alpha, ps))
+    return rows
 
 
 def slots_needed(pattern: PauliString) -> int:
@@ -336,50 +352,20 @@ def encode_term(pattern: PauliString, layout: SelectionLayout) -> int:
     layout's slot budget.
     """
     if pattern.n_qubits != layout.n:
-        raise EncodingError(
-            f"pattern has {pattern.n_qubits} qubits, layout expects {layout.n}"
-        )
+        raise EncodingError(f"pattern has {pattern.n_qubits} qubits, layout expects {layout.n}")
     if pattern.phase not in (0, 2):
         raise EncodingError("imaginary prefactor cannot be encoded")
-    x, z, numbers = _pairs_and_numbers(pattern.letters)
-    n_ends, n_numbers = x.bit_count(), numbers.bit_count()
-    sign = pattern.phase >> 1
-
-    if layout.mode == "k2":
-        if n_ends != 2 or n_numbers:
-            raise EncodingError(
-                "the two-endpoint layout holds exactly one interaction pair "
-                "and no number factors"
-            )
-        u, v = _bits(x)
-        p1 = 2 * ((z >> u) & 1) + sign
-        p2 = (z >> v) & 1
-        return layout.pack_k2(u, v, p1, p2)
-
-    k = layout.k
-    if n_ends + n_numbers > k:
-        raise EncodingError(
-            f"pattern needs {n_ends} endpoint and {n_numbers} number "
-            f"slots, but k={k}"
-        )
-    # The word is, MSB first: the sign bit, k addresses of L bits, then k
-    # letter flags, k interaction flags and k number flags.  So slot j's
-    # address sits at bit (k-1-j)*L + 3k and its flags at bits 3k-1-j,
-    # 2k-1-j and k-1-j.  Endpoints fill slots 0.. in order, so pair t
-    # lands in slots 2t and 2t+1; the numbers take the next free slots.
-    L = layout.address_width
-    word = sign << (layout.width - 1)
-    for j, u in enumerate(_bits(x)):
-        word |= u << ((k - 1 - j) * L + 3 * k) | 1 << (2 * k - 1 - j)
-        word |= ((z >> u) & 1) << (3 * k - 1 - j)
-    for j, w in enumerate(_bits(numbers), n_ends):
-        word |= w << ((k - 1 - j) * L + 3 * k) | 1 << (k - 1 - j)
-    return word
+    return _pack(((0.0, pattern),), (_pairs_and_numbers(pattern.letters),), layout)[0][0]
 
 
 def encode_lcu(lcu: PauliLCU, layout: SelectionLayout) -> list[tuple[int, float, PauliString]]:
     """(selection word, alpha, string) rows for a transform's LCU table."""
-    return [(encode_term(ps, layout), alpha, ps) for alpha, ps in lcu.entries]
+    if lcu.n_qubits != layout.n:
+        raise EncodingError(f"LCU has {lcu.n_qubits} qubits, layout expects {layout.n}")
+    n, low = layout.n, (1 << layout.n) - 1
+    masks = ((m & low, m >> n & low, m >> 2 * n) for m in lcu.masks) if lcu.masks else (
+        _pairs_and_numbers(ps.letters) for _, ps in lcu.entries)
+    return _pack(lcu.entries, masks, layout)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,12 @@ def test_parse_errors(text, msg):
         parse_hamiltonian(text)
 
 
+@pytest.mark.parametrize("coefficient", ["nan 0", "0 nan", "inf 0", "1 -inf", "-infinity 0"])
+def test_parse_rejects_a_non_finite_coefficient(coefficient):
+    with pytest.raises(ValueError, match=f"^line 2: bad coefficient: '{coefficient}' is not finite$"):
+        parse_hamiltonian(f"1 0 : n 0\n{coefficient} : n 0 # bad\n")
+
+
 def test_parse_empty_is_empty():
     assert parse_hamiltonian("") == []
     assert parse_hamiltonian("# only comments\n\n") == []
@@ -82,23 +88,49 @@ def test_transform_infers_k(capsys, monkeypatch):
     assert out.splitlines()[0] == "# n=4 k=4 selection_width=21 terms=8"
 
 
-def test_transform_with_k_splits_each_row_once(capsys, monkeypatch):
-    # a given --k leaves nothing to infer, so only the encoder splits
-    from fermiselect import select_synth
+def splits_of_transform(argv, capsys, monkeypatch):
+    """(x, z) of each mask split during a transform run, and the printed strings.
 
-    split = select_synth._pairs_and_numbers
-    letters = []
+    The letter split and ``slots_needed`` must not run at all."""
+    from fermiselect import cli, pauli, select_synth
 
-    def counted(pattern):
-        letters.append(pattern)
-        return split(pattern)
+    split = pauli._number_mask
+    seen = []
 
-    monkeypatch.setattr(select_synth, "_pairs_and_numbers", counted)
+    def counted(x, z):
+        seen.append((x, z))
+        return split(x, z)
+
+    def never(*args):
+        raise AssertionError("the transform path re-split letters")
+
+    for module in (pauli, select_synth):
+        monkeypatch.setattr(module, "_number_mask", counted)
+    monkeypatch.setattr(select_synth, "_pairs_and_numbers", never)
+    monkeypatch.setattr(select_synth, "slots_needed", never)
+    assert not hasattr(cli, "slots_needed")
     monkeypatch.setattr("sys.stdin", io.StringIO("1 0 : adag 0 a 1 adag 2 a 3 +hc\n1 0 : n 2\n"))
-    rc, out, _ = run(["transform", "-", "--n", "4", "--k", "4"], capsys)
-    assert rc == 0
+    rc, out, _ = run(["transform", "-", "--n", "4", *argv], capsys)
+    assert rc == 0 and out.splitlines()[0].startswith("# n=4 k=4 ")
     body = [ln.split()[-1][1:] for ln in out.splitlines() if not ln.startswith("#")]
-    assert sorted(letters) == sorted(body)
+    return seen, body
+
+
+def masks_of(letters):
+    return (sum(1 << j for j, ch in enumerate(letters) if ch in "XY"),
+            sum(1 << j for j, ch in enumerate(letters) if ch in "YZ"))
+
+
+def test_transform_with_k_splits_each_row_once(capsys, monkeypatch):
+    # the transform splits each kept row once and carries the masks on
+    seen, body = splits_of_transform(["--k", "4"], capsys, monkeypatch)
+    assert len(body) == 10 and sorted(seen) == sorted(map(masks_of, body))
+
+
+def test_transform_inferring_k_splits_each_row_once(capsys, monkeypatch):
+    # k is read off the carried masks: no second split to infer it
+    seen, body = splits_of_transform([], capsys, monkeypatch)
+    assert len(body) == 10 and sorted(seen) == sorted(map(masks_of, body))
 
 
 def test_transform_empty_file(tmp_path, capsys):
@@ -129,6 +161,27 @@ def test_transform_rejections_exit_2(text, argv, msg, capsys, monkeypatch):
     rc, out, err = run(["transform", "-", *argv], capsys)
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and msg in err
+
+
+@pytest.mark.parametrize("text,line,msg", [
+    ("1 0 : adag 0 a 20 +hc\n", 1, "orbital 20 out of range for n=4"),
+    ("1 0 : n 1\n\n# comment\n1 0 : adag -1 a 1 +hc\n", 4, "orbital -1 out of range"),
+    ("1 0 : n 1\n1 0 : adag 2 a 1 +hc\n", 2, "indices must be strictly increasing"),
+    ("1 0 : adag 0 a 1 +hc\n1 0 : a 0 adag 1 +hc\n", 2, "non-canonical ladder pair a a"),
+    ("1 0 : adag 0 adag 2 a 1 a 3 +hc\n", 1, "first pair must precede second"),
+])
+def test_transform_names_the_line_of_an_invalid_term(text, line, msg, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    rc, out, err = run(["transform", "-", "--n", "4"], capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: line {line}: ") and msg in err
+
+
+def test_transform_k_too_small_names_the_string(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 0 : adag 0 adag 1 a 2 a 3 +hc\n"))
+    rc, _, err = run(["transform", "-", "--n", "4", "--k", "2"], capsys)
+    assert rc == 2
+    assert "pattern XXXX needs 4 endpoint and 0 number slots, but k=2" in err
 
 
 def test_transform_non_hermitian_names_the_string(capsys, monkeypatch):

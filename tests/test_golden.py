@@ -6,8 +6,10 @@ code was refactored: the emitted text of lowered SELECT circuits, the
 extension marker, extension group) of the gadget builders and the
 general layout, with their width and register labels.  The
 ``fermiselect transform`` digests were taken before the transform and
-the encoder moved to bitmask Pauli strings; their inputs are generated
-here from a seeded ``random.Random``.  The n = 512 digests, the
+the encoder moved to bitmask Pauli strings (the molecular n = 14,
+Hubbard 4 x 4 and pairing n = 40 ones before the transform handed its
+masks to the encoder); their inputs are generated here from a seeded
+``random.Random``.  The n = 512 digests, the
 benchmark's size, were taken before lowering, remapping and emission
 reused their work on repeated gates within a call.
 """
@@ -216,6 +218,9 @@ TRANSFORM_CASES = {
     "hubbard3x3": (lambda rng: _hubbard(rng, 3), ["--n", "18"]),
     "pairing12": (lambda rng: _pairing(rng, 12), ["--n", "12"]),
     "molecular8_k6": (lambda rng: _molecular(rng, 8), ["--n", "8", "--k", "6"]),
+    "molecular14": (lambda rng: _molecular(rng, 14), ["--n", "14"]),
+    "hubbard4x4": (lambda rng: _hubbard(rng, 4), ["--n", "32"]),
+    "pairing40": (lambda rng: _pairing(rng, 40), ["--n", "40"]),
 }
 
 
@@ -233,6 +238,9 @@ TRANSFORM_GOLDEN = {
     "molecular8": "2374f94e4a4a5d1373da89ec5e65964bb2a25b428d4676ccb1ab338d280643e0",
     "molecular8_k6": "de63e8e38ca7343b91a5c99d2f4dc9998eeb0b39bb935be7fccbf1d19a4908ae",
     "pairing12": "7e75a3ce49cfea703cf65c37fe02992154baaf03ec941a152939a6c38a838333",
+    "molecular14": "c63e240c30c5de85217a3f133ab3cc68f86dd131090c0f1d5be59c7efe52ad5c",
+    "hubbard4x4": "daa8e4ba5dccdebe26e032418bec00d41ea6696419388f09d9e3802fe4d0eab4",
+    "pairing40": "a53d7dc60cd2150c7a5146c059cf0aedf565da389492ab3e83cfa58897946725",
 }
 
 

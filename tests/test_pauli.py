@@ -240,6 +240,12 @@ def test_canonical_order_enforced():
         )
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan")])
+def test_lcu_rejects_a_non_positive_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        PauliLCU(1, ((alpha, PauliString("Z")),))
+
+
 def test_orbital_range_checked():
     with pytest.raises(ValueError):
         jw_transform_term(FermionTerm(1.0, (Number(3),), False), 2)

@@ -8,7 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermiselect.circuit_ir import count_extension_points, inverse, lower_macros, schedule
-from fermiselect.pauli import PauliString
+from fermiselect.pauli import (
+    FermionHamiltonian,
+    FermionTerm,
+    Lower,
+    Number,
+    PauliLCU,
+    PauliString,
+    Raise,
+    jw_transform,
+)
 from fermiselect.select_synth import (
     DecodeError,
     EncodingError,
@@ -278,6 +287,48 @@ def test_general_encode_matches_pack_general(letters, phase, k):
     word = encode_term(pattern, layout)
     assert word == layout.pack_general(phase // 2, addr, pfl, ifl, nfl)
     assert decode_index(word, layout) == pattern
+
+
+@st.composite
+def canonical_hamiltonians(draw):
+    """Random canonical terms: number products, and one or two ladder pairs
+    (with +hc) times optional number factors."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    orbital = st.integers(min_value=0, max_value=n - 1)
+    coefficient = st.floats(min_value=-2, max_value=2, allow_subnormal=False)
+    pair_kinds = st.sampled_from([(Raise, Lower), (Raise, Raise), (Lower, Lower)])
+    terms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        n_pairs = draw(st.integers(min_value=0, max_value=min(2, n // 2)))
+        ends = sorted(draw(st.lists(orbital, min_size=2 * n_pairs, max_size=2 * n_pairs, unique=True)))
+        factors = [kind(p) for t in range(n_pairs)
+                   for kind, p in zip(draw(pair_kinds), ends[2 * t:2 * t + 2])]
+        factors += [Number(p) for p in draw(st.lists(orbital, max_size=2, unique=True))]
+        c = complex(draw(coefficient), draw(coefficient) if n_pairs else 0.0)
+        terms.append(FermionTerm(c, tuple(factors), bool(n_pairs)))
+    k = max([2] + [len(t.orbitals()) + len(t.orbitals()) % 2 for t in terms])
+    return FermionHamiltonian(n, k, tuple(terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(canonical_hamiltonians())
+def test_carried_masks_match_the_letters(h):
+    n = h.n_orbitals
+    lcu = jw_transform(h)
+    assert len(lcu.masks) == len(lcu.entries)
+    for (_, ps), mask in zip(lcu.entries, lcu.masks):
+        x, z, numbers = _pairs_and_numbers(ps.letters)
+        assert mask == x | z << n | numbers << 2 * n
+    # packing from the carried masks equals packing from the letters
+    k = max([2] + [slots_needed(ps) + slots_needed(ps) % 2 for _, ps in lcu.entries])
+    layout = SelectionLayout(n, k, "general")
+    assert encode_lcu(lcu, layout) == encode_lcu(PauliLCU(n, lcu.entries), layout)
+
+
+def test_encode_lcu_rejects_a_layout_of_another_size():
+    lcu = jw_transform(FermionHamiltonian(3, 2, (FermionTerm(1.0, (Number(0),)),)))
+    with pytest.raises(EncodingError, match="LCU has 3 qubits, layout expects 4"):
+        encode_lcu(lcu, SelectionLayout(4, 2, "general"))
 
 
 # --- circuit structure --------------------------------------------------------

@@ -22,23 +22,43 @@ from layertrace import Tracer
 
 tracer = Tracer()
 tracer.install(fermiselect)
-with contextlib.redirect_stdout(io.StringIO()), tracer.op("cli"):
-    assert cli.main(["synth", "--n", "4"]) == 0
-    assert cli.main(["resources", "--n", "4"]) == 0
-print(json.dumps({{name: value for name, (value, _) in tracer.metrics(1).items()}}))
+out = io.StringIO()
+with contextlib.redirect_stdout(out), tracer.op("cli"):
+    for argv in {argvs!r}:
+        assert cli.main(argv) == 0
+metrics = {{name: value for name, (value, _) in tracer.metrics(1).items()}}
+print(json.dumps({{"metrics": metrics, "out": out.getvalue()}}))
 """
 
 
-def test_tracer_times_synth_and_resources_layers():
+def traced(argvs):
+    """Per-layer metrics of one traced child run of ``argvs``, and its output."""
     code = _CHILD.format(
-        src=os.path.join(ROOT, "src"), perfbench=os.path.join(ROOT, "perfbench")
+        src=os.path.join(ROOT, "src"), perfbench=os.path.join(ROOT, "perfbench"), argvs=argvs
     )
     # -B: leave no bytecode cache beside the benchmark's files
     run = subprocess.run(
         [sys.executable, "-B", "-c", code], capture_output=True, text=True, timeout=120
     )
     assert run.returncode == 0, run.stderr
-    metrics = json.loads(run.stdout.splitlines()[-1])
+    result = json.loads(run.stdout.splitlines()[-1])
+    return result["metrics"], result["out"]
+
+
+def test_tracer_times_synth_and_resources_layers():
+    metrics, _ = traced([["synth", "--n", "4"], ["resources", "--n", "4"]])
     for name in ("select_synth.synth_s", "gadgets.build_s", "circuit_ir.lower_s",
                  "circuit_ir.emit_s", "resources.check_s"):
         assert metrics[name] > 0, name
+
+
+def test_tracer_times_transform_layers(tmp_path):
+    src = tmp_path / "h.txt"
+    src.write_text("0.5 0.25 : adag 0 a 2 +hc\n-1 0 : n 1\n0.3 0 : adag 0 adag 1 a 2 a 3 +hc\n")
+    metrics, out = traced([["transform", str(src), "--n", "5"]])
+    for name in ("pauli.jw_transform_s", "select_synth.encode_s", "cli.parse_s"):
+        assert metrics[name] > 0, name
+    header = out.splitlines()[0]
+    assert header.endswith(f" terms={int(metrics['pauli.jw_entries'])}")
+    assert metrics["pauli.jw_entries"] == len(out.splitlines()) - 2 > 0
+    assert metrics["cli.write_bytes"] == len(out)
