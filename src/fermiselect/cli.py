@@ -42,8 +42,11 @@ _FACTOR_KINDS = {"adag": Raise, "a": Lower, "n": Number}
 
 
 def parse_hamiltonian(text: str) -> list[FermionTerm]:
-    """Terms from Hamiltonian text; raises ValueError with line numbers."""
-    terms = []
+    """Terms from Hamiltonian text; raises ValueError with line numbers.
+
+    Factors are frozen, so each distinct ``<kind> <orbital>`` token pair
+    is built once per call and shared by every term that names it."""
+    terms, made = [], {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -68,13 +71,17 @@ def parse_hamiltonian(text: str) -> list[FermionTerm]:
         if not tokens or len(tokens) % 2:
             raise ValueError(f"line {lineno}: factors come as '<kind> <orbital>' pairs")
         factors = []
-        for kind, orb in zip(tokens[::2], tokens[1::2]):
-            if kind not in _FACTOR_KINDS:
-                raise ValueError(f"line {lineno}: unknown factor kind {kind!r}")
-            try:
-                factors.append(_FACTOR_KINDS[kind](int(orb)))
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad orbital index {orb!r}") from None
+        for token in zip(tokens[::2], tokens[1::2]):
+            factor = made.get(token)
+            if factor is None:
+                kind, orb = token
+                if kind not in _FACTOR_KINDS:
+                    raise ValueError(f"line {lineno}: unknown factor kind {kind!r}")
+                try:
+                    factor = made[token] = _FACTOR_KINDS[kind](int(orb))
+                except ValueError:
+                    raise ValueError(f"line {lineno}: bad orbital index {orb!r}") from None
+            factors.append(factor)
         terms.append(FermionTerm(coefficient, tuple(factors), include_hc))
     return terms
 
@@ -98,7 +105,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
     terms = parse_hamiltonian(text)
-    max_orbitals = max((len(set(t.orbitals())) for t in terms), default=0)
+    max_orbitals = max((len(t.orbitals()) for t in terms), default=0)
     try:
         lcu = jw_transform(FermionHamiltonian(args.n, _even_at_least_two(max_orbitals), tuple(terms)))
     except ValueError:  # name the line of a term the transform rejects

@@ -20,6 +20,24 @@ from popcounts (Aaronson-Gottesman, quant-ph/0406196), and each image
 above is built in O(1).  Strings become ``PauliString.letters`` once, per
 output row; ``PauliLCU.masks`` keeps each row's key and ``_number_mask``.
 
+Two consecutive ladder factors f at p and g at q (p < q in every
+canonical term) multiply in closed form.  With P = 1 << p, Q = 1 << q and
+chain = (Q-1) ^ (P-1), the Z's on qubits p..q-1, the product
+Z^{<p} f_p · Z^{<q} g_q is (f_p Z_p) Z_{p+1..q-1} g_q, and X Z = -iY,
+Y Z = iX.  So the pair is four strings with x = P | Q and z equal to
+chain, chain^Q, chain^P and chain^P^Q, for f's and g's image letters
+(X, X), (X, Y), (Y, X) and (Y, Y).  Each coefficient is f's and g's
+image coefficients times i^-1 where f gives X and i^+1 where it gives Y.
+In the Aaronson-Gottesman phase above, z1 & x2 = 0 here, so those four
+units depend on the two factor types alone (``_PAIR_UNITS``).  When no
+string of the running product touches qubits p..q, its product with the
+pair has phase 0: keys combine by OR and coefficients by one
+multiplication.  Every image coefficient is ±½ or ±½i, so these products
+equal the factor-by-factor ones exactly.  Number factors, a ladder not
+followed by a ladder, and a pair whose span the running product touches
+go through ``_mask_mul`` one factor at a time, in factor order (n_p does
+not commute with a_p).
+
 ``pauli_mul`` and ``pauli_apply`` stay letter-based on purpose: they are
 the oracle's code path, and sharing no code with the transform (or with
 the decoder) keeps them an independent check of it.  ``pauli_apply`` is
@@ -224,10 +242,9 @@ class FermionHamiltonian:
         if self.k < 2 or self.k % 2:
             raise ValueError(f"interaction order k must be even and >= 2, got {self.k}")
         for t in self.terms:
-            if len(t.orbitals()) > self.k:
-                raise ValueError(
-                    f"term touches {len(t.orbitals())} orbitals, exceeding k={self.k}"
-                )
+            touched = len(t.orbitals())
+            if touched > self.k:
+                raise ValueError(f"term touches {touched} orbitals, exceeding k={self.k}")
 
 
 @dataclass(frozen=True)
@@ -285,6 +302,12 @@ def _validate_term(term: FermionTerm, n: int) -> None:
         )
 
 
+def _shorten(letters: str) -> str:
+    """``letters`` for an error message: whole up to 60 letters, else the
+    first 60 and the count."""
+    return letters if len(letters) <= 60 else f"{letters[:60]}… ({len(letters)} letters)"
+
+
 # Inside the transform a string is the int key ``x | z << n``.  One int,
 # not an (x, z) tuple, keeps the merge dicts small.
 _I_POWERS = tuple(1j ** k for k in range(4))
@@ -335,21 +358,41 @@ def _number_mask(x: int, z: int) -> int:
     return (covered & ~z) | (z & ~covered & ~x)
 
 
+# the Y coefficient of a ladder's image, and (type(f), type(g)) -> the
+# coefficients of a pair's four strings, in the module docstring's order
+_Y_COEFF = {Raise: -0.5j, Lower: 0.5j}
+_PAIR_UNITS = {(f, g): (0.5 * 0.5 * -1j, 0.5 * yg * -1j, yf * 0.5 * 1j, yf * yg * 1j)
+               for f, yf in _Y_COEFF.items() for g, yg in _Y_COEFF.items()}
+
+
 def _term_expansion(term: FermionTerm, n: int) -> dict[int, complex]:
     """String coefficients of the term, without its ``+hc`` part.
 
-    a_p and a†_p map to Z^{<p} (X ± iY) / 2 and n_p to (I - Z_p) / 2.
+    a_p and a†_p map to Z^{<p} (X ± iY) / 2 and n_p to (I - Z_p) / 2;
+    consecutive ladders use the pair images of the module docstring.
     """
     _validate_term(term, n)
     acc: dict[int, complex] = {0: complex(term.coefficient)}
-    for f in term.factors:
+    support = 0  # every qubit a string of acc may touch
+    factors, i = term.factors, 0
+    while i < len(factors):
+        f, g = factors[i], factors[i + 1] if i + 1 < len(factors) else None
         bit = 1 << f.orbital
         if isinstance(f, Number):
-            image = ((0, 0, 0.5), (0, bit, -0.5))
-        else:
-            y_coeff = -0.5j if isinstance(f, Raise) else 0.5j
-            image = ((bit, bit - 1, 0.5), (bit, (bit << 1) - 1, y_coeff))
-        acc = _mask_mul(acc, image, n)
+            acc = _mask_mul(acc, ((0, 0, 0.5), (0, bit, -0.5)), n)
+            support |= bit
+        elif g is None or isinstance(g, Number) or support & ((2 << g.orbital) - bit):
+            image = ((bit, bit - 1, 0.5), (bit, (bit << 1) - 1, _Y_COEFF[type(f)]))
+            acc = _mask_mul(acc, image, n)
+            support |= (bit << 1) - 1
+        else:  # a pair on qubits no string of acc touches: OR the keys
+            top = 1 << g.orbital
+            key, zp, zq = bit | top | ((top - 1) ^ (bit - 1)) << n, bit << n, top << n
+            pair = tuple(zip((key, key ^ zq, key ^ zp, key ^ zp ^ zq), _PAIR_UNITS[type(f), type(g)]))
+            acc = {ka | kb: ca * u for ka, ca in acc.items() for kb, u in pair}
+            support |= (top << 1) - bit
+            i += 1
+        i += 1
     return acc
 
 
@@ -367,13 +410,22 @@ def _collect(terms: Iterable[FermionTerm], n: int) -> PauliLCU:
     for term in terms:
         hc = term.include_hc
         for key, c in _term_expansion(term, n).items():
-            acc[key] = acc.get(key, 0.0) + (c + c.conjugate() if hc else c)
-            scale[key] = max(scale.get(key, 0.0), abs(c))
+            size = abs(c)
+            if hc:
+                c += c.conjugate()
+            if key in scale:
+                acc[key] += c
+                if size > scale[key]:
+                    scale[key] = size
+            else:
+                acc[key], scale[key] = c, size
     key_of: dict[str, int] = {}
     complex_part = None  # (letters, c) of the first non-real sum by letters
     for key, c in acc.items():
+        if not c:
+            continue
         cutoff = _TOL * scale[key]
-        if c == 0 or abs(c) < cutoff:
+        if abs(c) < cutoff:
             continue
         letters = _letters(key, n)
         if abs(c.imag) > cutoff:
@@ -385,7 +437,7 @@ def _collect(terms: Iterable[FermionTerm], n: int) -> PauliLCU:
         letters, c = complex_part
         raise ValueError(
             "expansion has a non-real coefficient "
-            f"({c:.3g} on {letters}); the input is not Hermitian — "
+            f"({c:.3g} on {_shorten(letters)}); the input is not Hermitian — "
             "ladder terms need include_hc"
         )
     # sized up front, and no per-row temporary outlives its row: no heap holes
@@ -398,7 +450,11 @@ def _collect(terms: Iterable[FermionTerm], n: int) -> PauliLCU:
         put(ps, "phase", 0 if c.real > 0 else 2)
         entries[i] = (abs(c.real), ps)
         masks[i] = key | _number_mask(key & low, key >> n) << 2 * n
-    return PauliLCU(n, tuple(entries), tuple(masks))
+    lcu = new(PauliLCU)  # the rows above are valid by construction: no re-check
+    put(lcu, "n_qubits", n)
+    put(lcu, "entries", tuple(entries))
+    put(lcu, "masks", tuple(masks))
+    return lcu
 
 
 def jw_transform_term(term: FermionTerm, n: int) -> PauliLCU:

@@ -37,7 +37,7 @@ from .gadgets import (
     swap_up,
     swap_up_star,
 )
-from .pauli import PauliLCU, PauliString, _number_mask, pauli_mul
+from .pauli import PauliLCU, PauliString, _number_mask, _shorten, pauli_mul
 
 __all__ = [
     "EncodingError",
@@ -321,7 +321,7 @@ def _pack(entries, masks, layout: SelectionLayout) -> list[tuple[int, float, Pau
             u, v = (x & -x).bit_length() - 1, x.bit_length() - 1
             word = u << (L + 3) | v << 3 | ((z >> u) & 1) << 2 | sign << 1 | ((z >> v) & 1)
         elif n_ends + n_numbers > k:
-            raise EncodingError(f"pattern {ps.letters} needs {n_ends} endpoint and "
+            raise EncodingError(f"pattern {_shorten(ps.letters)} needs {n_ends} endpoint and "
                                 f"{n_numbers} number slots, but k={k}")
         else:
             word = sign << top

@@ -46,6 +46,13 @@ def test_parse_rejects_a_non_finite_coefficient(coefficient):
         parse_hamiltonian(f"1 0 : n 0\n{coefficient} : n 0 # bad\n")
 
 
+def test_parse_shares_one_factor_per_token_pair():
+    terms = parse_hamiltonian("1 0 : adag 0 a 2 +hc\n0.5 0 : adag 0 n 2 a 3 +hc\n2 0 : n 2\n")
+    assert terms[1].factors[0] is terms[0].factors[0]
+    assert terms[2].factors[0] is terms[1].factors[1]
+    assert len({id(f) for t in terms for f in t.factors}) == 4
+
+
 def test_parse_empty_is_empty():
     assert parse_hamiltonian("") == []
     assert parse_hamiltonian("# only comments\n\n") == []
@@ -188,6 +195,16 @@ def test_transform_non_hermitian_names_the_string(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("1 0 : adag 0 a 1\n"))
     rc, _, err = run(["transform", "-", "--n", "4"], capsys)
     assert rc == 2 and "on XYII)" in err and "include_hc" in err
+
+
+@pytest.mark.parametrize("text,argv", [
+    ("1 0 : adag 0 adag 1 a 2 a 1023 +hc\n", ["--k", "2"]),
+    ("1 0 : adag 0 a 1023\n", []),
+])
+def test_transform_messages_shorten_long_strings(text, argv, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    rc, _, err = run(["transform", "-", "--n", "1024", *argv], capsys)
+    assert rc == 2 and "… (1024 letters)" in err and len(err) < 250
 
 
 def test_transform_missing_file(capsys):

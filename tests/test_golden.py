@@ -8,7 +8,8 @@ general layout, with their width and register labels.  The
 ``fermiselect transform`` digests were taken before the transform and
 the encoder moved to bitmask Pauli strings (the molecular n = 14,
 Hubbard 4 x 4 and pairing n = 40 ones before the transform handed its
-masks to the encoder); their inputs are generated here from a seeded
+masks to the encoder, the mixed n = 9 one before ladder pairs were
+expanded in closed form); their inputs are generated here from a seeded
 ``random.Random``.  The n = 512 digests, the
 benchmark's size, were taken before lowering, remapping and emission
 reused their work on repeated gates within a call.
@@ -213,6 +214,26 @@ def _pairing(rng, n):
     return lines
 
 
+def _mixed(rng, n):
+    """Ladder pairs with number factors before, between and after their
+    factors, on their own orbitals and elsewhere, plus number products."""
+    ladders = ("adag {} a {}", "adag {} adag {}", "a {} a {}")
+    lines = []
+    for p, q in itertools.combinations(range(n), 2):
+        pair = rng.choice(ladders).format(p, q).split(" ")
+        for r in (p, q, rng.randrange(n)):
+            spot = rng.randrange(3) * 2
+            factors = " ".join(pair[:spot] + ["n", str(r)] + pair[spot:])
+            lines.append(f"{rng.uniform(-1, 1)!r} {rng.uniform(-1, 1)!r} : {factors} +hc")
+    for p, q, s, t in itertools.combinations(range(n), 4):
+        r = rng.randrange(n)
+        lines.append(f"{rng.uniform(-1, 1)!r} {rng.uniform(-1, 1)!r} : "
+                     f"adag {p} adag {q} n {r} a {s} a {t} +hc")
+    lines += [f"{rng.uniform(-1, 1)!r} 0.0 : n {p} n {q}"
+              for p, q in itertools.combinations(range(n), 2)]
+    return lines
+
+
 TRANSFORM_CASES = {
     "molecular8": (lambda rng: _molecular(rng, 8), ["--n", "8"]),
     "hubbard3x3": (lambda rng: _hubbard(rng, 3), ["--n", "18"]),
@@ -221,6 +242,7 @@ TRANSFORM_CASES = {
     "molecular14": (lambda rng: _molecular(rng, 14), ["--n", "14"]),
     "hubbard4x4": (lambda rng: _hubbard(rng, 4), ["--n", "32"]),
     "pairing40": (lambda rng: _pairing(rng, 40), ["--n", "40"]),
+    "mixed9": (lambda rng: _mixed(rng, 9), ["--n", "9"]),
 }
 
 
@@ -241,6 +263,7 @@ TRANSFORM_GOLDEN = {
     "molecular14": "c63e240c30c5de85217a3f133ab3cc68f86dd131090c0f1d5be59c7efe52ad5c",
     "hubbard4x4": "daa8e4ba5dccdebe26e032418bec00d41ea6696419388f09d9e3802fe4d0eab4",
     "pairing40": "a53d7dc60cd2150c7a5146c059cf0aedf565da389492ab3e83cfa58897946725",
+    "mixed9": "c86b8652ef6e3bd488648eaba6926ec77ed74414a9f112fdd2e4a0b478f69ae9",
 }
 
 

@@ -24,7 +24,8 @@ from fermiselect.pauli import (
     pauli_apply,
     pauli_mul,
 )
-from fermiselect.pauli import _letters, _mask_mul
+from fermiselect import pauli
+from fermiselect.pauli import _letters, _mask_mul, _term_expansion
 
 from conftest import dense_pauli, kron_chain, SINGLE
 
@@ -389,3 +390,79 @@ def test_non_hermitian_message_names_first_string():
     # first one in letter order
     with pytest.raises(ValueError, match=r"on XYII\)"):
         jw_transform_term(FermionTerm(1.0, (Raise(0), Lower(1)), False), 4)
+
+
+def test_non_hermitian_message_is_shortened_at_n_1024():
+    with pytest.raises(ValueError) as info:
+        jw_transform_term(FermionTerm(1.0, (Raise(0), Lower(1023)), False), 1024)
+    message = str(info.value)
+    assert "XZZZ" in message and "… (1024 letters)" in message and len(message) < 200
+
+
+# --- closed-form ladder pairs -----------------------------------------------------
+
+
+def per_factor_expansion(term, n):
+    """The term's strings, one factor image at a time through _mask_mul."""
+    acc = {0: complex(term.coefficient)}
+    for f in term.factors:
+        bit = 1 << f.orbital
+        if isinstance(f, Number):
+            image = ((0, 0, 0.5), (0, bit, -0.5))
+        else:
+            y_coeff = -0.5j if isinstance(f, Raise) else 0.5j
+            image = ((bit, bit - 1, 0.5), (bit, (bit << 1) - 1, y_coeff))
+        acc = _mask_mul(acc, image, n)
+    return acc
+
+
+@st.composite
+def mixed_terms(draw):
+    """A canonical term on n <= 8 orbitals: up to two ordered ladder pairs
+    and up to three number factors anywhere, often on a ladder orbital;
+    any finite coefficient (subnormals too)."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    n_pairs = draw(st.integers(min_value=0, max_value=min(2, n // 2)))
+    ends = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2 * n_pairs,
+                                max_size=2 * n_pairs, unique=True)))
+    factors = []
+    for u, v in zip(ends[::2], ends[1::2]):
+        first, second = draw(st.sampled_from([(Raise, Lower), (Raise, Raise), (Lower, Lower)]))
+        factors += [first(u), second(v)]
+    spots = st.sampled_from(ends) if ends else st.integers(0, n - 1)
+    for w in draw(st.lists(st.one_of(spots, st.integers(0, n - 1)), max_size=3)):
+        factors.insert(draw(st.integers(0, len(factors))), Number(w))
+    part = st.floats(allow_nan=False, allow_infinity=False)
+    return FermionTerm(complex(draw(part), draw(part)), tuple(factors), n_pairs > 0), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_terms())
+@example((FermionTerm(0.3 - 0.7j, (Number(1), Raise(1), Lower(3)), True), 4))
+@example((FermionTerm(0.3 - 0.7j, (Raise(1), Lower(3), Number(1)), True), 4))
+@example((FermionTerm(0.3 - 0.7j, (Raise(0), Number(2), Lower(3)), True), 4))
+@example((FermionTerm(1.1, (Raise(0), Raise(1), Number(2), Lower(2), Lower(4)), True), 5))
+@example((FermionTerm(1.1, (Raise(0), Lower(3), Number(4), Raise(4), Raise(5)), True), 6))
+@example((FermionTerm(5e-324 + 1.5e-323j, (Raise(0), Raise(1), Lower(2), Lower(3)), True), 4))
+def test_term_expansion_matches_per_factor_product(case):
+    # == on the values: the two routes may differ in the sign of a zero
+    term, n = case
+    assert list(_term_expansion(term, n).items()) == list(per_factor_expansion(term, n).items())
+
+
+def test_ladder_terms_make_no_per_factor_products(monkeypatch):
+    calls = []
+
+    def counting(acc, image, n):
+        calls.append(image)
+        return _mask_mul(acc, image, n)
+
+    monkeypatch.setattr(pauli, "_mask_mul", counting)
+    ladders = [FermionTerm(0.4 - 0.2j, (Raise(0), Lower(3)), True),
+               FermionTerm(0.7, (Raise(1), Raise(4)), True),
+               FermionTerm(-0.3j, (Lower(2), Lower(5)), True),
+               FermionTerm(0.25 + 0.5j, (Raise(0), Raise(2), Lower(3), Lower(5)), True)]
+    lcu = jw_transform(FermionHamiltonian(6, 4, tuple(ladders)))
+    assert lcu.entries and calls == []
+    jw_transform_term(FermionTerm(1.0, (Number(2), Raise(1), Lower(4)), True), 6)
+    assert len(calls) == 3  # numbers and a ladder not followed by a ladder keep it
