@@ -286,10 +286,16 @@ def _validate_term(term: FermionTerm, n: int) -> None:
         )
     pairs = [tuple(ladders[i : i + 2]) for i in range(0, len(ladders), 2)]
     for first, second in pairs:
-        if first.orbital >= second.orbital:
+        p = first.orbital
+        if p == second.orbital:  # no conjugate rewrite helps: say what the pair is
+            holds = (f"a_{p} a_{p} and a†_{p} a†_{p} are zero" if type(first) is type(second)
+                     else f"a†_{p} a_{p} is the number operator, write 'n {p}'" if isinstance(first, Raise)
+                     else f"a_{p} a†_{p} is 1 - n_{p}, write it with 'n {p}'")
+            raise ValueError(f"ladder pair indices must be strictly increasing, got {p} twice: {holds}")
+        if p > second.orbital:
             raise ValueError(
                 "non-canonical ladder pair: indices must be strictly increasing "
-                f"(got {first.orbital}, {second.orbital}); rewrite via the "
+                f"(got {p}, {second.orbital}); rewrite via the "
                 "Hermitian conjugate"
             )
         if isinstance(first, Lower) and isinstance(second, Raise):

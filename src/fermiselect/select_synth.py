@@ -2,19 +2,20 @@
 
 Two register layouts address the Pauli strings produced by the transform:
 
-* k2 mode, for strings with exactly two X/Y endpoints: |p>|q>|P1>|P2>
-  with p < q, two bits of P1 choosing the signed letter at p (+X, -X,
-  +Y, -Y) and one bit of P2 the letter at q.
+* k2 mode, for strings with exactly two X/Y endpoints: addresses p < q,
+  P1 choosing the signed letter at p (+X, -X, +Y, -Y) and P2 the letter
+  at q.
 * general mode, for up to k/2 endpoint pairs plus number (Z) factors:
-  a sign bit, then per slot an address, a letter flag, an interaction
+  a sign bit and, per slot, an address, a letter flag, an interaction
   flag and a number flag.  Inactive slots are all-zero; slot pairs
   (0,1), (2,3), ... carry strictly ordered endpoint pairs and any free
   slot may carry a number index (distinct from all endpoints).
 
-Addresses are most-significant-bit first, and so is the packed selection
-word: qubit 0 of the selection register is the top bit of the word.  The
-word is packed from the string's (x, z, numbers) masks: the transform's
-rows carry them (``PauliLCU.masks``), a bare string is split here once.
+``SelectionLayout.registers()`` places every field in the word; the
+circuits, ``fields``/``pack``, the encoder and the decoder all read it.
+The encoder packs each word from the string's (x, z, numbers) masks: the
+transform's rows carry them (``PauliLCU.masks``), a bare string is split
+here once.
 
 The synthesized circuits apply, for every valid selection basis state,
 exactly the decoded Pauli string to the system register — phases
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .circuit_ir import SDG_TWO_CONTROLS, Circuit, add_global_controls, conjugated
@@ -83,84 +85,20 @@ class SelectionLayout:
             if self.n < 1:
                 raise ValueError("need at least one system qubit")
 
-    @property
-    def address_width(self) -> int:
-        return (self.n - 1).bit_length()
-
-    @property
+    @cached_property
     def width(self) -> int:
-        L = self.address_width
-        if self.mode == "k2":
-            return 2 * L + 3
-        return 1 + self.k * L + 3 * self.k
-
-    # -- field packing (word bit for selection qubit i has weight
-    # 2**(width-1-i), fields are MSB first) --------------------------------
-
-    def _get(self, word: int, start: int, length: int) -> int:
-        if length == 0:
-            return 0
-        return (word >> (self.width - start - length)) & ((1 << length) - 1)
-
-    def _put(self, word: int, start: int, length: int, value: int) -> int:
-        if length == 0:
-            if value:
-                raise ValueError("value does not fit a zero-width field")
-            return word
-        if not 0 <= value < (1 << length):
-            raise ValueError(f"value {value} does not fit {length} bits")
-        return word | (value << (self.width - start - length))
-
-    def fields_k2(self, word: int) -> tuple[int, int, int, int]:
-        L = self.address_width
-        return (
-            self._get(word, 0, L),
-            self._get(word, L, L),
-            self._get(word, 2 * L, 2),
-            self._get(word, 2 * L + 2, 1),
-        )
-
-    def pack_k2(self, p: int, q: int, p1: int, p2: int) -> int:
-        L = self.address_width
-        word = self._put(0, 0, L, p)
-        word = self._put(word, L, L, q)
-        word = self._put(word, 2 * L, 2, p1)
-        word = self._put(word, 2 * L + 2, 1, p2)
-        return word
-
-    # general-mode slot fields
-    def slot_fields(self, word: int) -> tuple[int, list[int], list[int], list[int], list[int]]:
-        L = self.address_width
-        sgn = self._get(word, 0, 1)
-        addr = [self._get(word, 1 + j * L, L) for j in range(self.k)]
-        base = 1 + self.k * L
-        p = [self._get(word, base + j, 1) for j in range(self.k)]
-        i = [self._get(word, base + self.k + j, 1) for j in range(self.k)]
-        num = [self._get(word, base + 2 * self.k + j, 1) for j in range(self.k)]
-        return sgn, addr, p, i, num
-
-    def pack_general(
-        self,
-        sgn: int,
-        addr: list[int],
-        p: list[int],
-        i: list[int],
-        num: list[int],
-    ) -> int:
-        L = self.address_width
-        word = self._put(0, 0, 1, sgn)
-        base = 1 + self.k * L
-        for j in range(self.k):
-            word = self._put(word, 1 + j * L, L, addr[j])
-            word = self._put(word, base + j, 1, p[j])
-            word = self._put(word, base + self.k + j, 1, i[j])
-            word = self._put(word, base + 2 * self.k + j, 1, num[j])
-        return word
-
-    # -- qubit index ranges used by the synthesizers ------------------------
+        """Bits in the selection word: the registers tile it."""
+        return sum(map(len, self.registers().values()))
 
     def registers(self) -> dict[str, tuple[int, ...]]:
-        L = self.address_width
+        """Selection qubits of each field, in word order.
+
+        The one statement of the word format.  Qubit i carries word bit
+        ``width-1-i`` (qubit 0 is the top bit), each field's value is
+        read most significant bit first, and the SELECT circuits, the
+        encoder and the decoder all place fields from this table.
+        """
+        L = (self.n - 1).bit_length()  # address bits
         if self.mode == "k2":
             return {
                 "p": tuple(range(L)),
@@ -177,73 +115,78 @@ class SelectionLayout:
                 regs[f"{flag}{j}"] = (base + r * self.k + j,)
         return regs
 
+    @cached_property
+    def _table(self) -> dict[str, tuple[int, int]]:
+        """(shift, bits) of each field in the word; a zero-width field reads 0."""
+        return {name: (self.width - 1 - qs[-1] if qs else 0, len(qs))
+                for name, qs in self.registers().items()}
+
+    def fields(self, word: int) -> dict[str, int]:
+        """The value of every field of ``word``, by register name."""
+        return {name: word >> shift & (1 << bits) - 1 for name, (shift, bits) in self._table.items()}
+
+    def pack(self, **values: int) -> int:
+        """The word holding ``values`` by field name, other fields zero."""
+        word = 0
+        for name, value in values.items():
+            if name not in self._table:
+                raise ValueError(f"the {self.mode} layout has no field {name!r}")
+            shift, bits = self._table[name]
+            if not 0 <= value < 1 << bits:
+                raise ValueError(f"field {name}: value {value} does not fit {bits} bits")
+            word |= value << shift
+        return word
+
     def valid_states(self) -> Iterator[int]:
         """Every selection word the SELECT contract covers, in order."""
         if self.mode == "k2":
             for p, q in itertools.combinations(range(self.n), 2):
                 for p1 in range(4):
                     for p2 in range(2):
-                        yield self.pack_k2(p, q, p1, p2)
+                        yield self.pack(p=p, q=q, P1=p1, P2=p2)
             return
         half = self.k // 2
-        slots = range(self.k)
+        sign = self.pack(sgn=1)
         for active in itertools.chain.from_iterable(
             itertools.combinations(range(half), r) for r in range(half + 1)
         ):
-            n_pairs = len(active)
-            if 2 * n_pairs > self.n:
+            ends = [j for t in active for j in (2 * t, 2 * t + 1)]  # endpoint slots
+            if len(ends) > self.n:
                 continue
-            for chosen in itertools.combinations(range(self.n), 2 * n_pairs):
-                endpoints = set(chosen)
-                pair_of = {
-                    t: (chosen[2 * s], chosen[2 * s + 1]) for s, t in enumerate(active)
-                }
-                free = [j for j in slots if j // 2 not in active]
-                others = [w for w in range(self.n) if w not in endpoints]
+            free = [j for j in range(self.k) if j // 2 not in active]
+            letters = [self.pack(**{f"P{j}": pword >> s & 1 for s, j in enumerate(ends)})
+                       for pword in range(1 << len(ends))]
+            for chosen in itertools.combinations(range(self.n), len(ends)):
+                pairs = {**{f"addr{j}": u for j, u in zip(ends, chosen)}, **{f"i{j}": 1 for j in ends}}
+                others = [w for w in range(self.n) if w not in chosen]
                 for r in range(min(len(free), len(others)) + 1):
                     for numslots in itertools.combinations(free, r):
                         for values in itertools.permutations(others, r):
-                            for pword in range(1 << (2 * n_pairs)):
-                                for sgn in range(2):
-                                    addr = [0] * self.k
-                                    p = [0] * self.k
-                                    i = [0] * self.k
-                                    num = [0] * self.k
-                                    for s, t in enumerate(active):
-                                        u, v = pair_of[t]
-                                        addr[2 * t], addr[2 * t + 1] = u, v
-                                        i[2 * t] = i[2 * t + 1] = 1
-                                        p[2 * t] = (pword >> (2 * s)) & 1
-                                        p[2 * t + 1] = (pword >> (2 * s + 1)) & 1
-                                    for slot, w in zip(numslots, values):
-                                        addr[slot] = w
-                                        num[slot] = 1
-                                    yield self.pack_general(sgn, addr, p, i, num)
+                            base = self.pack(**pairs, **{f"addr{j}": w for j, w in zip(numslots, values)},
+                                             **{f"n{j}": 1 for j in numslots})
+                            for letter in letters:
+                                yield base | letter
+                                yield base | letter | sign
 
 
-def _pair_string(n: int, u: int, v: int, letter_u: str, letter_v: str) -> PauliString:
-    letters = (
-        "I" * u + letter_u + "Z" * (v - u - 1) + letter_v + "I" * (n - v - 1)
-    )
-    return PauliString(letters, 0)
+def _pair_string(n: int, u: int, v: int, letter_u: str, letter_v: str, phase: int = 0) -> PauliString:
+    return PauliString("I" * u + letter_u + "Z" * (v - u - 1) + letter_v + "I" * (n - v - 1), phase)
 
 
 def decode_index(bits: int, layout: SelectionLayout) -> PauliString:
     """Pauli string a valid selection word selects; DecodeError otherwise."""
     if not 0 <= bits < (1 << layout.width):
         raise DecodeError(f"word {bits} does not fit {layout.width} bits")
-    n = layout.n
+    n, f = layout.n, layout.fields(bits)
     if layout.mode == "k2":
-        p, q, p1, p2 = layout.fields_k2(bits)
+        p, q, p1 = f["p"], f["q"], f["P1"]
         if not p < q < n:
             raise DecodeError(f"addresses must satisfy p < q < n, got {p}, {q}")
-        letter_p = "X" if p1 < 2 else "Y"
-        letter_q = "X" if p2 == 0 else "Y"
-        phase = 2 if p1 % 2 else 0
-        return PauliString(_pair_string(n, p, q, letter_p, letter_q).letters, phase)
+        # P1 is the letter at p (X 0, Y 1) over the sign bit; P2 the letter at q
+        return _pair_string(n, p, q, "XY"[p1 >> 1], "XY"[f["P2"]], 2 * (p1 & 1))
 
-    sgn, addr, pfl, ifl, nfl = layout.slot_fields(bits)
-    result = PauliString("I" * n, 2 * sgn)
+    addr, pfl, ifl, nfl = ([f[f"{name}{j}"] for j in range(layout.k)] for name in ("addr", "P", "i", "n"))
+    result = PauliString("I" * n, 2 * f["sgn"])
     prev_end = -1
     endpoints: set[int] = set()
     for t in range(layout.k // 2):
@@ -261,10 +204,7 @@ def decode_index(bits: int, layout: SelectionLayout) -> PauliString:
             raise DecodeError("active pairs must be strictly ordered across slots")
         prev_end = v
         endpoints.update((u, v))
-        result = pauli_mul(
-            result,
-            _pair_string(n, u, v, "Y" if pfl[a] else "X", "Y" if pfl[b] else "X"),
-        )
+        result = pauli_mul(result, _pair_string(n, u, v, "XY"[pfl[a]], "XY"[pfl[b]]))
     seen_numbers: set[int] = set()
     for j in range(layout.k):
         if ifl[j]:
@@ -281,8 +221,7 @@ def decode_index(bits: int, layout: SelectionLayout) -> PauliString:
         if w in endpoints or w in seen_numbers:
             raise DecodeError(f"number address {w} collides")
         seen_numbers.add(w)
-        z = "I" * w + "Z" + "I" * (n - w - 1)
-        result = pauli_mul(result, PauliString(z, 0))
+        result = pauli_mul(result, PauliString("I" * w + "Z" + "I" * (n - w - 1), 0))
     return result
 
 
@@ -306,11 +245,15 @@ def _pairs_and_numbers(letters: str) -> tuple[int, int, int]:
 def _pack(entries, masks, layout: SelectionLayout) -> list[tuple[int, float, PauliString]]:
     """(word, alpha, string) rows from each string's (x, z, numbers) masks.
 
-    A k2 word is p, q, P1, P2.  A general word is, MSB first, the sign bit,
-    k addresses of L bits, then k letter, k interaction and k number flags:
-    slot j's address sits at bit (k-1-j)*L + 3k and its flags at bits 3k-1-j,
-    2k-1-j and k-1-j.  Endpoints fill slots 0.. in order, numbers the next."""
-    k, L, top, k2 = layout.k, layout.address_width, layout.width - 1, layout.mode == "k2"
+    Fields are placed by the layout's table.  In a general word the
+    endpoints fill slots 0.. in order and the numbers the next ones."""
+    k, k2, table = layout.k, layout.mode == "k2", layout._table
+    if k2:
+        p_at, q_at, p1_at, p2_at = (table[name][0] for name in ("p", "q", "P1", "P2"))
+    else:
+        sign_at = table["sgn"][0]
+        addr_at = [table[f"addr{j}"][0] for j in range(k)]
+        letter, pair, number = ([1 << table[f"{flag}{j}"][0] for j in range(k)] for flag in "Pin")
     rows = []
     for (alpha, ps), (x, z, numbers) in zip(entries, masks):
         n_ends, n_numbers, sign, j = x.bit_count(), numbers.bit_count(), ps.phase >> 1, 0
@@ -319,20 +262,20 @@ def _pack(entries, masks, layout: SelectionLayout) -> list[tuple[int, float, Pau
                 raise EncodingError("the two-endpoint layout holds exactly one interaction "
                                     "pair and no number factors")
             u, v = (x & -x).bit_length() - 1, x.bit_length() - 1
-            word = u << (L + 3) | v << 3 | ((z >> u) & 1) << 2 | sign << 1 | ((z >> v) & 1)
+            word = u << p_at | v << q_at | (2 * (z >> u & 1) + sign) << p1_at | (z >> v & 1) << p2_at
         elif n_ends + n_numbers > k:
             raise EncodingError(f"pattern {_shorten(ps.letters)} needs {n_ends} endpoint and "
                                 f"{n_numbers} number slots, but k={k}")
         else:
-            word = sign << top
+            word = sign << sign_at
             while x:
                 bit = x & -x
-                word |= (bit.bit_length() - 1) << ((k - 1 - j) * L + 3 * k) | 1 << (2 * k - 1 - j)
-                word |= 1 << (3 * k - 1 - j) if z & bit else 0
+                word |= (bit.bit_length() - 1) << addr_at[j] | pair[j]
+                word |= letter[j] if z & bit else 0
                 x, j = x ^ bit, j + 1
             while numbers:
                 bit = numbers & -numbers
-                word |= (bit.bit_length() - 1) << ((k - 1 - j) * L + 3 * k) | 1 << (k - 1 - j)
+                word |= (bit.bit_length() - 1) << addr_at[j] | number[j]
                 numbers, j = numbers ^ bit, j + 1
         rows.append((word, alpha, ps))
     return rows
@@ -422,7 +365,7 @@ def synth_select_general(n: int, k: int, variant: str = "star") -> Circuit:
     pflags = [regs[f"P{j}"][0] for j in range(k)]
     iflags = [regs[f"i{j}"][0] for j in range(k)]
     nflags = [regs[f"n{j}"][0] for j in range(k)]
-    c.add("Z", 0, control_extension_point=True)
+    c.add("Z", regs["sgn"][0], control_extension_point=True)
     for t in range(k // 2):
         c.add("Sdg", iflags[2 * t], control_extension_point=True)
 

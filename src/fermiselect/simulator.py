@@ -79,15 +79,6 @@ GATE_1Q = {
     "Adg": np.array([[_C8, -_S8], [_S8, _C8]], dtype=np.complex128),
 }
 
-# phase picked up by a set selection bit under a diagonal gate
-_SEL_PHASE = {
-    "Z": -1.0 + 0j,
-    "S": 1j,
-    "Sdg": -1j,
-    "T": np.exp(1j * np.pi / 4),
-    "Tdg": np.exp(-1j * np.pi / 4),
-}
-
 
 def zero_state(n_qubits: int) -> np.ndarray:
     state = np.zeros(1 << n_qubits, dtype=np.complex128)
@@ -103,8 +94,7 @@ def basis_state(n_qubits: int, index: int) -> np.ndarray:
 
 def random_state(n_qubits: int, rng=None) -> np.ndarray:
     """Haar-ish random state: normalized complex Gaussian amplitudes."""
-    if rng is None or isinstance(rng, int):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)  # a Generator passes through unchanged
     amps = rng.standard_normal(1 << n_qubits) + 1j * rng.standard_normal(1 << n_qubits)
     return amps / np.linalg.norm(amps)
 
@@ -190,6 +180,28 @@ def _selection_qubits(c: Circuit) -> tuple[tuple[int, ...], list[int]]:
     return system, sel
 
 
+def _track(
+    kind: str, bits: dict[int, np.ndarray], q: int, phase: np.ndarray, on: Optional[np.ndarray] = None
+) -> None:
+    """Play a one-qubit gate on selection qubit ``q``, held as classical bits.
+
+    Acts on the words in ``on`` (all when None).  A diagonal ``GATE_1Q``
+    matrix multiplies each word's phase by the entry its bit picks; an
+    anti-diagonal one does the same and flips the bit.
+    """
+    m = GATE_1Q[kind]
+    if (m[0, 1] or m[1, 0]) and (m[0, 0] or m[1, 1]):
+        raise ValueError(f"cannot track {kind} on a selection qubit")
+    flip = m[0, 0] == 0
+    # the entry picked by a bit that is 0, then by a bit that is 1
+    for bit, value in enumerate((m[1, 0], m[0, 1]) if flip else (m[0, 0], m[1, 1])):
+        if value != 1:
+            words = bits[q] if bit else ~bits[q]
+            phase[words if on is None else words & on] *= value
+    if flip:
+        bits[q] = ~bits[q] if on is None else bits[q] ^ on
+
+
 def _walk(
     c: Circuit, gates: list[Gate], words: np.ndarray, states: np.ndarray
 ) -> np.ndarray:
@@ -218,15 +230,8 @@ def _walk(
             (q,) = g.qubits
             if q in pos:
                 kernels.apply_one_qubit(states, n_sys, pos[q], GATE_1Q[kind])
-            elif kind == "X":
-                bits[q] = ~bits[q]
-            elif kind == "Y":
-                phase *= np.where(bits[q], -1j, 1j)
-                bits[q] = ~bits[q]
-            elif kind in _SEL_PHASE:
-                phase[bits[q]] *= _SEL_PHASE[kind]
             else:
-                raise ValueError(f"cannot track {kind} on a selection qubit")
+                _track(kind, bits, q, phase)
             continue
         ctrl, tgt = g.qubits
         if ctrl in pos and tgt in pos:
@@ -241,13 +246,8 @@ def _walk(
             kernels.apply_one_qubit(states, n_sys, pos[ctrl], GATE_1Q["Z"], bits[tgt])
         elif tgt in pos:
             kernels.apply_one_qubit(states, n_sys, pos[tgt], GATE_1Q[kind[1:]], bits[ctrl])
-        elif kind == "CZ":
-            phase[bits[ctrl] & bits[tgt]] *= -1.0
         else:
-            on = bits[ctrl]
-            if kind == "CY":
-                phase[on] *= np.where(bits[tgt][on], -1j, 1j)
-            bits[tgt] = bits[tgt] ^ on
+            _track(kind[1:], bits, tgt, phase, bits[ctrl])
     for q in sel:
         moved = np.flatnonzero(bits[q] != start[q])
         if moved.size:

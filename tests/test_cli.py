@@ -184,6 +184,21 @@ def test_transform_names_the_line_of_an_invalid_term(text, line, msg, capsys, mo
     assert err.startswith(f"error: line {line}: ") and msg in err
 
 
+@pytest.mark.parametrize("text,line,msg", [
+    ("1 0 : n 1\n1 0 : adag 0 a 0\n", 2, "got 0 twice: a†_0 a_0 is the number operator, write 'n 0'"),
+    ("1 0 : a 0 a 0 +hc\n", 1, "got 0 twice: a_0 a_0 and a†_0 a†_0 are zero"),
+    ("1 0 : adag 2 adag 2 a 3 a 1 +hc\n", 1, "got 2 twice: a_2 a_2 and a†_2 a†_2 are zero"),
+    ("1 0 : a 1 adag 1 +hc\n", 1, "got 1 twice: a_1 a†_1 is 1 - n_1, write it with 'n 1'"),
+], ids=["adag-a", "a-a", "adag-adag", "a-adag"])
+def test_transform_repeated_orbital_says_what_holds(text, line, msg, capsys, monkeypatch):
+    # a†_p a_p is n_p, a_p a†_p is 1 - n_p and a_p a_p is zero: no conjugate
+    # rewrite helps, so the message does not suggest one
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    rc, out, err = run(["transform", "-", "--n", "4"], capsys)
+    assert rc == 2 and out == ""
+    assert err == f"error: line {line}: ladder pair indices must be strictly increasing, {msg}\n"
+
+
 def test_transform_k_too_small_names_the_string(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("1 0 : adag 0 adag 1 a 2 a 3 +hc\n"))
     rc, _, err = run(["transform", "-", "--n", "4", "--k", "2"], capsys)

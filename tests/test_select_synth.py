@@ -1,5 +1,6 @@
 """Selection-register encoding, decoding and SELECT circuit structure."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -41,6 +42,76 @@ def test_layout_widths():
     assert SelectionLayout(3, 2, "general").width == 11
 
 
+_TABLE_LAYOUTS = [(2, 2, "k2"), (3, 2, "k2"), (8, 2, "k2"), (33, 2, "k2"),
+                  (1, 2, "general"), (2, 4, "general"), (5, 4, "general"), (17, 6, "general")]
+
+
+def _sample_words(layout, count=200):
+    rng = np.random.default_rng(layout.width)
+    words = [0, (1 << layout.width) - 1, *(int(w) for w in rng.integers(0, 1 << layout.width, count))]
+    return words + list(itertools.islice(layout.valid_states(), count))
+
+
+@pytest.mark.parametrize("n,k,mode", _TABLE_LAYOUTS)
+def test_fields_read_the_registers_msb_first(n, k, mode):
+    layout = SelectionLayout(n, k, mode)
+    regs = layout.registers()
+    assert sorted(q for qs in regs.values() for q in qs) == list(range(layout.width))
+    for word in _sample_words(layout):
+        fields = layout.fields(word)
+        assert list(fields) == list(regs)
+        for name, qubits in regs.items():
+            value = 0
+            for q in qubits:  # qubit 0 is the top bit of the word
+                value = 2 * value + ((word >> (layout.width - 1 - q)) & 1)
+            assert fields[name] == value, (name, word)
+        assert layout.pack(**fields) == word
+
+
+@pytest.mark.parametrize("n,k,mode", [c for c in _TABLE_LAYOUTS if c[0] >= 2])
+def test_select_labels_are_the_layout_registers(n, k, mode):
+    layout = SelectionLayout(n, k, mode)
+    system = tuple(range(layout.width, layout.width + n))
+    assert controlled_select(n, k).register_labels == {**layout.registers(), "system": system}
+
+
+def test_pack_rejects_an_unknown_field_and_a_value_that_does_not_fit():
+    k2, general = SelectionLayout(4, 2, "k2"), SelectionLayout(1, 2, "general")
+    with pytest.raises(ValueError, match="no field 'sgn'"):
+        k2.pack(sgn=1)
+    with pytest.raises(ValueError, match="field p: value 4 does not fit 2 bits"):
+        k2.pack(p=4)
+    with pytest.raises(ValueError, match="field P1: value -1 does not fit 2 bits"):
+        k2.pack(P1=-1)
+    # at n = 1 the address fields have no bits: only 0 fits
+    assert general.fields(general.pack(addr0=0, n0=1))["addr0"] == 0
+    with pytest.raises(ValueError, match="field addr0: value 1 does not fit 0 bits"):
+        general.pack(addr0=1)
+
+
+# sha256 of "w," for each word of valid_states(), in order (the first 5,000
+# words for n = 17, k = 6), recorded before the codec read its fields from
+# registers()
+_VALID_STATES_DIGESTS = {
+    (2, 2, "k2"): (8, "db876b431bbc9c826ec1f9e65e0db02b9de900e7d0a4f4bf0cb6621cb01989ab"),
+    (3, 2, "k2"): (24, "ad5352ce115196ad77dbd2f99444d7789b7ec79cb7841c8954310f0bde7d973a"),
+    (8, 2, "k2"): (224, "dd77f9e72737f1d4f9b2b16a7f7732fec23a9dffbfc8107c899d77d66b096c84"),
+    (33, 2, "k2"): (4224, "8848032f017c272e91aab6a80bb0fd1b1ab5d3229628849bae922c440ae0c96e"),
+    (1, 2, "general"): (6, "462b0ae69162571d36f904d69bec5d57fdc9c6f5961568b85e62a5fefd07b5ba"),
+    (2, 4, "general"): (58, "3a6105ca51cc56cfb08c38ad17e4afe10259ea585a63f20475b627032751de73"),
+    (5, 4, "general"): (3242, "c163a37c995cbb56611f685a0fbe390bb0c443c417e563a9be2bdf4fa2c576cb"),
+    (17, 6, "general"): (5000, "360a5808c3f0968940a95096d0794639d9b5008a64088856ae89daaf47c51187"),
+}
+
+
+@pytest.mark.parametrize("n,k,mode", _TABLE_LAYOUTS)
+def test_valid_states_order_is_pinned(n, k, mode):
+    count, digest = _VALID_STATES_DIGESTS[n, k, mode]
+    words = list(itertools.islice(SelectionLayout(n, k, mode).valid_states(), 5000))
+    assert len(words) == count
+    assert hashlib.sha256("".join(f"{w}," for w in words).encode()).hexdigest() == digest
+
+
 def test_layout_validation():
     with pytest.raises(ValueError):
         SelectionLayout(4, 4, "k2")
@@ -57,8 +128,8 @@ def test_k2_pack_unpack_roundtrip():
     for p, q in itertools.combinations(range(8), 2):
         for p1 in range(4):
             for p2 in range(2):
-                word = lay.pack_k2(p, q, p1, p2)
-                assert lay.fields_k2(word) == (p, q, p1, p2)
+                word = lay.pack(p=p, q=q, P1=p1, P2=p2)
+                assert lay.fields(word) == {"p": p, "q": q, "P1": p1, "P2": p2}
 
 
 @pytest.mark.parametrize("n,count", [(2, 8), (4, 48), (8, 224)])
@@ -81,20 +152,20 @@ def test_general_valid_states_decode_and_roundtrip():
 
 def test_k2_decode_examples():
     lay = SelectionLayout(4, 2, "k2")
-    word = lay.pack_k2(0, 3, 0, 0)
+    word = lay.pack(p=0, q=3, P1=0, P2=0)
     assert str(decode_index(word, lay)) == "+XZZX"
-    word = lay.pack_k2(1, 2, 3, 1)
+    word = lay.pack(p=1, q=2, P1=3, P2=1)
     assert str(decode_index(word, lay)) == "-IYYI"  # p1=3 -> -Y at p
-    word = lay.pack_k2(0, 1, 2, 0)
+    word = lay.pack(p=0, q=1, P1=2, P2=0)
     assert str(decode_index(word, lay)) == "+YXII"
 
 
 def test_k2_decode_rejects_bad_addresses():
     lay = SelectionLayout(4, 2, "k2")
     with pytest.raises(DecodeError):
-        decode_index(lay.pack_k2(2, 2, 0, 0), lay)  # p == q
+        decode_index(lay.pack(p=2, q=2, P1=0, P2=0), lay)  # p == q
     with pytest.raises(DecodeError):
-        decode_index(lay.pack_k2(3, 1, 0, 0), lay)  # p > q
+        decode_index(lay.pack(p=3, q=1, P1=0, P2=0), lay)  # p > q
     with pytest.raises(DecodeError):
         decode_index(1 << lay.width, lay)  # word too wide
 
@@ -102,9 +173,9 @@ def test_k2_decode_rejects_bad_addresses():
 def test_k2_encode_examples():
     lay = SelectionLayout(4, 2, "k2")
     word = encode_term(PauliString("XZZY", 0), lay)
-    assert lay.fields_k2(word) == (0, 3, 0, 1)
+    assert lay.fields(word) == {"p": 0, "q": 3, "P1": 0, "P2": 1}
     word = encode_term(PauliString("IYXI", 2), lay)
-    assert lay.fields_k2(word) == (1, 2, 3, 0)
+    assert lay.fields(word) == {"p": 1, "q": 2, "P1": 3, "P2": 0}
 
 
 def test_k2_encode_rejections():
@@ -154,38 +225,38 @@ def test_general_encode_capacity():
 def test_general_decode_rejections():
     lay = SelectionLayout(4, 4, "general")
     base = encode_term(PauliString("XXII", 0), lay)
-    sgn, addr, p, i, num = lay.slot_fields(base)
+    fields = lay.fields(base)
     # interaction flags of a slot pair must agree
-    bad = lay.pack_general(sgn, addr, p, [1, 0, 0, 0], num)
+    bad = lay.pack(**{**fields, "i1": 0})
     with pytest.raises(DecodeError):
         decode_index(bad, lay)
     # a slot cannot be both endpoint and number
-    bad = lay.pack_general(sgn, addr, p, i, [1, 0, 0, 0])
+    bad = lay.pack(**{**fields, "n0": 1})
     with pytest.raises(DecodeError):
         decode_index(bad, lay)
     # pair addresses must be strictly ordered
-    bad = lay.pack_general(sgn, [1, 1, 0, 0], p, i, num)
+    bad = lay.pack(**{**fields, "addr0": 1})
     with pytest.raises(DecodeError):
         decode_index(bad, lay)
     # inactive slots must be all zero
-    bad = lay.pack_general(0, [0, 0, 3, 0], [0] * 4, [0] * 4, [0] * 4)
+    bad = lay.pack(addr2=3)
     with pytest.raises(DecodeError):
         decode_index(bad, lay)
     # number may not sit on an endpoint
-    bad = lay.pack_general(sgn, [0, 1, 1, 0], p, i, [0, 0, 1, 0])
+    bad = lay.pack(**{**fields, "addr2": 1, "n2": 1})
     with pytest.raises(DecodeError):
         decode_index(bad, lay)
     # number address out of range: addr=3 is fine for n=4, so use n=3
     lay3 = SelectionLayout(3, 2, "general")
-    bad = lay3.pack_general(0, [3, 0], [0, 0], [0, 0], [1, 0])
+    bad = lay3.pack(addr0=3, n0=1)
     with pytest.raises(DecodeError):
         decode_index(bad, lay3)
     # duplicate numbers
-    bad = lay.pack_general(0, [2, 2, 0, 0], [0] * 4, [0] * 4, [1, 1, 0, 0])
+    bad = lay.pack(addr0=2, addr1=2, n0=1, n1=1)
     with pytest.raises(DecodeError):
         decode_index(bad, lay)
     # active pairs must be ordered across slot pairs
-    bad = lay.pack_general(0, [2, 3, 0, 1], [0] * 4, [1] * 4, [0] * 4)
+    bad = lay.pack(addr0=2, addr1=3, addr3=1, i0=1, i1=1, i2=1, i3=1)
     with pytest.raises(DecodeError):
         decode_index(bad, lay)
 
@@ -279,13 +350,13 @@ def test_general_encode_matches_pack_general(letters, phase, k):
         with pytest.raises(EncodingError, match=need):
             encode_term(pattern, layout)
         return
-    addr, pfl, ifl, nfl = ([0] * k for _ in range(4))
+    fields = {"sgn": phase // 2}
     for slot, u in enumerate(u for pair in pairs for u in pair):
-        addr[slot], pfl[slot], ifl[slot] = u, int(letters[u] == "Y"), 1
+        fields.update({f"addr{slot}": u, f"P{slot}": int(letters[u] == "Y"), f"i{slot}": 1})
     for slot, w in enumerate(numbers, 2 * len(pairs)):
-        addr[slot], nfl[slot] = w, 1
+        fields.update({f"addr{slot}": w, f"n{slot}": 1})
     word = encode_term(pattern, layout)
-    assert word == layout.pack_general(phase // 2, addr, pfl, ifl, nfl)
+    assert word == layout.pack(**fields)
     assert decode_index(word, layout) == pattern
 
 

@@ -41,6 +41,10 @@ def test_states():
     assert np.abs(random_state(4, 7) - r).max() == 0  # seeded
 
 
+def test_random_state_takes_a_numpy_integer_seed():
+    assert np.array_equal(random_state(4, np.int64(7)), random_state(4, 7))
+
+
 def test_gate_matrices_unitary():
     for kind, mat in GATE_1Q.items():
         assert np.abs(mat @ mat.conj().T - np.eye(2)).max() < 1e-12, kind
@@ -281,7 +285,7 @@ def test_classical_control_matches_full_simulation(rng):
     c = synth_select_k2(4, "star")
     lay = SelectionLayout(4, 2, "k2")
     dim = 1 << 4
-    for word in [lay.pack_k2(0, 1, 0, 0), lay.pack_k2(1, 3, 2, 1), lay.pack_k2(2, 3, 3, 1)]:
+    for word in [lay.pack(p=0, q=1, P1=0, P2=0), lay.pack(p=1, q=3, P1=2, P2=1), lay.pack(p=2, q=3, P1=3, P2=1)]:
         psi = random_state(4, rng)
         phase, out = apply_classical_control(c, word, psi)
         full = np.zeros(1 << c.n_qubits, dtype=complex)
@@ -383,6 +387,44 @@ def test_classical_control_selection_to_system_gates():
     assert np.abs(out - zero_state(1)).max() < 1e-12
 
 
+def _restored(*gates):
+    """Selection qubits 0 and 1, system qubits 2 and 3: an H and a
+    selection-controlled CX and CZ on the system, then ``gates``."""
+    c = Circuit(4, [], {"system": (2, 3)})
+    c.add("H", 2)
+    c.add("CX", 1, 3)
+    c.add("CZ", 0, 2)
+    for kind, *qubits in gates:
+        c.add(kind, *qubits)
+    return c
+
+
+@pytest.mark.parametrize("circuit", [
+    _restored(("X", 0), ("X", 0)),
+    _restored(("Y", 1), ("X", 1)),
+    _restored(("Z", 0)),
+    _restored(("S", 1)),
+    _restored(("Sdg", 0)),
+    _restored(("T", 1)),
+    _restored(("Tdg", 0)),
+    _restored(("CX", 0, 1), ("CX", 0, 1)),
+    _restored(("CY", 1, 0), ("CX", 1, 0)),
+    _restored(("CZ", 0, 1)),
+    _restored(("Y", 0), ("T", 0), ("X", 0), ("CY", 0, 1), ("Sdg", 1), ("CX", 0, 1)),
+], ids=["X", "Y", "Z", "S", "Sdg", "T", "Tdg", "CX", "CY", "CZ", "mixed"])
+def test_classical_walk_tracks_every_diagonal_and_antidiagonal_gate(circuit, rng):
+    # each word's phase and system state against one dense run of the full register
+    psi = random_state(2, rng)
+    for word in range(4):
+        phase, out = apply_classical_control(circuit, word, psi)
+        full = np.zeros(16, dtype=complex)
+        full[4 * word : 4 * word + 4] = psi
+        ref = apply_circuit(circuit, full)
+        assert np.abs(phase * out - ref[4 * word : 4 * word + 4]).max() < 1e-12
+        ref[4 * word : 4 * word + 4] = 0
+        assert np.abs(ref).max() < 1e-12
+
+
 # --- verify_select ---------------------------------------------------------------
 
 
@@ -394,7 +436,7 @@ def test_verify_select_smoke():
 
 def test_verify_select_words_subset():
     lay = SelectionLayout(4, 2, "k2")
-    words = [lay.pack_k2(0, 2, 1, 1), lay.pack_k2(1, 3, 0, 0)]
+    words = [lay.pack(p=0, q=2, P1=1, P2=1), lay.pack(p=1, q=3, P1=0, P2=0)]
     rep = verify_select(4, 2, "plain", trials=2, seed=9, words=words)
     assert rep["states_checked"] == 2 and rep["pass"]
 
@@ -426,6 +468,24 @@ def test_verify_select_names_the_failing_word(monkeypatch):
     assert rep["worst_string"] == str(decode_index(int(rep["worst_word"], 2), lay))
     unset = [w for w in lay.valid_states() if not w & 1]
     assert verify_select(3, 2, "star", trials=2, seed=4, words=unset)["pass"]
+
+
+def test_verify_select_fails_when_the_expected_string_is_wrong(monkeypatch):
+    # the oracle looks each word up through simulator.decode_index: negate one
+    # word's string there and the check must fail on that word
+    lay = SelectionLayout(3, 2, "k2")
+    word = lay.pack(p=0, q=2, P1=1, P2=1)
+    real = simulator.decode_index
+
+    def wrong(bits, layout):
+        right = real(bits, layout)
+        return PauliString(right.letters, right.phase + 2) if bits == word else right
+
+    monkeypatch.setattr(simulator, "decode_index", wrong)
+    rep = verify_select(3, 2, "star", trials=2, seed=4)
+    assert not rep["pass"] and rep["max_error"] > 0.1
+    assert rep["worst_word"] == f"{word:0{lay.width}b}"
+    assert rep["worst_string"] == str(wrong(word, lay))
 
 
 def test_verify_select_rejects_no_words(monkeypatch):

@@ -62,3 +62,12 @@ def test_tracer_times_transform_layers(tmp_path):
     assert header.endswith(f" terms={int(metrics['pauli.jw_entries'])}")
     assert metrics["pauli.jw_entries"] == len(out.splitlines()) - 2 > 0
     assert metrics["cli.write_bytes"] == len(out)
+
+
+def test_tracer_times_verify_layers():
+    metrics, _ = traced([["verify", "--n", "3", "--trials", "2"]])
+    for name in ("simulator.verify_s", "select_synth.decode_s", "pauli.pauli_apply_s",
+                 "kernels.apply_s"):
+        assert metrics[name] > 0, name
+    # k = 2 at n = 3 has 24 valid words, each decoded once
+    assert metrics["simulator.words_checked"] == metrics["select_synth.decode_calls"] == 24
