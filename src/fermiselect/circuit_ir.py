@@ -20,9 +20,9 @@ The back-end passes (``terminal_gates`` and so ``lower_macros``,
 remapping, ``schedule`` and ``emit_text``) do their per-gate work once per
 distinct gate within a call and reuse it for the repeats.
 
-``asap_layers`` gives greedy ASAP layering.  ``schedule`` measures
-T-depth and Clifford depth as longest dependency chains counting only
-gates of the respective class, so Cliffords never pad T-depth.
+``schedule`` measures T-depth and Clifford depth as longest dependency
+chains counting only gates of the respective class, so Cliffords never
+pad T-depth; ``chain_depth`` does the same for any set of kinds.
 
 ``control_extension_point`` marks the gates of a SELECT circuit that gain
 global controls; gates sharing an ``extension_group`` id transform as one
@@ -49,7 +49,6 @@ __all__ = [
     "expand_macro",
     "terminal_gates",
     "lower_macros",
-    "asap_layers",
     "schedule",
     "chain_depth",
     "count_extension_points",
@@ -309,18 +308,6 @@ def lower_macros(c: Circuit, pure_clifford_t: bool = False) -> Circuit:
             f"{unmatched:+d}, which would leave a global phase exp({unmatched:+d}·iπ/8)"
         )
     return lowered
-
-
-def asap_layers(c: Circuit) -> list[int]:
-    """Greedy earliest layer (1-based) for each gate in list order."""
-    last = [0] * c.n_qubits
-    layers = []
-    for g in c.gates:
-        layer = 1 + max(last[q] for q in g.qubits)
-        for q in g.qubits:
-            last[q] = layer
-        layers.append(layer)
-    return layers
 
 
 def schedule(c: Circuit) -> ResourceReport:

@@ -30,7 +30,7 @@ from .circuit_ir import Circuit, Gate, conjugated, expand_macro
 
 __all__ = [
     "MultiSwapLayout",
-    "GadgetSpec",
+    "Component",
     "GADGETS",
     "address_bits",
     "ladder_cascade",
@@ -460,23 +460,33 @@ def inject_select_p(n: int, variant: str = "star") -> Circuit:
 
 
 @dataclass(frozen=True)
-class GadgetSpec:
-    """A named gadget family: builder plus the registers it labels."""
+class Component:
+    """One catalogued component: its builder and the counts its costs follow from.
 
-    name: str
+    The circuit holds ``networks`` swap networks of ``variant`` ("plain"
+    or "star") over ``address`` address registers, ``flags`` flag
+    qubits and the n data qubits, with ``extension_points`` control
+    extension units.  ``resources`` turns these counts into the expected
+    T-count, T-depth ceiling and width.
+    """
+
     build: Callable[[int], Circuit]
-    registers: tuple[str, ...]
+    variant: str
+    networks: int
+    address: int
+    flags: int
+    extension_points: int
 
 
-_FLAGGED = ("address", "flags", "data")
-
-GADGETS: dict[str, GadgetSpec] = {
-    "SwapUp": GadgetSpec("SwapUp", swap_up, ("address", "data")),
-    "SwapUpStar": GadgetSpec("SwapUpStar", swap_up_star, ("address", "data")),
-    "InjectZ": GadgetSpec("InjectZ", lambda n: inject("Z", n), ("address", "data")),
-    "InjectZStar": GadgetSpec("InjectZStar", inject_star_z, ("address", "data")),
-    "InjSelQ": GadgetSpec("InjSelQ", lambda n: inject_select_q(n, "plain"), _FLAGGED),
-    "InjSelQStar": GadgetSpec("InjSelQStar", lambda n: inject_select_q(n, "star"), _FLAGGED),
-    "InjSelP": GadgetSpec("InjSelP", lambda n: inject_select_p(n, "plain"), _FLAGGED),
-    "InjSelPStar": GadgetSpec("InjSelPStar", lambda n: inject_select_p(n, "star"), _FLAGGED),
+# registers [address | flags | data]; the flags register only when flags > 0
+GADGETS: dict[str, Component] = {
+    # name: Component(build, variant, networks, address, flags, extension_points)
+    "SwapUp": Component(swap_up, "plain", 1, 1, 0, 0),
+    "SwapUpStar": Component(swap_up_star, "star", 1, 1, 0, 0),
+    "InjectZ": Component(lambda n: inject("Z", n), "plain", 2, 1, 0, 1),
+    "InjectZStar": Component(inject_star_z, "star", 2, 1, 0, 1),
+    "InjSelQ": Component(lambda n: inject_select_q(n, "plain"), "plain", 2, 1, 2, 4),
+    "InjSelQStar": Component(lambda n: inject_select_q(n, "star"), "star", 4, 1, 2, 4),
+    "InjSelP": Component(lambda n: inject_select_p(n, "plain"), "plain", 2, 1, 1, 2),
+    "InjSelPStar": Component(lambda n: inject_select_p(n, "star"), "star", 4, 1, 1, 2),
 }

@@ -56,6 +56,9 @@ MAX_UNITARY_QUBITS = 12
 # blocks to at most this many identity amplitudes at once.  This bounds their memory.
 _CHUNK_AMPLITUDES = 1 << 16
 
+# verify_select passes when its worst amplitude error is at most this
+_TOL = 1e-9
+
 # the dense route fuses gates into blocks on at most this many qubits: one
 # matmul then costs 2**5 multiply-adds per amplitude, against a pass over
 # the state per gate (a 17-qubit SELECT at n = 8 lowers to 902 gates in
@@ -287,7 +290,6 @@ def verify_select(
     variant: str = "star",
     trials: int = 20,
     seed: int = 1,
-    tol: float = 1e-9,
     words: Optional[Iterable[int]] = None,
 ) -> dict:
     """Check a synthesized SELECT against the Pauli oracle, state by state.
@@ -301,7 +303,8 @@ def verify_select(
 
     Returns a report dict with the worst amplitude error, the word that
     reached it (``worst_word``, its selection bits) and its decoded
-    string (``worst_string``), and a boolean ``pass``.
+    string (``worst_string``), and a boolean ``pass`` (worst error at
+    most ``_TOL``).
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -341,5 +344,5 @@ def verify_select(
         "max_error": max_error,
         "worst_word": worst_word,
         "worst_string": worst_string,
-        "pass": bool(max_error <= tol),
+        "pass": bool(max_error <= _TOL),
     }

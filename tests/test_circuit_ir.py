@@ -16,7 +16,6 @@ from fermiselect.circuit_ir import (
     MACRO_KINDS,
     TERMINAL_KINDS,
     add_global_controls,
-    asap_layers,
     chain_depth,
     compose,
     conjugated,
@@ -169,13 +168,17 @@ def test_schedule_rejects_macros():
         schedule(c)
 
 
-def test_asap_layers_basic():
+def test_chain_depth_over_every_kind_is_asap_depth():
+    # greedy ASAP layers are 1, 1, 2, 1: the deepest is layer 2
     c = Circuit(3)
     c.add("H", 0)
     c.add("H", 1)
     c.add("CX", 0, 1)
     c.add("X", 2)
-    assert asap_layers(c) == [1, 1, 2, 1]
+    every = {"H", "CX", "X"}
+    assert chain_depth(c, every) == 2
+    c.add("CX", 1, 2)
+    assert chain_depth(c, every) == 3
 
 
 def test_chain_depth_ignores_other_kinds():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fermiselect import gadgets
-from fermiselect.circuit_ir import Circuit, chain_depth, asap_layers, lower_macros, schedule
+from fermiselect.circuit_ir import Circuit, chain_depth, lower_macros, schedule
 from fermiselect.simulator import apply_circuit, basis_state, unitary_of
 
 from conftest import dense_pauli, permutation_matrix
@@ -70,7 +70,7 @@ def test_ladder_frozen_example():
 def test_ladder_tree_depth(n):
     c = gadgets.ladder_tree(n)
     bound = 2 * int(np.ceil(np.log2(n)))
-    assert max(asap_layers(c)) <= max(bound, 1)
+    assert chain_depth(c, {"CX"}) <= max(bound, 1)
 
 
 def test_ladder_conjugation_gives_interval_z():
@@ -104,7 +104,7 @@ def test_fanout_semantics_and_depth(m):
             a, t = g.qubits
             bits[t] ^= bits[a]
         assert bits == want
-    assert max(asap_layers(c)) <= 2 * int(np.ceil(np.log2(m + 1)))
+    assert chain_depth(c, {"CX"}) <= 2 * int(np.ceil(np.log2(m + 1)))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
@@ -287,4 +287,5 @@ def test_gadget_catalog_builds(n):
     for name, spec in gadgets.GADGETS.items():
         c = spec.build(n)
         assert isinstance(c, Circuit)
-        assert set(spec.registers) <= set(c.register_labels)
+        want = {"address", "data"} | ({"flags"} if spec.flags > 0 else set())
+        assert want <= set(c.register_labels), name

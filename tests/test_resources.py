@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fermiselect.circuit_ir import lower_macros
+from fermiselect.gadgets import GADGETS, address_bits
 from fermiselect.resources import (
     FORMULAS,
     GROWTH_CAP,
@@ -59,18 +60,31 @@ def test_growth_rows_only_for_select_components_at_growth_sizes():
 
 @pytest.mark.parametrize("name", sorted(FORMULAS))
 def test_width_and_extension_points_exact(name):
+    # no ancillas: address registers, flags and data, counted from the row
     f = FORMULAS[name]
     for n in (4, 8):
         report, points, _ = measure(name, n)
-        assert report.total_qubits == f.width(n)
+        assert report.total_qubits == f.address * address_bits(n) + f.flags + n
         assert points == f.extension_points
 
 
 def test_t_depth_bound_holds():
-    for name, f in FORMULAS.items():
+    ceiling = {(r[0], int(r[1])): int(r[4]) for r in _rows([4, 8, 16]) if r[2] == "t_depth"}
+    for name in FORMULAS:
         for n in (4, 8, 16):
             report, _, _ = measure(name, n)
-            assert report.t_depth <= f.t_depth_bound(n), (name, n)
+            assert report.t_depth <= ceiling[name, n], (name, n)
+
+
+def test_gadget_rows_are_the_formula_rows():
+    # one row object per gadget, and the CSV keeps its component order
+    assert list(FORMULAS) == [*GADGETS, "SelectK2Plain", "SelectK2Star"]
+    assert list(GADGETS) == [
+        "SwapUp", "SwapUpStar", "InjectZ", "InjectZStar",
+        "InjSelQ", "InjSelQStar", "InjSelP", "InjSelPStar",
+    ]
+    for name, row in GADGETS.items():
+        assert FORMULAS[name] is row
 
 
 def test_n2_plain_known_shortfalls():

@@ -71,3 +71,12 @@ def test_tracer_times_verify_layers():
         assert metrics[name] > 0, name
     # k = 2 at n = 3 has 24 valid words, each decoded once
     assert metrics["simulator.words_checked"] == metrics["select_synth.decode_calls"] == 24
+
+
+def test_tracer_times_each_catalogue_row_once():
+    metrics, out = traced([["resources", "--n", "4"]])
+    # 8 gadget rows, plus 6 networks built inside the injectors, plus 2
+    # networks and 2 ladders built inside the two SELECTs
+    assert metrics["gadgets.build_calls"] == 18
+    # 10 components × 4 metrics, plus a Toffoli-ratio row per plain one
+    assert metrics["resources.rows"] == 45 == len(out.splitlines()) - 1
