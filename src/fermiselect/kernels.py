@@ -14,12 +14,12 @@ if that entry is not 1); an anti-diagonal one (X, Y) swaps the two
 halves and then applies its phases; any other one (H, A) does the
 general 2×2 update.
 
-``apply_blocks`` applies a sequence of small dense matrices instead,
-one matmul per block over the whole array.  It works in two state-size
-buffers, the input and one spare, and moves each block's qubits to the
-front by a transposing copy into the spare.  The axis order is tracked
-between blocks and restored once at the end, so a block costs one copy
-and one matmul.
+``apply_blocks`` applies a sequence of small dense matrices instead, one
+matmul per block over the whole array, for the dense route and the
+classical walk alike.  It works in two state-size buffers, the input and
+one spare, and moves each block's qubits to the front by a transposing
+copy into the spare.  The axis order is tracked between blocks and
+restored once at the end, so a block costs one copy and one matmul.
 """
 
 from __future__ import annotations

@@ -2,21 +2,19 @@
 
 Qubit 0 is the most significant bit of the state index, matching the
 Pauli-string convention.  One statevector engine, :mod:`fermiselect.kernels`,
-runs every gate; on top of it sit two independent routes:
+runs every gate.  Gates are fused greedily into blocks on at most
+``_BLOCK_QUBITS`` qubits (a macro whole); a block's matrix comes from the
+one-qubit kernels run on a small identity, and ``kernels.apply_blocks``
+applies it with one matmul, in two buffers of the size it is given.  On
+top of it sit two independent routes:
 
-* ``apply_circuit`` / ``unitary_of`` simulate every qubit directly.
-  They fuse the terminal gates greedily into blocks on at most
-  ``_BLOCK_QUBITS`` qubits, build each block's matrix by running the
-  one-qubit kernels on a small identity, and apply each block with one
-  matmul through ``kernels.apply_blocks``.  That holds two buffers of
-  the size it is given, the copy of the input and one spare, so
-  ``apply_circuit`` peaks at about twice the state's bytes.
+* ``apply_circuit`` / ``unitary_of`` simulate every qubit directly;
   ``unitary_of`` runs the blocks on chunks of identity columns, at most
-  ``_CHUNK_AMPLITUDES`` amplitudes each, and so holds little beside the
-  matrix it returns;
+  ``_CHUNK_AMPLITUDES`` amplitudes each;
 * ``apply_classical_control`` holds the selection qubits as classical
-  bits and plays only the system-side gates, for a batch of selection
-  words in one walk of the circuit.
+  bits and walks the un-lowered circuit once for a batch of selection
+  words: runs of system gates as blocks on every word, any other gate
+  from its own matrix on the words whose bits it matches.
 
 Both are compared against ``pauli_apply`` (in :mod:`fermiselect.pauli`),
 the oracle, which shares no code with either.  ``verify_select`` walks
@@ -26,6 +24,8 @@ each word's system action with its decoded Pauli string on random states.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import groupby
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -53,11 +53,16 @@ MAX_UNITARY_QUBITS = 12
 
 # verify_select walks at most this many amplitudes at once (words × trials × 2**n_sys),
 # or one word that holds more (k = 2, n = 12, 20 trials: 81,920); unitary_of applies its
-# blocks to at most this many identity amplitudes at once.  This bounds their memory.
+# blocks to at most this many identity amplitudes at once.  This bounds their memory: a
+# chunk and the spare buffer kernels.apply_blocks takes beside it.
 _CHUNK_AMPLITUDES = 1 << 16
 
 # verify_select passes when its worst amplitude error is at most this
 _TOL = 1e-9
+
+# _moves reads a block as zero, or as the identity, when no entry is further off than
+# this: 10,000 macros so read move a word by at most 4e-10 (a block has 4 rows at most)
+_EXACT = 1e-14
 
 # the dense route fuses gates into blocks on at most this many qubits: one
 # matmul then costs 2**5 multiply-adds per amplitude, against a pass over
@@ -102,12 +107,12 @@ def random_state(n_qubits: int, rng=None) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
-def _block_unitary(qubits: list[int], gates: list[Gate]) -> np.ndarray:
-    """The matrix of ``gates`` on ``qubits``, qubits[0] most significant."""
+def _block_unitary(qubits: Sequence[int], gates: Iterable[Gate]) -> np.ndarray:
+    """The matrix of ``gates``, macros expanded, on ``qubits`` (the first most significant)."""
     m = len(qubits)
     local = {q: i for i, q in enumerate(qubits)}
     u = np.eye(1 << m, dtype=np.complex128)
-    for g in gates:
+    for g in terminal_gates(gates):
         if len(g.qubits) == 1:
             kernels.apply_one_qubit(u, m, local[g.qubits[0]], GATE_1Q[g.kind])
         else:
@@ -116,24 +121,25 @@ def _block_unitary(qubits: list[int], gates: list[Gate]) -> np.ndarray:
     return u
 
 
-def _blocks(c: Circuit) -> Iterator[tuple[list[int], np.ndarray]]:
-    """c's terminal gates, in time order, fused greedily into blocks.
+def _blocks(gates: Iterable[Gate], axis, build=_block_unitary) -> Iterator[tuple[list[int], np.ndarray]]:
+    """``gates`` in time order, fused greedily into blocks.
 
     A block grows while its qubits number at most ``_BLOCK_QUBITS``; on
     a smaller register that bound never binds, and one block takes every
-    gate.
+    gate.  Each block comes out on the axes ``axis[q]`` of its qubits,
+    with the matrix ``build(qubits, gates)`` gives for its two tuples.
     """
     qubits: list[int] = []
-    gates: list[Gate] = []
-    for g in terminal_gates(c.gates):
+    run: list[Gate] = []
+    for g in gates:
         new = [q for q in g.qubits if q not in qubits]
         if len(qubits) + len(new) > _BLOCK_QUBITS:
-            yield qubits, _block_unitary(qubits, gates)
-            qubits, gates, new = [], [], list(g.qubits)
+            yield [axis[q] for q in qubits], build(tuple(qubits), tuple(run))
+            qubits, run, new = [], [], list(g.qubits)
         qubits += new
-        gates.append(g)
-    if gates:
-        yield qubits, _block_unitary(qubits, gates)
+        run.append(g)
+    if run:
+        yield [axis[q] for q in qubits], build(tuple(qubits), tuple(run))
 
 
 def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
@@ -144,7 +150,7 @@ def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
     amps = np.array(state, dtype=np.complex128)
     if amps.shape != (1 << n,):
         raise ValueError(f"state must have {1 << n} amplitudes")
-    return kernels.apply_blocks(amps, n, _blocks(c))
+    return kernels.apply_blocks(amps, n, _blocks(c.gates, range(n)))
 
 
 def unitary_of(c: Circuit) -> np.ndarray:
@@ -158,7 +164,7 @@ def unitary_of(c: Circuit) -> np.ndarray:
     if n > MAX_UNITARY_QUBITS:
         raise ValueError(f"{n} qubits exceeds the unitary cap of {MAX_UNITARY_QUBITS}")
     dim = 1 << n
-    blocks = list(_blocks(c))
+    blocks = list(_blocks(c.gates, range(n)))
     u = np.empty((dim, dim), dtype=np.complex128)
     step = max(1, _CHUNK_AMPLITUDES // dim)
     for start in range(0, dim, step):
@@ -183,40 +189,43 @@ def _selection_qubits(c: Circuit) -> tuple[tuple[int, ...], list[int]]:
     return system, sel
 
 
-def _track(
-    kind: str, bits: dict[int, np.ndarray], q: int, phase: np.ndarray, on: Optional[np.ndarray] = None
-) -> None:
-    """Play a one-qubit gate on selection qubit ``q``, held as classical bits.
+def _moves(g: Gate, pos: dict[int, int]) -> tuple[list[int], list]:
+    """What g does to each pattern of its selection bits, read off the
+    matrix of its terminal expansion (selection qubits most significant).
 
-    Acts on the words in ``on`` (all when None).  A diagonal ``GATE_1Q``
-    matrix multiplies each word's phase by the entry its bit picks; an
-    anti-diagonal one does the same and flips the bit.
+    Each pattern must go to one pattern.  Returns g's system axes and,
+    for each pattern g does not leave alone, its ``(qubit, bit)`` pairs,
+    the selection qubits it flips and its system block (1×1: a phase).
+    Entries within ``_EXACT`` of zero or of the identity count as such.
     """
-    m = GATE_1Q[kind]
-    if (m[0, 1] or m[1, 0]) and (m[0, 0] or m[1, 1]):
-        raise ValueError(f"cannot track {kind} on a selection qubit")
-    flip = m[0, 0] == 0
-    # the entry picked by a bit that is 0, then by a bit that is 1
-    for bit, value in enumerate((m[1, 0], m[0, 1]) if flip else (m[0, 0], m[1, 1])):
-        if value != 1:
-            words = bits[q] if bit else ~bits[q]
-            phase[words if on is None else words & on] *= value
-    if flip:
-        bits[q] = ~bits[q] if on is None else bits[q] ^ on
+    sel = [q for q in g.qubits if q not in pos]
+    sys_q = [q for q in g.qubits if q in pos]
+    a, s = 1 << len(sel), 1 << len(sys_q)
+    u = _block_unitary(sel + sys_q, [g]).reshape(a, s, a, s)
+    reach = np.abs(u).max(axis=(1, 3)) > _EXACT  # reach[r, p]: pattern p goes to r
+    if (reach.sum(axis=0) != 1).any():
+        raise ValueError(f"cannot track {g.kind}{g.qubits}: it mixes values of a selection qubit")
+    bits = [[p >> (len(sel) - 1 - i) & 1 for i in range(len(sel))] for p in range(a)]
+    moves = []
+    for p, r in enumerate(reach.argmax(axis=0)):
+        if r != p or np.abs(u[r, :, p] - np.eye(s)).max() > _EXACT:
+            flip = [q for q, x, y in zip(sel, bits[p], bits[r]) if x != y]
+            moves.append((list(zip(sel, bits[p])), flip, u[r, :, p]))
+    return [pos[q] for q in sys_q], moves
 
 
-def _walk(
-    c: Circuit, gates: list[Gate], words: np.ndarray, states: np.ndarray
-) -> np.ndarray:
-    """Play terminal ``gates`` of ``c`` for a batch of selection words.
+def _walk(c: Circuit, words: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Play c's un-lowered gates for a batch of selection words.
 
     The selection qubits are held classical: one boolean array per
-    qubit over ``words``.  ``states`` has shape ``(2**n_sys, len(words),
-    ...)`` and is updated in place; a system gate controlled by a
-    selection qubit acts only on the words where that bit is set.
-    Selection qubits may only see bit flips, diagonal phases and
-    controls; anything else raises, as does a word whose selection
-    register is not restored.  Returns the phase of each word.
+    qubit over ``words``.  Each word plays on its own copy of ``base``
+    (``(2**n_sys, ...)``), on a word axis after the system index.  Runs
+    of gates on system qubits alone are fused into blocks (``_blocks``,
+    each distinct one built once) that act on every word; any other
+    gate, terminal or macro, acts through ``_moves`` on the words whose
+    bits match each pattern.  Raises unless the selection qubits see
+    only flips, phases and controls and are restored for every word.
+    Returns each word's phase and state.
     """
     system, sel = _selection_qubits(c)
     width = len(sel)
@@ -224,39 +233,31 @@ def _walk(
         raise ValueError(f"selection word needs {width} bits")
     n_sys = len(system)
     pos = {q: i for i, q in enumerate(system)}
+    states = np.repeat(np.expand_dims(base, 1), len(words), axis=1)
     start = {q: (words >> (width - 1 - r)) & 1 == 1 for r, q in enumerate(sel)}
     bits = dict(start)
     phase = np.ones(len(words), dtype=np.complex128)
-    for g in gates:
-        kind = g.kind
-        if len(g.qubits) == 1:
-            (q,) = g.qubits
-            if q in pos:
-                kernels.apply_one_qubit(states, n_sys, pos[q], GATE_1Q[kind])
-            else:
-                _track(kind, bits, q, phase)
+    build, moves = cache(_block_unitary), cache(lambda g: _moves(g, pos))
+    for on_system, run in groupby(c.gates, lambda g: all(q in pos for q in g.qubits)):
+        if on_system:
+            states = kernels.apply_blocks(states, n_sys, _blocks(run, pos, build))
             continue
-        ctrl, tgt = g.qubits
-        if ctrl in pos and tgt in pos:
-            kernels.apply_controlled_one_qubit(
-                states, n_sys, pos[ctrl], pos[tgt], GATE_1Q[kind[1:]]
-            )
-        elif ctrl in pos:
-            if kind != "CZ":
-                raise ValueError(
-                    f"cannot track a system-controlled {kind} onto a selection qubit"
-                )
-            kernels.apply_one_qubit(states, n_sys, pos[ctrl], GATE_1Q["Z"], bits[tgt])
-        elif tgt in pos:
-            kernels.apply_one_qubit(states, n_sys, pos[tgt], GATE_1Q[kind[1:]], bits[ctrl])
-        else:
-            _track(kind[1:], bits, tgt, phase, bits[ctrl])
-    for q in sel:
-        moved = np.flatnonzero(bits[q] != start[q])
-        if moved.size:
-            word = int(words[moved[0]])
-            raise ValueError(f"selection register was not restored for word {word:0{width}b}")
-    return phase
+        for g in run:
+            axes, parts = moves(g)
+            ons = [np.logical_and.reduce([bits[q] == b for q, b in pattern]) for pattern, _, _ in parts]
+            for (_, flip, u), on in zip(parts, ons):
+                bits.update({q: bits[q] ^ on for q in flip})
+                if not axes:
+                    phase[on] *= u[0, 0]
+                elif len(axes) == 1:
+                    kernels.apply_one_qubit(states, n_sys, axes[0], u, on)
+                elif on.any():
+                    sub = states.compress(on, axis=1)  # C order, unlike states[:, on]
+                    states[:, on] = kernels.apply_blocks(sub, n_sys, [(axes, u)])
+    moved = np.flatnonzero(np.any([bits[q] != start[q] for q in sel], axis=0))
+    if moved.size:
+        raise ValueError(f"selection register was not restored for word {int(words[moved[0]]):0{width}b}")
+    return phase, states
 
 
 def apply_classical_control(
@@ -271,14 +272,12 @@ def apply_classical_control(
     of ``system_state``: the phases get one entry per word and the
     states a word axis after the system index.
     """
-    system, _ = _selection_qubits(c)
-    n_sys = len(system)
+    n_sys = len(_selection_qubits(c)[0])
     state = np.asarray(system_state, dtype=np.complex128)
     if state.shape != (1 << n_sys,):
         raise ValueError(f"system state must have {1 << n_sys} amplitudes")
     words = np.atleast_1d(np.asarray(selection_bits, dtype=np.int64))
-    states = np.repeat(state[:, None], len(words), axis=1)
-    phase = _walk(c, list(terminal_gates(c.gates)), words, states)
+    phase, states = _walk(c, words, state)
     if np.ndim(selection_bits) == 0:
         return complex(phase[0]), states[:, 0]
     return phase, states
@@ -299,7 +298,9 @@ def verify_select(
     circuit with classical selection bits on a batch of random system
     states and compares with ``pauli_apply`` of the decoded string.
     Words are walked together, in chunks of at most ``_CHUNK_AMPLITUDES``
-    amplitudes, or of one word when a word alone holds more.
+    amplitudes, or of one word when a word alone holds more.  The walk
+    plays the circuit's macros un-lowered and fuses its runs of system
+    gates into blocks (``_walk``).
 
     Returns a report dict with the worst amplitude error, the word that
     reached it (``worst_word``, its selection bits) and its decoded
@@ -319,15 +320,14 @@ def verify_select(
     dim = 1 << len(circuit.register_labels["system"])
     base = rng.standard_normal((dim, trials)) + 1j * rng.standard_normal((dim, trials))
     base /= np.linalg.norm(base, axis=0, keepdims=True)
-    gates = list(terminal_gates(circuit.gates))
     chunk = max(1, _CHUNK_AMPLITUDES // (dim * trials))
 
     max_error = 0.0
     worst_word = worst_string = None
     for lo in range(0, len(all_words), chunk):
         batch_words = all_words[lo : lo + chunk]
-        states = np.repeat(base[:, None, :], len(batch_words), axis=1)
-        states *= _walk(circuit, gates, batch_words, states)[:, None]
+        phase, states = _walk(circuit, batch_words, base)
+        states *= phase[:, None]
         for i, word in enumerate(batch_words.tolist()):
             target = decode_index(word, layout)
             err = float(np.abs(states[:, i] - pauli_apply(target, base)).max())

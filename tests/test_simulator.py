@@ -1,12 +1,13 @@
 """Statevector kernels, dense simulation, and classical selection tracking."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fermiselect import kernels, select_synth, simulator
-from fermiselect.circuit_ir import Circuit, lower_macros
+from fermiselect.circuit_ir import MACRO_KINDS, Circuit, Gate, lower_macros
 from fermiselect.pauli import PauliString, pauli_apply
 from fermiselect.select_synth import (
     SelectionLayout,
@@ -186,7 +187,7 @@ def _dense_reference(c):
 def test_fused_route_matches_kronecker_reference(n, rng):
     c = _random_circuit(n, 60, rng)
     want = _dense_reference(c)
-    blocks = list(simulator._blocks(c))
+    blocks = list(simulator._blocks(c.gates, range(n)))
     if n > 5:
         # the plan closes blocks at the width limit
         assert max(len(qs) for qs, _ in blocks) == 5 and len(blocks) > 1
@@ -425,6 +426,138 @@ def test_classical_walk_tracks_every_diagonal_and_antidiagonal_gate(circuit, rng
         assert np.abs(ref).max() < 1e-12
 
 
+# --- the walk on un-lowered macros -------------------------------------------
+
+# selection qubits 0, 1 and 2, system qubits 3, 4 and 5: every macro kind on
+# system qubits alone, on selection qubits alone, and across the registers
+# with its selection qubits as controls.  ``lowered`` says whether the walk
+# can also play the macro's terminal expansion, gate by gate: some expansions
+# run a CX from a system qubit onto a selection qubit, whose matrix alone
+# mixes that qubit's values.
+_MACRO_CASES = [
+    # (kind, qubits, lowered)
+    ("SWAP", (3, 5), True),
+    ("CS", (4, 3), True),
+    ("CSdg", (3, 5), True),
+    ("CCZ", (3, 4, 5), True),
+    ("TOFFOLI", (5, 3, 4), True),
+    ("CSWAP", (4, 5, 3), True),
+    ("CSWAP_STAR", (3, 4, 5), True),
+    ("CS", (0, 2), True),
+    ("CSdg", (1, 0), True),
+    ("CCZ", (0, 1, 2), True),
+    ("CS", (1, 4), True),
+    ("CSdg", (0, 5), True),
+    ("CS", (4, 1), False),
+    ("CSdg", (5, 0), False),
+    ("CSWAP", (0, 3, 5), True),
+    ("CSWAP_STAR", (2, 4, 3), True),
+    ("CCZ", (1, 3, 4), True),
+    ("CCZ", (0, 2, 5), True),
+    ("CCZ", (3, 1, 4), False),
+    ("TOFFOLI", (2, 3, 4), True),
+    ("TOFFOLI", (0, 1, 5), True),
+    ("TOFFOLI", (4, 1, 3), False),
+]
+
+
+def _macro_circuit(kind, qubits):
+    """The macro between system gates and flips of selection qubit 0, so
+    that it sees a bit pattern other than the word's."""
+    c = Circuit(6, [], {"system": (3, 4, 5)})
+    c.add("H", 3)
+    c.add("T", 5)
+    c.add("X", 0)
+    c.add(kind, *qubits)
+    c.add("X", 0)
+    c.add("H", 4)
+    return c
+
+
+def test_macro_cases_cover_every_macro_kind():
+    assert {kind for kind, _, _ in _MACRO_CASES} == MACRO_KINDS
+
+
+@pytest.mark.parametrize(
+    "kind,qubits,lowered", _MACRO_CASES, ids=[f"{k}{q}" for k, q, _ in _MACRO_CASES]
+)
+def test_walk_plays_unlowered_macros_like_their_expansion(kind, qubits, lowered, rng):
+    c = _macro_circuit(kind, qubits)
+    words = list(range(8))
+    psi = random_state(3, rng)
+    phases, outs = apply_classical_control(c, words, psi)
+    got = phases * outs
+    if lowered:
+        low_phases, low_outs = apply_classical_control(lower_macros(c), words, psi)
+        assert np.abs(got - low_phases * low_outs).max() < 1e-12
+    else:
+        with pytest.raises(ValueError, match=r"cannot track CX\(\d, [012]\)"):
+            apply_classical_control(lower_macros(c), words, psi)
+    for word in words:
+        full = np.zeros(64, dtype=complex)
+        full[8 * word : 8 * word + 8] = psi
+        ref = apply_circuit(c, full)
+        assert np.abs(got[:, word] - ref[8 * word : 8 * word + 8]).max() < 1e-12
+        ref[8 * word : 8 * word + 8] = 0
+        assert np.abs(ref).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "kind,qubits",
+    [("TOFFOLI", (3, 4, 0)), ("SWAP", (1, 4)), ("CSWAP", (3, 0, 5)), ("CSWAP_STAR", (2, 1, 4))],
+)
+def test_walk_rejects_a_macro_that_mixes_selection_patterns(kind, qubits):
+    # each moves amplitude between values of a selection bit
+    c = _macro_circuit(kind, qubits)
+    with pytest.raises(ValueError, match=re.escape(f"{kind}{qubits}")):
+        apply_classical_control(c, list(range(8)), zero_state(3))
+
+
+def test_moves_keep_only_what_acts():
+    # a controlled macro is the identity where its controls are not all set;
+    # those words are left alone, although the expansion's matrix for them
+    # holds A·A† products that are the identity only up to rounding
+    pos = {3: 0, 4: 1, 5: 2}
+    for kind, qubits, pattern in [
+        ("CSWAP_STAR", (0, 4, 3), [1]),
+        ("CSWAP", (2, 3, 5), [1]),
+        ("TOFFOLI", (0, 1, 5), [1, 1]),
+        ("CCZ", (4, 2, 1), [1, 1]),
+    ]:
+        axes, parts = simulator._moves(Gate(kind, qubits), pos)
+        sel = [q for q in qubits if q < 3]
+        assert axes == [pos[q] for q in qubits if q >= 3]
+        assert [(p, flip) for p, flip, _ in parts] == [(list(zip(sel, pattern)), [])], kind
+    # on selection qubits alone: a flip for each pattern, a phase for one
+    axes, parts = simulator._moves(Gate("CX", (2, 0)), pos)
+    assert axes == [] and [(p, flip) for p, flip, _ in parts] == [
+        ([(2, 1), (0, 0)], [0]), ([(2, 1), (0, 1)], [0])
+    ]
+    axes, parts = simulator._moves(Gate("S", (1,)), pos)
+    assert [(p, flip, u.tolist()) for p, flip, u in parts] == [([(1, 1)], [], [[1j]])]
+
+
+def test_walk_builds_each_repeated_block_once(monkeypatch):
+    # the same system run four times, split by selection-controlled gates
+    c = Circuit(4, [], {"system": (1, 2, 3)})
+    for _ in range(4):
+        c.add("H", 1)
+        c.add("A", 2)
+        c.add("CX", 1, 3)
+        c.add("CZ", 0, 2)
+    built = []
+    real = simulator._block_unitary
+
+    def counting(qubits, gates):
+        built.append(tuple(gates))
+        return real(qubits, gates)
+
+    monkeypatch.setattr(simulator, "_block_unitary", counting)
+    apply_classical_control(c, [0, 1], random_state(3, 5))
+    # one build for the run and one for the selection-controlled CZ
+    assert sorted(map(len, built)) == [1, 3]
+
+
 # --- verify_select ---------------------------------------------------------------
 
 
@@ -468,6 +601,54 @@ def test_verify_select_names_the_failing_word(monkeypatch):
     assert rep["worst_string"] == str(decode_index(int(rep["worst_word"], 2), lay))
     unset = [w for w in lay.valid_states() if not w & 1]
     assert verify_select(3, 2, "star", trials=2, seed=4, words=unset)["pass"]
+
+
+def _selection_controlled_cswap(c, system):
+    return [i for i, g in enumerate(c.gates) if g.kind == "CSWAP" and g.qubits[0] not in system]
+
+
+def _ccz(c, system):
+    return [i for i, g in enumerate(c.gates) if g.kind == "CCZ"]
+
+
+def _a_inside_a_system_run(c, system):
+    # an A between two gates on system qubits alone: the walk fuses all three
+    on_system = [set(g.qubits) <= system for g in c.gates]
+    return [
+        i for i, g in enumerate(c.gates)
+        if g.kind == "A" and on_system[i - 1] and on_system[i + 1]
+    ]
+
+
+@pytest.mark.parametrize(
+    "n,k,variant,candidates",
+    [
+        (4, 2, "plain", _selection_controlled_cswap),
+        (3, 4, "star", _ccz),
+        (5, 2, "star", _a_inside_a_system_run),
+    ],
+    ids=["k2-plain-cswap", "k4-star-ccz", "k2-star-fused-A"],
+)
+def test_verify_select_fails_without_one_gate(n, k, variant, candidates, monkeypatch):
+    # negative controls over every valid word: the middle candidate gate goes
+    real = simulator.controlled_select
+
+    def broken(n, k, variant):
+        c = real(n, k, variant)
+        found = candidates(c, set(c.register_labels["system"]))
+        assert found
+        del c.gates[found[len(found) // 2]]
+        return c
+
+    monkeypatch.setattr(simulator, "controlled_select", broken)
+    lay = SelectionLayout(n, k, "k2" if k == 2 else "general")
+    rep = verify_select(n, k, variant, trials=2, seed=6)
+    assert not rep["pass"] and rep["max_error"] > 0.1
+    word = int(rep["worst_word"], 2)
+    assert len(rep["worst_word"]) == lay.width and word in set(lay.valid_states())
+    assert rep["worst_string"] == str(decode_index(word, lay))
+    alone = verify_select(n, k, variant, trials=2, seed=6, words=[word])
+    assert not alone["pass"] and alone["worst_word"] == rep["worst_word"]
 
 
 def test_verify_select_fails_when_the_expected_string_is_wrong(monkeypatch):
