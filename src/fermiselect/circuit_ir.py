@@ -95,6 +95,9 @@ class Circuit:
     n_qubits: int
     gates: list[Gate] = field(default_factory=list)
     register_labels: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    # (start, body, end, stop, how) per block wrapped in place: gates [start, body) open it,
+    # [end, stop) close it, and ``how`` is the wrapper and its arguments after the circuit
+    spans: list[tuple] = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for g in self.gates:
@@ -201,12 +204,15 @@ def conjugated(c: Circuit, net: Circuit, qubit_map: Optional[Sequence[int]] = No
     """Wrap the gates the block adds to c as net · block · net†.
 
     The net is remapped once; its inverse is built from those remapped
-    gates.  Yields c.
+    gates.  Yields c, and notes the span in ``c.spans``.
     """
     gates = _remapped(c, net, qubit_map)
+    start = len(c.gates)
     c.gates.extend(gates)
     yield c
+    end = len(c.gates)
     c.gates.extend(_inverted(gates))
+    c.spans.append((start, start + len(gates), end, len(c.gates), (conjugated, net, qubit_map)))
 
 
 def _ccz_network(a: int, b: int, c: int) -> list[Gate]:

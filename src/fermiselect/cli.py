@@ -8,7 +8,7 @@ Subcommands:
   two-qubit gates, and print it in text form.
 * ``resources``  — measure catalogued components against their
   closed-form costs and print a CSV.
-* ``verify``     — run the state-by-state oracle check and print a JSON
+* ``verify``     — run the exact basis-state oracle check and print a JSON
   report; exit 1 when it fails.
 
 Hamiltonian files hold one term per line, ``<re> <im> : <factor>...``

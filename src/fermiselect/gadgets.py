@@ -303,17 +303,16 @@ def basis_change(c: Circuit, qubits: Sequence[int], letter: str):
     """Run the block in the ``letter`` frame of ``qubits``: Z there acts as X or Y.
 
     Before the block each qubit gets H (X) or Sdg·H (Y, time order);
-    after it, H or H·S.
+    after it, H or H·S.  Notes the span in ``c.spans``.
     """
-    for q in qubits:
-        if letter == "Y":
-            c.add("Sdg", q)
-        c.add("H", q)
+    y = letter == "Y"
+    start = len(c.gates)
+    c.extend(Gate(kind, (q,)) for q in qubits for kind in (("Sdg", "H") if y else ("H",)))
+    body = len(c.gates)
     yield c
-    for q in qubits:
-        c.add("H", q)
-        if letter == "Y":
-            c.add("S", q)
+    end = len(c.gates)
+    c.extend(Gate(kind, (q,)) for q in qubits for kind in (("H", "S") if y else ("H",)))
+    c.spans.append((start, body, end, len(c.gates), (basis_change, qubits, letter)))
 
 
 def _inject_into(c: Circuit, net: Circuit, net_map: Sequence[int], u: str, *qubits: int) -> None:

@@ -2,11 +2,9 @@
 
 An amplitude array has shape ``(2**n, *batch)``: the n qubits index the
 leading axis, qubit 0 most significant (weight ``2**(n-1-q)``), and any
-trailing axes are independent states (words, trials, or the columns of
-a unitary).  The array must be C-contiguous, so that its reshaped
-views write through.  ``mask``, when given, is a boolean array over the
-first trailing axis; the gate then acts only where it is set, and as
-the identity elsewhere.
+trailing axes are independent states (the columns of a unitary, or a
+batch of states).  The array must be C-contiguous, so that its reshaped
+views write through.
 
 Each one-qubit update picks a path from the 2×2 matrix: a diagonal one
 (Z, S, T) multiplies the half where the target is 1 (and the other half,
@@ -15,11 +13,11 @@ halves and then applies its phases; any other one (H, A) does the
 general 2×2 update.
 
 ``apply_blocks`` applies a sequence of small dense matrices instead, one
-matmul per block over the whole array, for the dense route and the
-classical walk alike.  It works in two state-size buffers, the input and
-one spare, and moves each block's qubits to the front by a transposing
-copy into the spare.  The axis order is tracked between blocks and
-restored once at the end, so a block costs one copy and one matmul.
+matmul per block over the whole array, for the dense route.  It works in
+two state-size buffers, the input and one spare, and moves each block's
+qubits to the front by a transposing copy into the spare.  The axis
+order is tracked between blocks and restored once at the end, so a block
+costs one copy and one matmul.
 """
 
 from __future__ import annotations
@@ -30,46 +28,30 @@ import numpy as np
 
 
 def _pairs(amps: np.ndarray, n: int, t: int, c: Optional[int] = None):
-    """A view of amps with qubit t on its own axis (where qubit c is 1),
-    that axis, and the word axis."""
+    """A view of amps with qubit t on its own axis (where qubit c is 1), and that axis."""
     batch = amps.shape[1:]
     if c is None:
-        return amps.reshape((1 << t, 2, 1 << (n - 1 - t)) + batch), 1, 3
+        return amps.reshape((1 << t, 2, 1 << (n - 1 - t)) + batch), 1
     lo, hi = (c, t) if c < t else (t, c)
     view = amps.reshape((1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (n - 1 - hi)) + batch)
     if c < t:
-        return view[:, 1], 2, 4
-    return view[:, :, :, 1], 1, 4
+        return view[:, 1], 2
+    return view[:, :, :, 1], 1
 
 
-def _update(
-    v: np.ndarray, axis: int, word: int, mat: np.ndarray, mask: Optional[np.ndarray]
-) -> None:
-    """mat on ``axis`` of v, in place; ``mask`` selects along ``word``.
+def _update(v: np.ndarray, axis: int, mat: np.ndarray) -> None:
+    """mat on ``axis`` of v, in place.
 
     No numpy call reads one half of ``axis`` into the other: the halves
     interleave, so numpy would copy the operand first, and two large
     temporaries alive at once cost fresh pages on every call.  Each path
     keeps at most one temporary.
     """
-    if mask is not None:
-        if not mask.any():
-            return
-        if mask.all():
-            mask = None
     m00, m01, m10, m11 = mat.ravel()
     if m01 == 0 and m10 == 0:
         for bit, d in ((0, m00), (1, m11)):
             if d != 1:
-                if mask is not None:
-                    d = np.where(mask, d, 1).reshape(mask.shape + (1,) * (v.ndim - word - 1))
                 v[(slice(None),) * axis + (bit,)] *= d
-        return
-    if mask is not None:
-        index = (slice(None),) * word + (mask,)
-        sub = v[index]
-        _update(sub, axis, word, mat, None)
-        v[index] = sub
         return
     pair = [1] * v.ndim
     pair[axis] = 2
@@ -84,23 +66,14 @@ def _update(
     v += swapped
 
 
-def apply_one_qubit(
-    amps: np.ndarray, n: int, q: int, mat: np.ndarray, mask: Optional[np.ndarray] = None
-) -> None:
+def apply_one_qubit(amps: np.ndarray, n: int, q: int, mat: np.ndarray) -> None:
     """In-place single-qubit update amps <- (I ⊗ mat ⊗ I) amps."""
-    _update(*_pairs(amps, n, q), mat, mask)
+    _update(*_pairs(amps, n, q), mat)
 
 
-def apply_controlled_one_qubit(
-    amps: np.ndarray,
-    n: int,
-    c: int,
-    t: int,
-    mat: np.ndarray,
-    mask: Optional[np.ndarray] = None,
-) -> None:
+def apply_controlled_one_qubit(amps: np.ndarray, n: int, c: int, t: int, mat: np.ndarray) -> None:
     """In-place controlled update: mat on qubit t where qubit c is 1."""
-    _update(*_pairs(amps, n, t, c), mat, mask)
+    _update(*_pairs(amps, n, t, c), mat)
 
 
 def apply_blocks(

@@ -41,9 +41,9 @@ not commute with a_p).
 ``pauli_mul`` and ``pauli_apply`` stay letter-based on purpose: they are
 the oracle's code path, and sharing no code with the transform (or with
 the decoder) keeps them an independent check of it.  ``pauli_apply`` is
-the reference oracle the rest of the package is tested against; it is a
-direct vectorized implementation of the flip/phase action of a Pauli
-string and deliberately shares no code with the circuit simulator.
+the reference oracle the rest of the package is tested against; it and
+``simulator.verify_select`` read a string's flip/phase action from
+``_action_masks``, which deliberately shares no code with the simulator.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ __all__ = [
     "jw_transform",
 ]
 
-_TOL = 1e-12
+_RESIDUE = 1e-12
 _LETTER_SET = frozenset("IXYZ")
 
 # (a, b) -> (a*b letter, power of i picked up).  Products follow the cyclic
@@ -143,6 +143,12 @@ def _parity(v: np.ndarray) -> np.ndarray:
     return (v & 1).astype(bool)
 
 
+def _action_masks(p: PauliString) -> tuple[int, int, int]:
+    """(flip, yz, #Y) of P |b> = i**(phase+#Y) * (-1)^(b . yz) |b XOR flip>, qubit 0 the top bit."""
+    bits = lambda letters: int("0" + "".join("01"[c in letters] for c in p.letters), 2)  # noqa: E731
+    return bits("XY"), bits("YZ"), p.letters.count("Y")
+
+
 def pauli_apply(p: PauliString, amps: np.ndarray) -> np.ndarray:
     """Apply a Pauli string to a statevector (reference oracle).
 
@@ -163,17 +169,7 @@ def pauli_apply(p: PauliString, amps: np.ndarray) -> np.ndarray:
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.ndim not in (1, 2) or amps.shape[0] != 1 << n:
         raise ValueError(f"state has shape {amps.shape}, expected ({1 << n},) or ({1 << n}, m)")
-    flip = 0
-    diag = 0
-    n_y = 0
-    for j, letter in enumerate(p.letters):
-        bit = 1 << (n - 1 - j)
-        if letter in ("X", "Y"):
-            flip |= bit
-        if letter in ("Y", "Z"):
-            diag |= bit
-        if letter == "Y":
-            n_y += 1
+    flip, diag, n_y = _action_masks(p)
     idx = np.arange(1 << n, dtype=np.int64)
     coeff = (1j ** ((p.phase + n_y) % 4)) * np.where(_parity(idx & diag), -1.0, 1.0)
     out = np.empty_like(amps)
@@ -408,7 +404,7 @@ def _collect(terms: Iterable[FermionTerm], n: int) -> PauliLCU:
     A term with ``include_hc`` contributes c and its conjugate to each
     string (bare letter-strings are Hermitian, so conjugating the
     coefficients conjugates the operator).  A string's sum that is
-    exactly zero, or below ``_TOL`` times the largest contribution merged
+    exactly zero, or below ``_RESIDUE`` times the largest contribution merged
     into that string, is cancellation residue and is dropped.
     """
     acc: dict[int, complex] = {}
@@ -430,7 +426,7 @@ def _collect(terms: Iterable[FermionTerm], n: int) -> PauliLCU:
     for key, c in acc.items():
         if not c:
             continue
-        cutoff = _TOL * scale[key]
+        cutoff = _RESIDUE * scale[key]
         if abs(c) < cutoff:
             continue
         letters = _letters(key, n)

@@ -69,7 +69,7 @@ from conftest import permutation_matrix
 @pytest.mark.parametrize("variant", ["plain", "star"])
 @pytest.mark.parametrize("n", [4, 8])
 def test_criterion_01_oracle_equivalence_k2(n, variant):
-    """All C(n,2)*8 valid selection words, 20 seeded system states, <= 1e-9."""
+    """All C(n,2)*8 valid selection words, every system basis state, <= 1e-9."""
     report = verify_select(n, 2, variant, trials=20, seed=1)
     assert report["states_checked"] == math.comb(n, 2) * 8
     assert report["max_error"] <= 1e-9
@@ -122,7 +122,8 @@ SPECIES = {
 @pytest.mark.parametrize("variant", ["plain", "star"])
 @pytest.mark.parametrize("species", sorted(SPECIES))
 def test_criterion_03_term_species_k4(species, variant):
-    """Each species' encoded words verify against the Pauli oracle, <= 1e-9."""
+    """Each species' encoded words verify against the Pauli oracle on every
+    system basis state, <= 1e-9."""
     n, k = 4, 4
     lcu = jw_transform(FermionHamiltonian(n, k, (SPECIES[species],)))
     layout = SelectionLayout(n, k, "general")

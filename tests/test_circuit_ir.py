@@ -31,6 +31,7 @@ from fermiselect.gadgets import (
     GADGETS,
     MultiSwapLayout,
     address_bits,
+    basis_change,
     cswap_phase_incorrect,
     fanout_cnot,
     inject,
@@ -299,6 +300,19 @@ def test_conjugated_remaps_once_and_inverts():
     assert [(g.kind, g.qubits) for g in c.gates] == [
         ("S", (2,)), ("CX", (2, 0)), ("Z", (1,)), ("CX", (2, 0)), ("Sdg", (2,)),
     ]
+
+
+def test_wrappers_note_their_spans_beside_the_gate_list():
+    net = Circuit(2, [Gate("CX", (0, 1))])
+    c = Circuit(3)
+    with conjugated(c, net, [1, 2]):
+        with basis_change(c, [0], "Y"):
+            c.add("Z", 0)
+    assert [g.kind for g in c.gates] == ["CX", "Sdg", "H", "Z", "H", "S", "CX"]
+    assert c.spans == [(1, 3, 4, 6, (basis_change, [0], "Y")), (0, 1, 6, 7, (conjugated, net, [1, 2]))]
+    # equality, copies and emission ignore them
+    assert c == Circuit(3, list(c.gates)) and compose(c, Circuit(3)).spans == []
+    assert "span" not in repr(c) and emit_text(lower_macros(c)) == emit_text(Circuit(3, list(c.gates)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])

@@ -5,11 +5,13 @@ References are dense matrices assembled from first principles
 and compared block by block.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from fermiselect import gadgets
-from fermiselect.circuit_ir import Circuit, chain_depth, lower_macros, schedule
+from fermiselect.circuit_ir import Circuit, Gate, chain_depth, expand_macro, lower_macros, schedule
 from fermiselect.simulator import apply_circuit, basis_state, unitary_of
 
 from conftest import dense_pauli, permutation_matrix
@@ -209,6 +211,70 @@ def test_swap_up_star_costs(n):
     rep = schedule(c)
     assert rep.t_count == 4 * (n - 1)
     assert rep.t_depth <= 4 * gadgets.address_bits(n)
+
+
+def _star_levels(n):
+    """(control, data pairs, gates) of each level of swap_up_star(n), top level
+    first; checks that every level is its CSWAP_STAR macros' first four gates,
+    one CX fanout of the control onto each pair's second qubit, and the
+    macros' last four gates."""
+    bits = gadgets.address_bits(n)
+    gates = gadgets.swap_up_star(n).gates
+    at, levels = 0, []
+    for j, _, pairs in gadgets._swap_levels(n):
+        control, pairs = bits - 1 - j, [(bits + a, bits + b) for a, b in pairs]
+        macros = [expand_macro(Gate("CSWAP_STAR", (control, a, b))) for a, b in pairs]
+        assert all(m[4] == Gate("CX", (control, b)) for m, (_, b) in zip(macros, pairs))
+        assert len({q for pair in pairs for q in pair} | {control}) == 2 * len(pairs) + 1
+        heads = [g for m in macros for g in m[:4]]
+        tails = [g for m in macros for g in m[5:]]
+        start, at = at, at + len(heads)
+        assert gates[start:at] == heads
+        fan = list(itertools.takewhile(lambda g: g.kind == "CX", gates[at:]))
+        # over GF(2) the fanout adds the control to each second qubit and
+        # leaves every other qubit alone
+        value = {q: 1 << q for q in range(bits + n)}
+        for g in fan:
+            value[g.qubits[1]] ^= value[g.qubits[0]]
+        assert value == {q: 1 << q | (1 << control if q in {b for _, b in pairs} else 0) for q in value}
+        at += len(fan)
+        assert gates[at : at + len(tails)] == tails
+        at += len(tails)
+        levels.append((control, pairs, gates[start:at]))
+    assert at == len(gates)
+    return levels
+
+
+def test_swap_up_star_levels_are_products_of_cswap_star():
+    # the pairs' halves touch disjoint qubits and the fanout's CXs share one
+    # control, so each level equals the product of its CSWAP_STAR macros
+    for n in range(2, 65):
+        _star_levels(n)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_swap_up_star_levels_match_their_macros_densely(n):
+    for control, pairs, gates in _star_levels(n):
+        qubits = [control] + [q for pair in pairs for q in pair]
+        local = {q: i for i, q in enumerate(qubits)}
+        level = Circuit(len(qubits), [Gate(g.kind, tuple(local[q] for q in g.qubits)) for g in gates])
+        macros = Circuit(len(qubits), [Gate("CSWAP_STAR", (0, local[a], local[b])) for a, b in pairs])
+        assert np.abs(unitary_of(level) - unitary_of(macros)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_swap_up_star_is_a_sign_diagonal_times_its_cswaps(n):
+    # swap_up_star(n) = D·Π: Π the plain CSWAPs of its levels, D diagonal ±1
+    width = gadgets.address_bits(n) + n
+    image = np.arange(1 << width)  # where Π sends each basis state
+    for control, pairs, _ in _star_levels(n):
+        for a, b in pairs:
+            bit = lambda q: image >> (width - 1 - q) & 1  # noqa: E731
+            swapped = image ^ (1 << (width - 1 - a)) ^ (1 << (width - 1 - b))
+            image = np.where(bit(control) & (bit(a) ^ bit(b)), swapped, image)
+    u = unitary_of(gadgets.swap_up_star(n))
+    signs = u[image, np.arange(1 << width)]
+    assert np.abs(np.abs(signs.real) - 1).max() < 1e-12 and np.abs(signs.imag).max() < 1e-12
 
 
 def test_variant_validation():

@@ -1,13 +1,13 @@
 """Statevector kernels, dense simulation, and classical selection tracking."""
 
-import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fermiselect import kernels, select_synth, simulator
-from fermiselect.circuit_ir import MACRO_KINDS, Circuit, Gate, lower_macros
+from fermiselect.circuit_ir import MACRO_KINDS, Circuit, Gate, conjugated, lower_macros
+from fermiselect.gadgets import swap_up_star
 from fermiselect.pauli import PauliString, pauli_apply
 from fermiselect.select_synth import (
     SelectionLayout,
@@ -94,7 +94,7 @@ def test_controlled_kernels_match_dense(n, c, t, rng):
     assert np.abs(got - want).max() < 1e-12
 
 
-# one matrix per fast path: diagonal (Z, T), anti-diagonal (X, Y), dense (H, A)
+# matrices of every shape: diagonal (Z, T), anti-diagonal (X, Y), dense (H, A)
 _FAST_PATHS = ["Z", "T", "X", "Y", "H", "A"]
 
 
@@ -104,6 +104,7 @@ _FAST_PATHS = ["Z", "T", "X", "Y", "H", "A"]
 )
 @pytest.mark.parametrize("qubits", [(2,), (0,), (1, 3), (3, 0)])
 def test_kernel_fast_paths_match_dense(kind, batch, masked, qubits, rng):
+    # the kernels take no mask: a caller masks by running them on the states it selects
     n = 4
     mat = GATE_1Q[kind]
     if len(qubits) == 1:
@@ -120,10 +121,13 @@ def test_kernel_fast_paths_match_dense(kind, batch, masked, qubits, rng):
     if masked:
         want[:, ~mask] = v[:, ~mask]
     got = v.copy()
+    sub = got[:, mask] if masked else got
     if len(qubits) == 1:
-        kernels.apply_one_qubit(got, n, qubits[0], mat, mask)
+        kernels.apply_one_qubit(sub, n, qubits[0], mat)
     else:
-        kernels.apply_controlled_one_qubit(got, n, *qubits, mat, mask)
+        kernels.apply_controlled_one_qubit(sub, n, *qubits, mat)
+    if masked:
+        got[:, mask] = sub
     assert np.abs(got - want).max() < 1e-12
 
 
@@ -337,7 +341,7 @@ def test_classical_control_requires_system_label():
 def test_classical_control_rejects_superposing_gates():
     c = Circuit(2, [], {"system": (1,)})
     c.add("H", 0)
-    with pytest.raises(ValueError, match="selection"):
+    with pytest.raises(ValueError, match=r"cannot play H\(0,\) on basis states"):
         apply_classical_control(c, 0, zero_state(1))
 
 
@@ -368,14 +372,15 @@ def test_classical_control_rejects_out_of_range_words():
 
 
 def test_classical_control_tracks_phases():
-    # Sdg on a set selection bit contributes -i; CZ between set bits -1
+    # Sdg on a set selection bit contributes -i; CZ between set bits -1; the
+    # state carries every phase
     c = Circuit(3, [], {"system": (2,)})
     c.add("Sdg", 0)
     c.add("CZ", 0, 1)
-    phase, _ = apply_classical_control(c, 0b11, zero_state(1))
-    assert abs(phase - (-1j) * (-1)) < 1e-12
-    phase, _ = apply_classical_control(c, 0b01, zero_state(1))
-    assert abs(phase - 1) < 1e-12
+    phase, out = apply_classical_control(c, 0b11, zero_state(1))
+    assert phase == 1 and np.abs(out - (-1j) * (-1) * zero_state(1)).max() < 1e-12
+    phase, out = apply_classical_control(c, 0b01, zero_state(1))
+    assert phase == 1 and np.abs(out - zero_state(1)).max() < 1e-12
 
 
 def test_classical_control_selection_to_system_gates():
@@ -389,10 +394,10 @@ def test_classical_control_selection_to_system_gates():
 
 
 def _restored(*gates):
-    """Selection qubits 0 and 1, system qubits 2 and 3: an H and a
+    """Selection qubits 0 and 1, system qubits 2 and 3: a Y and a
     selection-controlled CX and CZ on the system, then ``gates``."""
     c = Circuit(4, [], {"system": (2, 3)})
-    c.add("H", 2)
+    c.add("Y", 2)
     c.add("CX", 1, 3)
     c.add("CZ", 0, 2)
     for kind, *qubits in gates:
@@ -431,32 +436,31 @@ def test_classical_walk_tracks_every_diagonal_and_antidiagonal_gate(circuit, rng
 # selection qubits 0, 1 and 2, system qubits 3, 4 and 5: every macro kind on
 # system qubits alone, on selection qubits alone, and across the registers
 # with its selection qubits as controls.  ``lowered`` says whether the walk
-# can also play the macro's terminal expansion, gate by gate: some expansions
-# run a CX from a system qubit onto a selection qubit, whose matrix alone
-# mixes that qubit's values.
+# can also play the macro's terminal expansion, gate by gate: the expansions
+# that hold H or A gates do not send basis states to basis states.
 _MACRO_CASES = [
     # (kind, qubits, lowered)
     ("SWAP", (3, 5), True),
     ("CS", (4, 3), True),
     ("CSdg", (3, 5), True),
     ("CCZ", (3, 4, 5), True),
-    ("TOFFOLI", (5, 3, 4), True),
-    ("CSWAP", (4, 5, 3), True),
-    ("CSWAP_STAR", (3, 4, 5), True),
+    ("TOFFOLI", (5, 3, 4), False),
+    ("CSWAP", (4, 5, 3), False),
+    ("CSWAP_STAR", (3, 4, 5), False),
     ("CS", (0, 2), True),
     ("CSdg", (1, 0), True),
     ("CCZ", (0, 1, 2), True),
     ("CS", (1, 4), True),
     ("CSdg", (0, 5), True),
-    ("CS", (4, 1), False),
-    ("CSdg", (5, 0), False),
-    ("CSWAP", (0, 3, 5), True),
-    ("CSWAP_STAR", (2, 4, 3), True),
+    ("CS", (4, 1), True),
+    ("CSdg", (5, 0), True),
+    ("CSWAP", (0, 3, 5), False),
+    ("CSWAP_STAR", (2, 4, 3), False),
     ("CCZ", (1, 3, 4), True),
     ("CCZ", (0, 2, 5), True),
-    ("CCZ", (3, 1, 4), False),
-    ("TOFFOLI", (2, 3, 4), True),
-    ("TOFFOLI", (0, 1, 5), True),
+    ("CCZ", (3, 1, 4), True),
+    ("TOFFOLI", (2, 3, 4), False),
+    ("TOFFOLI", (0, 1, 5), False),
     ("TOFFOLI", (4, 1, 3), False),
 ]
 
@@ -465,13 +469,35 @@ def _macro_circuit(kind, qubits):
     """The macro between system gates and flips of selection qubit 0, so
     that it sees a bit pattern other than the word's."""
     c = Circuit(6, [], {"system": (3, 4, 5)})
-    c.add("H", 3)
+    c.add("Y", 3)
     c.add("T", 5)
     c.add("X", 0)
     c.add(kind, *qubits)
     c.add("X", 0)
-    c.add("H", 4)
+    c.add("X", 4)
     return c
+
+
+@pytest.mark.parametrize("payload", ["Z", "X"])
+def test_star_span_plays_as_its_cswaps_only_around_a_diagonal_body(payload, rng):
+    # the star network is D·Π; D cancels around a diagonal body only
+    net = swap_up_star(3)
+    c = Circuit(net.n_qubits, [], {"system": tuple(range(2, 5))})
+    with conjugated(c, net, range(5)):
+        c.add(payload, 2)
+    words, psi = [0, 1, 2, 3], random_state(3, rng)
+    if payload == "X":
+        with pytest.raises(ValueError, match="not diagonal"):
+            apply_classical_control(c, words, psi)
+        return
+    phases, outs = apply_classical_control(c, words, psi)
+    for word in words:
+        full = np.zeros(32, dtype=complex)
+        full[8 * word : 8 * word + 8] = psi
+        assert np.abs(phases[word] * outs[:, word] - apply_circuit(c, full)[8 * word : 8 * word + 8]).max() < 1e-12
+    c.gates[0] = Gate("X", (0,))  # no longer what the builder wrote
+    with pytest.raises(ValueError, match="differs from what its builder writes"):
+        apply_classical_control(c, words, psi)
 
 
 def test_macro_cases_cover_every_macro_kind():
@@ -491,7 +517,7 @@ def test_walk_plays_unlowered_macros_like_their_expansion(kind, qubits, lowered,
         low_phases, low_outs = apply_classical_control(lower_macros(c), words, psi)
         assert np.abs(got - low_phases * low_outs).max() < 1e-12
     else:
-        with pytest.raises(ValueError, match=r"cannot track CX\(\d, [012]\)"):
+        with pytest.raises(ValueError, match=r"cannot play (H|A)\(\d,\) on basis states"):
             apply_classical_control(lower_macros(c), words, psi)
     for word in words:
         full = np.zeros(64, dtype=complex)
@@ -507,42 +533,43 @@ def test_walk_plays_unlowered_macros_like_their_expansion(kind, qubits, lowered,
     [("TOFFOLI", (3, 4, 0)), ("SWAP", (1, 4)), ("CSWAP", (3, 0, 5)), ("CSWAP_STAR", (2, 1, 4))],
 )
 def test_walk_rejects_a_macro_that_mixes_selection_patterns(kind, qubits):
-    # each moves amplitude between values of a selection bit
+    # each moves amplitude between values of a selection bit, which some
+    # system state then leaves changed
     c = _macro_circuit(kind, qubits)
-    with pytest.raises(ValueError, match=re.escape(f"{kind}{qubits}")):
+    with pytest.raises(ValueError, match="selection register was not restored for word"):
         apply_classical_control(c, list(range(8)), zero_state(3))
 
 
 def test_moves_keep_only_what_acts():
-    # a controlled macro is the identity where its controls are not all set;
-    # those words are left alone, although the expansion's matrix for them
-    # holds A·A† products that are the identity only up to rounding
-    pos = {3: 0, 4: 1, 5: 2}
-    for kind, qubits, pattern in [
-        ("CSWAP_STAR", (0, 4, 3), [1]),
-        ("CSWAP", (2, 3, 5), [1]),
-        ("TOFFOLI", (0, 1, 5), [1, 1]),
-        ("CCZ", (4, 2, 1), [1, 1]),
-    ]:
-        axes, parts = simulator._moves(Gate(kind, qubits), pos)
-        sel = [q for q in qubits if q < 3]
-        assert axes == [pos[q] for q in qubits if q >= 3]
-        assert [(p, flip) for p, flip, _ in parts] == [(list(zip(sel, pattern)), [])], kind
-    # on selection qubits alone: a flip for each pattern, a phase for one
-    axes, parts = simulator._moves(Gate("CX", (2, 0)), pos)
-    assert axes == [] and [(p, flip) for p, flip, _ in parts] == [
-        ([(2, 1), (0, 0)], [0]), ([(2, 1), (0, 1)], [0])
-    ]
-    axes, parts = simulator._moves(Gate("S", (1,)), pos)
-    assert [(p, flip, u.tolist()) for p, flip, u in parts] == [([(1, 1)], [], [[1j]])]
+    # a gate's table is read exactly from its matrix: a controlled macro is the
+    # identity where its controls are not all set, although the expansion's
+    # matrix there holds A·A† products that are the identity only up to rounding
+    def table(kind, *qubits):
+        g = Gate(kind, qubits)
+        qs, image, phase, moved = simulator._table(g, (g,))
+        assert qs == qubits
+        return image.tolist(), None if phase is None else phase.tolist(), moved
+
+    # CSWAP_STAR is CSWAP with -1 on |100>
+    assert table("CSWAP_STAR", 0, 4, 3) == ([0, 1, 2, 3, 4, 6, 5, 7], [0, 0, 0, 0, 4, 0, 0, 0], (1, 2))
+    assert table("CSWAP", 2, 3, 5) == ([0, 1, 2, 3, 4, 6, 5, 7], None, (1, 2))
+    assert table("TOFFOLI", 0, 1, 5) == ([0, 1, 2, 3, 4, 5, 7, 6], None, (2,))
+    assert table("CCZ", 4, 2, 1) == (list(range(8)), [0] * 7 + [4], ())
+    assert table("CX", 2, 0) == ([0, 1, 3, 2], None, (1,))
+    assert table("S", 1) == ([0, 1], [0, 2], ())
+    assert table("Tdg", 1) == ([0, 1], [0, 7], ())
+    for kind in ("H", "A"):
+        with pytest.raises(ValueError, match="not monomial"):
+            table(kind, 0)
 
 
 def test_walk_builds_each_repeated_block_once(monkeypatch):
-    # the same system run four times, split by selection-controlled gates
+    # each distinct gate's table is read once per call, however often the gate
+    # repeats and however many chunks of words verify_select plays
     c = Circuit(4, [], {"system": (1, 2, 3)})
     for _ in range(4):
-        c.add("H", 1)
-        c.add("A", 2)
+        c.add("X", 1)
+        c.add("T", 2)
         c.add("CX", 1, 3)
         c.add("CZ", 0, 2)
     built = []
@@ -554,8 +581,14 @@ def test_walk_builds_each_repeated_block_once(monkeypatch):
 
     monkeypatch.setattr(simulator, "_block_unitary", counting)
     apply_classical_control(c, [0, 1], random_state(3, 5))
-    # one build for the run and one for the selection-controlled CZ
-    assert sorted(map(len, built)) == [1, 3]
+    assert sorted(built) == sorted({(g,) for g in c.gates})
+    built.clear()
+    verify_select(5, 2, "star")
+    once = len(built)
+    built.clear()
+    monkeypatch.setattr(simulator, "_CHUNK_AMPLITUDES", 64)  # two words a chunk: 40 chunks
+    assert verify_select(5, 2, "star")["pass"]
+    assert len(built) == once == len(set(built))
 
 
 # --- verify_select ---------------------------------------------------------------
@@ -577,8 +610,8 @@ def test_verify_select_words_subset():
 def test_verify_select_report_fields():
     rep = verify_select(2, 2, "plain", trials=1, seed=3)
     assert set(rep) == {
-        "n", "k", "variant", "states_checked", "trials", "max_error",
-        "worst_word", "worst_string", "pass",
+        "n", "k", "variant", "states_checked", "trials", "basis_states", "exhaustive",
+        "max_error", "worst_word", "worst_string", "pass",
     }
 
 
@@ -601,6 +634,21 @@ def test_verify_select_names_the_failing_word(monkeypatch):
     assert rep["worst_string"] == str(decode_index(int(rep["worst_word"], 2), lay))
     unset = [w for w in lay.valid_states() if not w & 1]
     assert verify_select(3, 2, "star", trials=2, seed=4, words=unset)["pass"]
+
+
+def test_verify_select_fails_when_the_selection_is_not_restored(monkeypatch):
+    # a trailing CX from a system qubit onto a selection qubit leaves the
+    # system action right but moves the selection bit wherever x sets it
+    real = simulator.controlled_select
+
+    def broken(n, k, variant):
+        c = real(n, k, variant)
+        c.add("CX", c.register_labels["system"][0], 0)
+        return c
+
+    monkeypatch.setattr(simulator, "controlled_select", broken)
+    rep = verify_select(3, 2, "plain")
+    assert not rep["pass"] and rep["max_error"] == 1.0
 
 
 def _selection_controlled_cswap(c, system):
@@ -649,6 +697,60 @@ def test_verify_select_fails_without_one_gate(n, k, variant, candidates, monkeyp
     assert rep["worst_string"] == str(decode_index(word, lay))
     alone = verify_select(n, k, variant, trials=2, seed=6, words=[word])
     assert not alone["pass"] and alone["worst_word"] == rep["worst_word"]
+
+
+@pytest.mark.parametrize("n,k,variant", [(5, 2, "star"), (5, 2, "plain"), (3, 4, "star"), (3, 4, "plain")])
+def test_verify_select_fails_without_any_one_gate(n, k, variant, monkeypatch):
+    # negative controls: the first, middle and last gate of every kind goes in
+    # turn, and each deletion must fail some word
+    real = simulator.controlled_select
+    at = {}
+    for i, g in enumerate(real(n, k, variant).gates):
+        at.setdefault(g.kind, []).append(i)
+    missed = []
+    for kind, where in sorted(at.items()):
+        for i in sorted({where[0], where[len(where) // 2], where[-1]}):
+            monkeypatch.setattr(simulator, "controlled_select", lambda *a, i=i: _without(real(*a), i))
+            if verify_select(n, k, variant)["pass"]:
+                missed.append(i)
+    # a deletion may pass only where the dense route shows it leaves every valid
+    # word's action alone: at k2 n = 5 the phase block's second Sdg acts only
+    # where the top bit of p is set, and no valid word (p <= 3) sets it
+    lay = SelectionLayout(n, k, "k2" if k == 2 else "general")
+    for i in missed:
+        c = real(n, k, variant)
+        assert c.n_qubits <= 16, (c.gates[i], i)
+        state = np.zeros(1 << c.n_qubits, dtype=complex)
+        for word in lay.valid_states():
+            state[word << n : (word + 1) << n] = random_state(n, word)
+        assert np.abs(apply_circuit(c, state) - apply_circuit(_without(c, i), state)).max() < 1e-9
+
+
+def _without(c, i):
+    del c.gates[i]
+    return c
+
+
+def test_verify_select_decodes_every_word_before_synthesis(monkeypatch):
+    def never(*args):
+        raise AssertionError("synthesized before the words were decoded")
+
+    monkeypatch.setattr(simulator, "controlled_select", never)
+    good = SelectionLayout(3, 2, "k2").pack(p=0, q=2, P1=1, P2=1)
+    # word 0 addresses p = q = 0; 2**7 does not fit the 7-bit word
+    for word in (0, 1 << 7, -1):
+        with pytest.raises(select_synth.DecodeError, match=f"selection word {word} "):
+            verify_select(3, 2, "star", words=[good, word])
+
+
+def test_verify_select_samples_basis_states_past_the_exhaustive_limit():
+    lay = SelectionLayout(17, 2, "k2")
+    words = [lay.pack(p=0, q=16, P1=3, P2=1), lay.pack(p=5, q=6, P1=0, P2=0)]
+    rep = verify_select(17, 2, "star", trials=3, seed=2, words=words)
+    assert rep["pass"] and rep["max_error"] == 0.0
+    assert not rep["exhaustive"] and rep["basis_states"] == 5  # all-zeros, all-ones and 3 drawn
+    rep = verify_select(4, 2, "plain", trials=3)
+    assert rep["exhaustive"] and rep["basis_states"] == 16
 
 
 def test_verify_select_fails_when_the_expected_string_is_wrong(monkeypatch):
