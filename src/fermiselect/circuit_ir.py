@@ -12,9 +12,10 @@ circuit (remapped, inverted, lowered or shifted under global controls)
 are written to ``gates`` unchecked; a remap checks its qubit map instead.
 
 Circuits are built in place: ``Circuit.append`` adds another circuit's
-gates through a qubit map, and ``conjugated`` wraps a block of gates as
-net · block · net† with the net remapped once.  ``compose`` is a copy
-followed by ``append``.
+gates through a qubit map, ``conjugated`` wraps a block of gates as
+net · block · net† with the net remapped once, and ``basis_change`` runs
+a block in the X or Y frame of some qubits; both note the block in
+``Circuit.spans``.  ``compose`` is a copy followed by ``append``.
 
 The back-end passes (``terminal_gates`` and so ``lower_macros``,
 remapping, ``schedule`` and ``emit_text``) do their per-gate work once per
@@ -45,6 +46,7 @@ __all__ = [
     "NON_CLIFFORD_KINDS",
     "compose",
     "conjugated",
+    "basis_change",
     "inverse",
     "expand_macro",
     "terminal_gates",
@@ -213,6 +215,23 @@ def conjugated(c: Circuit, net: Circuit, qubit_map: Optional[Sequence[int]] = No
     end = len(c.gates)
     c.gates.extend(_inverted(gates))
     c.spans.append((start, start + len(gates), end, len(c.gates), (conjugated, net, qubit_map)))
+
+
+@contextmanager
+def basis_change(c: Circuit, qubits: Sequence[int], letter: str):
+    """Run the block in the ``letter`` frame of ``qubits``: Z there acts as X or Y.
+
+    Before the block each qubit gets H (X) or Sdg·H (Y, time order);
+    after it, H or H·S.  Notes the span in ``c.spans``.
+    """
+    y = letter == "Y"
+    start = len(c.gates)
+    c.extend(Gate(kind, (q,)) for q in qubits for kind in (("Sdg", "H") if y else ("H",)))
+    body = len(c.gates)
+    yield c
+    end = len(c.gates)
+    c.extend(Gate(kind, (q,)) for q in qubits for kind in (("H", "S") if y else ("H",)))
+    c.spans.append((start, body, end, len(c.gates), (basis_change, qubits, letter)))
 
 
 def _ccz_network(a: int, b: int, c: int) -> list[Gate]:
@@ -421,45 +440,33 @@ SDG_TWO_CONTROLS = (
 )
 
 
-def _controlled_unit(g: Gate, controls: tuple[int, ...], n: int) -> list[Gate]:
-    """Attach global controls to one marked gate (already index-shifted)."""
-    G = Gate
-    k = g.kind
-    q = g.qubits
-    nc = len(controls)
+def _control_into(out: Circuit, g: Gate, controls: tuple[int, ...]) -> None:
+    """Write one marked gate (already index-shifted) into out under the controls.
+
+    A CZ or CCZ that no gate holds with its controls becomes a
+    multi-controlled X on its target, written in that qubit's X frame
+    (``basis_change``, which records the frame as a span)."""
+    G, k, q, nc, n = Gate, g.kind, g.qubits, len(controls), out.n_qubits
+    if nc == 2 and k in ("Sdg", "CCZ", "TOFFOLI"):
+        raise ValueError(SDG_TWO_CONTROLS if k == "Sdg" else
+                         "two controls on a doubly-controlled payload are not supported")
     if k == "Z":
-        if nc == 1:
-            return [G("CZ", (controls[0], q[0]))]
-        return [G("CCZ", (*controls, q[0]))]
-    if k == "Sdg":
-        if nc == 1:
-            return [G("CSdg", (controls[0], q[0]))]
-        raise ValueError(SDG_TWO_CONTROLS)
-    if k == "CZ":
-        if nc == 1:
-            return [G("CCZ", (controls[0], *q))]
-        t = q[1]
-        return [G("H", (t,))] + _multi_controlled_x((*controls, q[0]), t, n) + [G("H", (t,))]
-    if k == "CX":
-        return _multi_controlled_x((*controls, q[0]), q[1], n)
-    if k == "CY":
-        t = q[1]
-        inner = _multi_controlled_x((*controls, q[0]), t, n)
-        return [G("Sdg", (t,))] + inner + [G("S", (t,))]
-    if k == "CCZ":
-        t = q[2]
-        if nc == 1:
-            return (
-                [G("H", (t,))]
-                + _multi_controlled_x((controls[0], q[0], q[1]), t, n)
-                + [G("H", (t,))]
-            )
-        raise ValueError("two controls on a doubly-controlled payload are not supported")
-    if k == "TOFFOLI":
-        if nc == 1:
-            return _multi_controlled_x((controls[0], q[0], q[1]), q[2], n)
-        raise ValueError("two controls on a doubly-controlled payload are not supported")
-    raise ValueError(f"gate kind {k} cannot take a global control")
+        out.gates.append(G("CZ", (controls[0], q[0])) if nc == 1 else G("CCZ", (*controls, q[0])))
+    elif k == "Sdg":
+        out.gates.append(G("CSdg", (controls[0], q[0])))
+    elif k == "CZ" and nc == 1:
+        out.gates.append(G("CCZ", (controls[0], *q)))
+    elif k in ("CZ", "CCZ"):
+        with basis_change(out, q[-1:], "X"):
+            out.gates.extend(_multi_controlled_x((*controls, *q[:-1]), q[-1], n))
+    elif k in ("CX", "TOFFOLI"):
+        out.gates.extend(_multi_controlled_x((*controls, *q[:-1]), q[-1], n))
+    elif k == "CY":
+        out.gates.append(G("Sdg", (q[1],)))
+        out.gates.extend(_multi_controlled_x((*controls, q[0]), q[1], n))
+        out.gates.append(G("S", (q[1],)))
+    else:
+        raise ValueError(f"gate kind {k} cannot take a global control")
 
 
 def add_global_controls(c: Circuit, num_controls: int) -> Circuit:
@@ -468,7 +475,8 @@ def add_global_controls(c: Circuit, num_controls: int) -> Circuit:
     The input must be an unlowered SELECT circuit whose extension points
     are still marked.  One or two controls are supported; the four-gate
     phase block becomes Sdg on the control (one) or CSdg between the
-    controls (two).
+    controls (two).  The spans of c come along on the shifted qubits,
+    their gate positions moved to where their gates land.
     """
     if num_controls not in (1, 2):
         raise ValueError("num_controls must be 1 or 2")
@@ -485,7 +493,9 @@ def add_global_controls(c: Circuit, num_controls: int) -> Circuit:
         labels[name] = tuple(q + nc for q in qs)
     out = Circuit(n, [], labels)
     done_groups: set[int] = set()
+    at = []  # where each gate of c, and then its end, lands in out
     for g in c.gates:
+        at.append(len(out.gates))
         shifted = Gate(g.kind, tuple(q + nc for q in g.qubits))
         if not g.control_extension_point:
             out.gates.append(shifted)
@@ -501,7 +511,16 @@ def add_global_controls(c: Circuit, num_controls: int) -> Circuit:
             else:
                 out.gates.append(Gate("CSdg", controls))
             continue
-        out.gates.extend(_controlled_unit(shifted, controls, n))
+        _control_into(out, shifted, controls)
+    at.append(len(out.gates))
+    for *marks, (builder, *args) in c.spans:  # the wrapped blocks, on the shifted qubits
+        if builder is conjugated:
+            net, to = args
+            args = [net, [q + nc for q in (range(net.n_qubits) if to is None else to)]]
+        else:
+            qubits, letter = args
+            args = [[q + nc for q in qubits], letter]
+        out.spans.append((*(at[i] for i in marks), (builder, *args)))
     return out
 
 

@@ -24,6 +24,8 @@ import json
 import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .circuit_ir import emit_text, lower_macros
 from .pauli import (
     FermionHamiltonian,
@@ -116,19 +118,22 @@ def _cmd_transform(args: argparse.Namespace) -> int:
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: {exc}") from None
         raise
-    k, n, low = args.k, args.n, (1 << args.n) - 1
-    if k is None:  # the transform split every row: count endpoints and numbers
-        slots = ((m & low).bit_count() + (m >> 2 * n).bit_count() for m in lcu.masks)
-        k = _even_at_least_two(max(slots, default=0))
+    k, n, table = args.k, args.n, lcu._columns
+    if k is None:  # count endpoints and numbers on the split the encoder reuses
+        x, _, numbers = table.split
+        k = _even_at_least_two(int(np.count_nonzero(x | numbers, axis=1).max(initial=0)))
     layout = SelectionLayout(n, k, "general")
     rows = encode_lcu(lcu, layout)
-    lines = [f"# n={n} k={k} selection_width={layout.width} terms={len(rows)}",
-             f"# total_alpha={lcu.total_alpha!r}"]
-    del lcu  # the rows hold the table, so its masks need not outlive the packing
-    word_format = f"0{layout.width}b"
-    lines += (f"{word:{word_format}} {alpha!r} {'+-'[ps.phase >> 1]}{ps.letters}"
-              for word, alpha, ps in rows)
-    _write("\n".join(lines) + "\n", args.output)
+    width = layout.width
+    header = f"# n={n} k={k} selection_width={width} terms={len(rows)}\n# total_alpha={lcu.total_alpha!r}\n"
+    # one "<word> %r <sign><letters>" line per row, then every alpha's repr in one format
+    lines = np.empty((len(rows), width + n + 6), dtype=np.uint8)
+    lines[:, :width] = rows.bits | ord("0")
+    lines[:, width:width + 4] = np.frombuffer(b" %r ", dtype=np.uint8)
+    lines[:, width + 4] = np.where(table.negative, ord("-"), ord("+"))
+    lines[:, width + 5:-1] = table.letters
+    lines[:, -1] = ord("\n")
+    _write(header + lines.tobytes().decode() % tuple(table.alpha.tolist()), args.output)
     return 0
 
 

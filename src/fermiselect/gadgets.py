@@ -17,16 +17,15 @@ injector built from it is still exact.
 Every injector is one move, a payload conjugated by a network
 (``circuit_ir.conjugated``), written in place by a body that the
 catalogued injector and the SELECT circuits share; ``letter_select``
-writes the flagged X/Y payload and ``basis_change`` its frame.
+writes the flagged X/Y payload and ``circuit_ir.basis_change`` its frame.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .circuit_ir import Circuit, Gate, conjugated, expand_macro
+from .circuit_ir import Circuit, Gate, basis_change, conjugated, expand_macro
 
 __all__ = [
     "MultiSwapLayout",
@@ -296,23 +295,6 @@ def cswap_phase_incorrect() -> Circuit:
 # ---------------------------------------------------------------------------
 # Payload selectors and injectors
 # ---------------------------------------------------------------------------
-
-
-@contextmanager
-def basis_change(c: Circuit, qubits: Sequence[int], letter: str):
-    """Run the block in the ``letter`` frame of ``qubits``: Z there acts as X or Y.
-
-    Before the block each qubit gets H (X) or Sdg·H (Y, time order);
-    after it, H or H·S.  Notes the span in ``c.spans``.
-    """
-    y = letter == "Y"
-    start = len(c.gates)
-    c.extend(Gate(kind, (q,)) for q in qubits for kind in (("Sdg", "H") if y else ("H",)))
-    body = len(c.gates)
-    yield c
-    end = len(c.gates)
-    c.extend(Gate(kind, (q,)) for q in qubits for kind in (("H", "S") if y else ("H",)))
-    c.spans.append((start, body, end, len(c.gates), (basis_change, qubits, letter)))
 
 
 def _inject_into(c: Circuit, net: Circuit, net_map: Sequence[int], u: str, *qubits: int) -> None:

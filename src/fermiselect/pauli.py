@@ -17,8 +17,12 @@ Inside the transform a string is held in the symplectic form: a pair of
 int bitmasks (x, z), bit p set in x when qubit p carries X or Y and in z
 when it carries Z or Y.  A product is then an XOR with its phase taken
 from popcounts (Aaronson-Gottesman, quant-ph/0406196), and each image
-above is built in O(1).  Strings become ``PauliString.letters`` once, per
-output row; ``PauliLCU.masks`` keeps each row's key and ``_number_mask``.
+above is built in O(1).  The merge of all terms runs on columns: the keys
+as rows of bytes, merged by ``np.unique`` and summed by ``np.bincount``,
+and the kept keys decoded at once into a (rows, n) matrix of letters.  The
+LCU keeps that matrix (``PauliLCU._columns``); a row becomes a
+``PauliString`` only when ``PauliLCU.entries`` is read, and ``_split`` finds
+every row's pair endpoints and number factors at once for the encoder.
 
 Two consecutive ladder factors f at p and g at q (p < q in every
 canonical term) multiply in closed form.  With P = 1 << p, Q = 1 << q and
@@ -48,8 +52,12 @@ the reference oracle the rest of the package is tested against; it and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Union
+import operator
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
+from typing import Union
 
 import numpy as np
 
@@ -243,18 +251,91 @@ class FermionHamiltonian:
                 raise ValueError(f"term touches {touched} orbitals, exceeding k={self.k}")
 
 
+class _Rows(Sequence):
+    """Read-only rows that ``row(i)`` builds when they are read.
+
+    ``len`` builds none; indexing and iteration build the rows they
+    reach, and ``==`` compares as lists.
+    """
+
+    def __init__(self, size: int, row: Callable[[int], tuple]) -> None:
+        self._size, self._row = size, row
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._row(j) for j in range(*i.indices(self._size))]
+        i = operator.index(i)
+        if not -self._size <= i < self._size:
+            raise IndexError("row index out of range")
+        return self._row(i % self._size)
+
+    def __iter__(self) -> Iterator[tuple]:
+        return map(self._row, range(self._size))
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other) if isinstance(other, (list, tuple, _Rows)) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+@dataclass(frozen=True, eq=False)
+class _Columns:
+    """An LCU's rows as columns.
+
+    ``letters`` holds the strings as a (rows, n) matrix of ASCII ``IXYZ``
+    codes, ``alpha`` the weights and ``negative`` the rows whose sign is -1.
+    """
+
+    letters: np.ndarray
+    alpha: np.ndarray
+    negative: np.ndarray
+
+    @cached_property
+    def split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_split`` of the letters, made once for every reader."""
+        return _split(self.letters)
+
+    def row(self, i: int) -> tuple[float, PauliString]:
+        return float(self.alpha[i]), PauliString(self.letters[i].tobytes().decode(), 2 * int(self.negative[i]))
+
+
+_X, _Y, _Z = b"XYZ"
+
+
+def _split(letters: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, z, numbers) 0/1 matrices of (rows, n) ASCII IXYZ letters.
+
+    x marks the X/Y letters, the endpoints of the ladder pairs: the first
+    and second pair up, then the third and fourth.  z marks Z/Y.  numbers
+    marks the number (Z) factors: an I inside a pair's Z chain, or a Z
+    outside every chain.  A qubit that is no endpoint is inside a chain
+    when an odd count of endpoints precedes it.
+    """
+    x = (letters == _X) | (letters == _Y)
+    z = (letters == _Z) | (letters == _Y)
+    return x, z, (np.logical_xor.accumulate(x, axis=1) ^ z) & ~x
+
+
 @dataclass(frozen=True)
 class PauliLCU:
     """A linear combination of unitaries: sum_j alpha_j * P_j.
 
     Every alpha is strictly positive and every string phase is +1 or -1
-    (exponent 0 or 2); signs live in the string phases.  ``masks`` is empty
-    or, from the transform, each entry's ``x | z << n | numbers << 2n``.
+    (exponent 0 or 2); signs live in the string phases.  The transform
+    holds its table as columns (``_columns``), and its ``entries`` are a
+    read-only view that builds each (alpha, PauliString) row when it is
+    read; an LCU built from entries makes its columns on first use.
     """
 
     n_qubits: int
-    entries: tuple[tuple[float, PauliString], ...]
-    masks: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    entries: Sequence[tuple[float, PauliString]]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -266,9 +347,17 @@ class PauliLCU:
             if ps.n_qubits != self.n_qubits:
                 raise ValueError("entry length does not match n_qubits")
 
+    @cached_property
+    def _columns(self) -> _Columns:
+        letters = np.frombuffer("".join(ps.letters for _, ps in self.entries).encode(), dtype=np.uint8)
+        return _Columns(letters.reshape(len(self.entries), self.n_qubits),
+                        np.array([alpha for alpha, _ in self.entries], dtype=float),
+                        np.array([ps.phase == 2 for _, ps in self.entries], dtype=bool))
+
     @property
     def total_alpha(self) -> float:
-        return sum(alpha for alpha, _ in self.entries)
+        """The alphas summed one after another in row order."""
+        return sum(self._columns.alpha.tolist())
 
 
 def _validate_term(term: FermionTerm, n: int) -> None:
@@ -313,8 +402,8 @@ def _shorten(letters: str) -> str:
 # Inside the transform a string is the int key ``x | z << n``.  One int,
 # not an (x, z) tuple, keeps the merge dicts small.
 _I_POWERS = tuple(1j ** k for k in range(4))
-# 2 * (z digit) + (x digit), read as ASCII "0"/"1" bytes, is 144 + 2z + x
-_MASK_LETTERS = bytes.maketrans(bytes(range(144, 148)), b"IXZY")
+# the ASCII letter of each 2 * (z bit) + (x bit)
+_LETTER_CODES = np.frombuffer(b"IXZY", dtype=np.uint8)
 
 
 def _mask_mul(acc: dict[int, complex], image, n: int) -> dict[int, complex]:
@@ -336,28 +425,6 @@ def _mask_mul(acc: dict[int, complex], image, n: int) -> dict[int, complex]:
             key_out = x | z << n
             out[key_out] = out.get(key_out, 0.0) + ca * cb * _I_POWERS[k & 3]
     return out
-
-
-def _letters(key: int, n: int) -> str:
-    """IXYZ letters of the string keyed ``x | z << n``, qubit 0 first."""
-    # the 2n binary digits of key as base-256 digits: z's n above x's n
-    digits = int.from_bytes(bin(key | 1 << 2 * n).encode(), "big")
-    low = (1 << 8 * n) - 1
-    code = 2 * (digits >> 8 * n & low) + (digits & low)
-    return code.to_bytes(n, "little").translate(_MASK_LETTERS).decode()
-
-
-def _number_mask(x: int, z: int) -> int:
-    """Number (Z) factors of the string (x, z), x of even weight: an I
-    inside an X/Y pair's Z chain, or a Z outside every chain."""
-    covered, rest = 0, x
-    while rest:  # consecutive X/Y endpoints u < v pair up
-        u = rest & -rest
-        rest ^= u
-        v = rest & -rest
-        rest ^= v
-        covered |= v - (u << 1)  # the pair's Z chain, strictly between u and v
-    return (covered & ~z) | (z & ~covered & ~x)
 
 
 # the Y coefficient of a ladder's image, and (type(f), type(g)) -> the
@@ -398,6 +465,13 @@ def _term_expansion(term: FermionTerm, n: int) -> dict[int, complex]:
     return acc
 
 
+def _key_letters(keys: np.ndarray, n: int) -> np.ndarray:
+    """ASCII IXYZ letters, qubit 0 first, of keys ``x | z << n`` given as
+    the rows of a matrix of their little-endian bytes."""
+    bits = np.unpackbits(keys, axis=1, count=2 * n, bitorder="little")
+    return _LETTER_CODES[2 * bits[:, n:] + bits[:, :n]]
+
+
 def _collect(terms: Iterable[FermionTerm], n: int) -> PauliLCU:
     """Merged LCU of ``terms``: positive alphas, sorted by letters.
 
@@ -406,56 +480,48 @@ def _collect(terms: Iterable[FermionTerm], n: int) -> PauliLCU:
     coefficients conjugates the operator).  A string's sum that is
     exactly zero, or below ``_RESIDUE`` times the largest contribution merged
     into that string, is cancellation residue and is dropped.
+
+    The merge runs on columns: every (key, coefficient) of every term, in
+    term order, the keys as little-endian bytes.  ``np.bincount`` adds the
+    contributions to a key in that order, as a running sum would.
     """
-    acc: dict[int, complex] = {}
-    scale: dict[int, float] = {}
+    keys: list[int] = []
+    coefficients: list[complex] = []
+    counts, hc = [], []
     for term in terms:
-        hc = term.include_hc
-        for key, c in _term_expansion(term, n).items():
-            size = abs(c)
-            if hc:
-                c += c.conjugate()
-            if key in scale:
-                acc[key] += c
-                if size > scale[key]:
-                    scale[key] = size
-            else:
-                acc[key], scale[key] = c, size
-    key_of: dict[str, int] = {}
-    complex_part = None  # (letters, c) of the first non-real sum by letters
-    for key, c in acc.items():
-        if not c:
-            continue
-        cutoff = _RESIDUE * scale[key]
-        if abs(c) < cutoff:
-            continue
-        letters = _letters(key, n)
-        if abs(c.imag) > cutoff:
-            if complex_part is None or letters < complex_part[0]:
-                complex_part = (letters, c)
-            continue
-        key_of[letters] = key
-    if complex_part is not None:
-        letters, c = complex_part
+        expansion = _term_expansion(term, n)
+        keys += expansion
+        coefficients += expansion.values()
+        counts.append(len(expansion))
+        hc.append(term.include_hc)
+    width = n // 4 + 1  # bytes of a key below 2**(2n)
+    raw = np.frombuffer(b"".join(map(int.to_bytes, keys, repeat(width), repeat("little"))), dtype=f"V{width}")
+    c = np.array(coefficients, dtype=complex)
+    del keys, coefficients  # the columns hold them now
+    merged, at = np.unique(raw, return_inverse=True)
+    hc = np.repeat(np.array(hc, dtype=bool), counts)
+    scale = np.zeros(len(merged))
+    np.maximum.at(scale, at, np.hypot(c.real, c.imag))
+    re = np.bincount(at, np.where(hc, 2 * c.real, c.real), len(merged))
+    im = np.bincount(at, np.where(hc, 0.0, c.imag), len(merged))
+    cutoff = _RESIDUE * scale
+    keep = ((re != 0) | (im != 0)) & ~(np.hypot(re, im) < cutoff)
+    letters = _key_letters(merged[keep].view(np.uint8).reshape(-1, width), n)
+    order = np.argsort(letters.view(f"S{n}")[:, 0]) if n else slice(None)
+    letters, re, im, cutoff = letters[order], re[keep][order], im[keep][order], cutoff[keep][order]
+    complex_part = np.abs(im) > cutoff
+    if complex_part.any():  # the first non-real sum by letters
+        i = complex_part.argmax()
         raise ValueError(
             "expansion has a non-real coefficient "
-            f"({c:.3g} on {_shorten(letters)}); the input is not Hermitian — "
-            "ladder terms need include_hc"
+            f"({complex(re[i], im[i]):.3g} on {_shorten(letters[i].tobytes().decode())}); "
+            "the input is not Hermitian — ladder terms need include_hc"
         )
-    # sized up front, and no per-row temporary outlives its row: no heap holes
-    entries, masks = [None] * len(key_of), [None] * len(key_of)
-    low, new, put = (1 << n) - 1, object.__new__, object.__setattr__
-    for i, letters in enumerate(sorted(key_of)):
-        key, ps = key_of[letters], new(PauliString)  # letters written from masks: no re-check
-        c = acc[key]
-        put(ps, "letters", letters)
-        put(ps, "phase", 0 if c.real > 0 else 2)
-        entries[i] = (abs(c.real), ps)
-        masks[i] = key | _number_mask(key & low, key >> n) << 2 * n
-    lcu = new(PauliLCU)  # the rows above are valid by construction: no re-check
-    put(lcu, "n_qubits", n)
-    put(lcu, "entries", tuple(entries))
-    put(lcu, "masks", tuple(masks))
+    table = _Columns(letters, np.abs(re), ~(re > 0))
+    lcu = object.__new__(PauliLCU)  # the rows above are valid by construction: no re-check
+    object.__setattr__(lcu, "n_qubits", n)
+    object.__setattr__(lcu, "entries", _Rows(len(re), table.row))
+    object.__setattr__(lcu, "_columns", table)
     return lcu
 
 

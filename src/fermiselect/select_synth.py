@@ -13,9 +13,10 @@ Two register layouts address the Pauli strings produced by the transform:
 
 ``SelectionLayout.registers()`` places every field in the word; the
 circuits, ``fields``/``pack``, the encoder and the decoder all read it.
-The encoder packs each word from the string's (x, z, numbers) masks: the
-transform's rows carry them (``PauliLCU.masks``), a bare string is split
-here once.
+The encoder packs every row of a table at once: ``pauli._split`` of the
+letter matrix gives each row's endpoints and number factors, and the
+words are written as a (rows, width) bit matrix, field by field from
+``registers()``.  A bare string is encoded as a one-row table.
 
 The synthesized circuits apply, for every valid selection basis state,
 exactly the decoded Pauli string to the system register — phases
@@ -27,7 +28,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .circuit_ir import SDG_TWO_CONTROLS, Circuit, add_global_controls, conjugated
 from .gadgets import (
@@ -39,7 +42,7 @@ from .gadgets import (
     swap_up,
     swap_up_star,
 )
-from .pauli import PauliLCU, PauliString, _number_mask, _shorten, pauli_mul
+from .pauli import PauliLCU, PauliString, _Columns, _Rows, _shorten, _split, pauli_mul
 
 __all__ = [
     "EncodingError",
@@ -225,60 +228,71 @@ def decode_index(bits: int, layout: SelectionLayout) -> PauliString:
     return result
 
 
-# letters -> "0"/"1" digits of the X/Y (x) and Z/Y (z) bitmasks
-_X_DIGITS = str.maketrans("IXYZ", "0110")
-_Z_DIGITS = str.maketrans("IXYZ", "0011")
-
-
 def _pairs_and_numbers(letters: str) -> tuple[int, int, int]:
     """(x, z, numbers) bitmasks of a bare Pauli pattern, bit j for qubit j.
 
-    x marks the X/Y letters (the pair endpoints) and z the Z/Y letters."""
-    rev = letters[::-1]
-    x = int(rev.translate(_X_DIGITS) or "0", 2)
-    z = int(rev.translate(_Z_DIGITS) or "0", 2)
+    ``pauli._split`` of the pattern as one row: x marks the X/Y letters
+    (the pair endpoints) and z the Z/Y letters."""
+    split = _split(np.frombuffer(letters.encode(), dtype=np.uint8).reshape(1, -1))
+    x, z, numbers = (int.from_bytes(np.packbits(m, bitorder="little").tobytes(), "little") for m in split)
     if x.bit_count() % 2:
         raise EncodingError("odd number of X/Y letters cannot form pairs")
-    return x, z, _number_mask(x, z)
+    return x, z, numbers
 
 
-def _pack(entries, masks, layout: SelectionLayout) -> list[tuple[int, float, PauliString]]:
-    """(word, alpha, string) rows from each string's (x, z, numbers) masks.
+def _word_bits(table: _Columns, layout: SelectionLayout) -> np.ndarray:
+    """Selection words of the table's rows as a (rows, width) 0/1 matrix.
 
-    Fields are placed by the layout's table.  In a general word the
-    endpoints fill slots 0.. in order and the numbers the next ones."""
-    k, k2, table = layout.k, layout.mode == "k2", layout._table
-    if k2:
-        p_at, q_at, p1_at, p2_at = (table[name][0] for name in ("p", "q", "P1", "P2"))
-    else:
-        sign_at = table["sgn"][0]
-        addr_at = [table[f"addr{j}"][0] for j in range(k)]
-        letter, pair, number = ([1 << table[f"{flag}{j}"][0] for j in range(k)] for flag in "Pin")
-    rows = []
-    for (alpha, ps), (x, z, numbers) in zip(entries, masks):
-        n_ends, n_numbers, sign, j = x.bit_count(), numbers.bit_count(), ps.phase >> 1, 0
-        if k2:
-            if n_ends != 2 or n_numbers:
-                raise EncodingError("the two-endpoint layout holds exactly one interaction "
-                                    "pair and no number factors")
-            u, v = (x & -x).bit_length() - 1, x.bit_length() - 1
-            word = u << p_at | v << q_at | (2 * (z >> u & 1) + sign) << p1_at | (z >> v & 1) << p2_at
-        elif n_ends + n_numbers > k:
-            raise EncodingError(f"pattern {_shorten(ps.letters)} needs {n_ends} endpoint and "
-                                f"{n_numbers} number slots, but k={k}")
-        else:
-            word = sign << sign_at
-            while x:
-                bit = x & -x
-                word |= (bit.bit_length() - 1) << addr_at[j] | pair[j]
-                word |= letter[j] if z & bit else 0
-                x, j = x ^ bit, j + 1
-            while numbers:
-                bit = numbers & -numbers
-                word |= (bit.bit_length() - 1) << addr_at[j] | number[j]
-                numbers, j = numbers ^ bit, j + 1
-        rows.append((word, alpha, ps))
-    return rows
+    Column i is selection qubit i, the word's top bit first; fields are
+    placed by ``layout.registers()``.  In a general word the endpoints
+    fill slots 0.. in qubit order and the numbers the next ones."""
+    x, z, numbers = table.split
+    ends, n_numbers = x.sum(axis=1), numbers.sum(axis=1)
+    if (ends % 2).any():
+        raise EncodingError("odd number of X/Y letters cannot form pairs")
+    k, regs = layout.k, {name: np.array(qs, dtype=np.intp) for name, qs in layout.registers().items()}
+    bits = np.zeros((len(ends), layout.width), dtype=np.uint8)
+
+    def put(rows: np.ndarray, field: np.ndarray, slot, values: np.ndarray) -> None:
+        # each row's value into the columns field[slot], most significant bit first
+        for b in range(field.shape[1]):
+            bits[rows, field[slot, b]] = values >> field.shape[1] - 1 - b & 1
+
+    rows, at = np.nonzero(x)
+    if layout.mode == "k2":
+        if ((ends != 2) | (n_numbers > 0)).any():
+            raise EncodingError("the two-endpoint layout holds exactly one interaction "
+                                "pair and no number factors")
+        rows, u, v = rows[::2], at[::2], at[1::2]
+        for name, value in (("p", u), ("q", v), ("P1", 2 * z[rows, u] + table.negative), ("P2", z[rows, v])):
+            put(rows, regs[name][None], 0, value.astype(np.intp))
+        return bits
+    over = ends + n_numbers > k
+    if over.any():
+        i = over.argmax()
+        raise EncodingError(f"pattern {_shorten(table.letters[i].tobytes().decode())} needs {ends[i]} "
+                            f"endpoint and {n_numbers[i]} number slots, but k={k}")
+    addr = np.array([regs[f"addr{j}"] for j in range(k)]).reshape(k, -1)  # (slot, bit) -> column
+    letter, pair, number = (np.array([regs[f"{flag}{j}"][0] for j in range(k)]) for flag in "Pin")
+    bits[:, regs["sgn"][0]] = table.negative
+    slot = np.arange(len(rows)) - (np.cumsum(ends) - ends)[rows]
+    put(rows, addr, slot, at)
+    bits[rows, pair[slot]] = 1
+    bits[rows, letter[slot]] = z[rows, at]
+    rows, at = np.nonzero(numbers)
+    slot = np.arange(len(rows)) - (np.cumsum(n_numbers) - n_numbers)[rows] + ends[rows]
+    put(rows, addr, slot, at)
+    bits[rows, number[slot]] = 1
+    return bits
+
+
+class _Words(_Rows):
+    """``encode_lcu``'s (word, alpha, string) rows, built when read from
+    ``bits``, the words as a (rows, width) 0/1 matrix."""
+
+    def __init__(self, bits: np.ndarray, entries: Sequence[tuple[float, PauliString]]) -> None:
+        super().__init__(len(bits), lambda i: (int((bits[i] | 48).tobytes(), 2), *entries[i]))
+        self.bits = bits
 
 
 def slots_needed(pattern: PauliString) -> int:
@@ -298,17 +312,17 @@ def encode_term(pattern: PauliString, layout: SelectionLayout) -> int:
         raise EncodingError(f"pattern has {pattern.n_qubits} qubits, layout expects {layout.n}")
     if pattern.phase not in (0, 2):
         raise EncodingError("imaginary prefactor cannot be encoded")
-    return _pack(((0.0, pattern),), (_pairs_and_numbers(pattern.letters),), layout)[0][0]
+    return encode_lcu(PauliLCU(layout.n, ((1.0, pattern),)), layout)[0][0]
 
 
-def encode_lcu(lcu: PauliLCU, layout: SelectionLayout) -> list[tuple[int, float, PauliString]]:
-    """(selection word, alpha, string) rows for a transform's LCU table."""
+def encode_lcu(lcu: PauliLCU, layout: SelectionLayout) -> Sequence[tuple[int, float, PauliString]]:
+    """(selection word, alpha, string) rows for a transform's LCU table.
+
+    The rows are a read-only view of the packed words (``bits``): each
+    row is built when it is read."""
     if lcu.n_qubits != layout.n:
         raise EncodingError(f"LCU has {lcu.n_qubits} qubits, layout expects {layout.n}")
-    n, low = layout.n, (1 << layout.n) - 1
-    masks = ((m & low, m >> n & low, m >> 2 * n) for m in lcu.masks) if lcu.masks else (
-        _pairs_and_numbers(ps.letters) for _, ps in lcu.entries)
-    return _pack(lcu.entries, masks, layout)
+    return _Words(_word_bits(lcu._columns, layout), lcu.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,15 @@ Pauli-string convention.  Two independent routes run a circuit:
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from functools import cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import kernels
-from .circuit_ir import Circuit, Gate, conjugated, terminal_gates
-from .gadgets import _swap_levels, address_bits, basis_change, swap_up_star
+from .circuit_ir import Circuit, Gate, basis_change, conjugated, terminal_gates
+from .gadgets import _swap_levels, address_bits, swap_up_star
 from .pauli import _action_masks
 from .select_synth import DecodeError, SelectionLayout, controlled_select, decode_index
 
@@ -189,15 +190,17 @@ def _plan(c: Circuit) -> Optional[list[tuple]]:
 
     A ``conjugated`` span (``Circuit.spans``) around ``swap_up_star(n)`` plays as its
     controlled swaps Π: the network is D·Π, D diagonal ±1, which cancels around the
-    span's body, so that must be diagonal.  A ``basis_change`` span plays as its body,
-    each gate conjugated by the frame.  None unless each such span opens and closes
-    with exactly what its builder writes.
+    span's body, so the body's product must be diagonal.  A ``basis_change`` span plays
+    as its body, each gate conjugated by the frame and by every frame around it.  None
+    unless each such span opens and closes with exactly what its builder writes.
     """
     table = cache(_table)
 
-    def framed(g: Gate, frame: tuple = ((), "X")) -> tuple:
+    def framed(g: Gate, frames: tuple) -> tuple:
         unit = Circuit(c.n_qubits)
-        with basis_change(unit, [q for q in g.qubits if q in frame[0]], frame[1]):
+        with ExitStack() as stack:
+            for qubits, letter in frames:  # outermost first
+                stack.enter_context(basis_change(unit, [q for q in g.qubits if q in qubits], letter))
             unit.gates.append(g)
         return table(g, tuple(unit.gates))
 
@@ -212,30 +215,36 @@ def _plan(c: Circuit) -> Optional[list[tuple]]:
             to, top = range(net.n_qubits) if to is None else to, address_bits(n) - 1
             swaps = [Gate("CSWAP", (to[top - j], to[top + 1 + a], to[top + 1 + b]))
                      for j, _, pairs in _swap_levels(n) for a, b in pairs]
+            inner = tuple(c.gates[body:end])  # one block; a lone gate keys the table it plays by
+            qubits = tuple(dict.fromkeys(q for g in inner for q in g.qubits))
+            whole = inner[0] if len(inner) == 1 else Gate("body", qubits)
+            if table(whole, inner)[3]:
+                return None
         written = Circuit(c.n_qubits)
         with builder(written, *args):
             pass
         _, opens, closes, _, _ = written.spans[0]
-        if (c.gates[start:body] != written.gates[:opens] or c.gates[end:stop] != written.gates[closes:]
-                or swaps and any(framed(g)[3] for g in c.gates[body:end])):
+        if c.gates[start:body] != written.gates[:opens] or c.gates[end:stop] != written.gates[closes:]:
             return None
         stand_ins[start] = (body, end, stop, swaps, args)
 
     plan: list[tuple] = []
 
-    def play(i: int, stop: int, frame: tuple) -> None:
+    def play(i: int, stop: int, frames: tuple) -> None:
         while i < stop:
             if i not in stand_ins:
-                plan.append(framed(c.gates[i], frame))
+                plan.append(framed(c.gates[i], frames))
                 i += 1
                 continue
             body, end, i, swaps, args = stand_ins[i]
             if swaps is None:
-                play(body, end, args)
+                play(body, end, (*frames, args))
             else:
-                plan.extend(framed(g, frame) for g in [*swaps, *c.gates[body:end], *reversed(swaps)])
+                plan.extend(framed(g, frames) for g in swaps)
+                play(body, end, frames)
+                plan.extend(framed(g, frames) for g in reversed(swaps))
 
-    play(0, len(c.gates), ((), "X"))
+    play(0, len(c.gates), ())
     return plan
 
 

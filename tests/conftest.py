@@ -35,6 +35,17 @@ def permutation_matrix(n_qubits: int, fn) -> np.ndarray:
     return out
 
 
+def scan_pairs_and_numbers(letters):
+    """Letter-by-letter split: consecutive X/Y endpoints pair up; an I
+    strictly inside a pair and a Z outside every pair are numbers."""
+    endpoints = [i for i, ch in enumerate(letters) if ch in "XY"]
+    pairs = list(zip(endpoints[::2], endpoints[1::2]))
+    covered = {w for u, v in pairs for w in range(u + 1, v)}
+    numbers = [w for w in covered if letters[w] == "I"]
+    numbers += [w for w, ch in enumerate(letters) if ch == "Z" and w not in covered]
+    return pairs, sorted(numbers)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -3,10 +3,13 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from fermiselect.cli import main, parse_hamiltonian
 from fermiselect.pauli import Lower, Number, Raise
+
+from conftest import scan_pairs_and_numbers
 
 
 def run(argv, capsys):
@@ -96,23 +99,29 @@ def test_transform_infers_k(capsys, monkeypatch):
 
 
 def splits_of_transform(argv, capsys, monkeypatch):
-    """(x, z) of each mask split during a transform run, and the printed strings.
+    """(letters, numbers) of each columnar split made during a transform
+    run, and the printed strings.
 
-    The letter split and ``slots_needed`` must not run at all."""
+    The run must read no row of ``PauliLCU.entries`` or of the encoded
+    words, build no ``PauliString``, and never run the one-string split or
+    ``slots_needed``."""
     from fermiselect import cli, pauli, select_synth
 
-    split = pauli._number_mask
-    seen = []
+    split, seen = pauli._split, []
 
-    def counted(x, z):
-        seen.append((x, z))
-        return split(x, z)
+    def counted(letters):
+        x, z, numbers = split(letters)
+        seen.append((letters.copy(), numbers))
+        return x, z, numbers
 
     def never(*args):
-        raise AssertionError("the transform path re-split letters")
+        raise AssertionError("the transform path built a row or re-split a string")
 
-    for module in (pauli, select_synth):
-        monkeypatch.setattr(module, "_number_mask", counted)
+    monkeypatch.setattr(pauli, "_split", counted)
+    for name in ("__getitem__", "__iter__"):
+        monkeypatch.setattr(pauli._Rows, name, never)
+    monkeypatch.setattr(pauli._Columns, "row", never)
+    monkeypatch.setattr(pauli.PauliString, "__post_init__", never)
     monkeypatch.setattr(select_synth, "_pairs_and_numbers", never)
     monkeypatch.setattr(select_synth, "slots_needed", never)
     assert not hasattr(cli, "slots_needed")
@@ -123,21 +132,22 @@ def splits_of_transform(argv, capsys, monkeypatch):
     return seen, body
 
 
-def masks_of(letters):
-    return (sum(1 << j for j, ch in enumerate(letters) if ch in "XY"),
-            sum(1 << j for j, ch in enumerate(letters) if ch in "YZ"))
+def assert_one_split_of(seen, body):
+    # one split for the whole table, in printed order, its numbers those of a letter scan
+    assert len(body) == 10 and len(seen) == 1
+    letters, numbers = seen[0]
+    assert [row.tobytes().decode() for row in letters] == body
+    assert [list(np.flatnonzero(row)) for row in numbers] == [scan_pairs_and_numbers(s)[1] for s in body]
 
 
 def test_transform_with_k_splits_each_row_once(capsys, monkeypatch):
-    # the transform splits each kept row once and carries the masks on
-    seen, body = splits_of_transform(["--k", "4"], capsys, monkeypatch)
-    assert len(body) == 10 and sorted(seen) == sorted(map(masks_of, body))
+    # the encoder reads the table's split: no per-row mask, no second split
+    assert_one_split_of(*splits_of_transform(["--k", "4"], capsys, monkeypatch))
 
 
 def test_transform_inferring_k_splits_each_row_once(capsys, monkeypatch):
-    # k is read off the carried masks: no second split to infer it
-    seen, body = splits_of_transform([], capsys, monkeypatch)
-    assert len(body) == 10 and sorted(seen) == sorted(map(masks_of, body))
+    # k is read off the same split the encoder then reuses
+    assert_one_split_of(*splits_of_transform([], capsys, monkeypatch))
 
 
 def test_transform_empty_file(tmp_path, capsys):

@@ -9,10 +9,12 @@ general layout, with their width and register labels.  The
 the encoder moved to bitmask Pauli strings (the molecular n = 14,
 Hubbard 4 x 4 and pairing n = 40 ones before the transform handed its
 masks to the encoder, the mixed n = 9 one before ladder pairs were
-expanded in closed form); their inputs are generated here from a seeded
-``random.Random``.  The n = 512 digests, the
-benchmark's size, were taken before lowering, remapping and emission
-reused their work on repeated gates within a call.
+expanded in closed form, the Hubbard 6 x 6 and pairing n = 70 ones,
+past 64 orbitals, before the transform held its table as columns);
+their inputs are generated here from a seeded ``random.Random``.  The
+n = 512 digests, the benchmark's size, were taken before lowering,
+remapping and emission reused their work on repeated gates within a
+call.
 """
 
 import hashlib
@@ -243,6 +245,8 @@ TRANSFORM_CASES = {
     "hubbard4x4": (lambda rng: _hubbard(rng, 4), ["--n", "32"]),
     "pairing40": (lambda rng: _pairing(rng, 40), ["--n", "40"]),
     "mixed9": (lambda rng: _mixed(rng, 9), ["--n", "9"]),
+    "hubbard6x6": (lambda rng: _hubbard(rng, 6), ["--n", "72"]),
+    "pairing70_k4": (lambda rng: _pairing(rng, 70), ["--n", "70", "--k", "4"]),
 }
 
 
@@ -264,6 +268,8 @@ TRANSFORM_GOLDEN = {
     "hubbard4x4": "daa8e4ba5dccdebe26e032418bec00d41ea6696419388f09d9e3802fe4d0eab4",
     "pairing40": "a53d7dc60cd2150c7a5146c059cf0aedf565da389492ab3e83cfa58897946725",
     "mixed9": "c86b8652ef6e3bd488648eaba6926ec77ed74414a9f112fdd2e4a0b478f69ae9",
+    "hubbard6x6": "35d970228937ec65cbb708d96eae68fac33bedd5b2ecda4f3a70ad8995b419d4",
+    "pairing70_k4": "b623978312d99f7a5e4afff991312214f26d22eb8c7ee8bc55c1a334b57fd04f",
 }
 
 

@@ -5,6 +5,8 @@ reference for everything here; pauli_mul / pauli_apply never touch
 matrices themselves.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +27,7 @@ from fermiselect.pauli import (
     pauli_mul,
 )
 from fermiselect import pauli
-from fermiselect.pauli import _letters, _mask_mul, _term_expansion
+from fermiselect.pauli import _RESIDUE, _key_letters, _mask_mul, _shorten, _term_expansion
 
 from conftest import dense_pauli, kron_chain, SINGLE
 
@@ -316,8 +318,10 @@ def test_mask_product_matches_pauli_mul(pair, pa, pb):
 @example("")
 @example("IIIIIIII")
 def test_mask_letters_roundtrip(letters):
+    n = len(letters)
     x, z = masks_of(letters)
-    assert _letters(x | z << len(letters), len(letters)) == letters
+    key = np.frombuffer((x | z << n).to_bytes(n // 4 + 1, "little"), dtype=np.uint8)
+    assert _key_letters(key.reshape(1, -1), n).tobytes().decode() == letters
 
 
 def reference_jw(term, n):
@@ -397,6 +401,82 @@ def test_non_hermitian_message_is_shortened_at_n_1024():
         jw_transform_term(FermionTerm(1.0, (Raise(0), Lower(1023)), False), 1024)
     message = str(info.value)
     assert "XZZZ" in message and "… (1024 letters)" in message and len(message) < 200
+
+
+# --- the columnar merge ----------------------------------------------------------
+
+
+def dict_collect(terms, n):
+    """The transform's rows by a running dict merge, one contribution at a
+    time: (letters, phase, alpha) in letter order, or the (letters, sum) of
+    the first non-real sum by letters."""
+    acc, scale = {}, {}
+    for term in terms:
+        hc = term.include_hc
+        for key, c in _term_expansion(term, n).items():
+            size = abs(c)
+            if hc:
+                c += c.conjugate()
+            if key in scale:
+                acc[key] += c
+                if size > scale[key]:
+                    scale[key] = size
+            else:
+                acc[key], scale[key] = c, size
+    rows, complex_parts = [], []
+    for key, c in acc.items():
+        cutoff = _RESIDUE * scale[key]
+        if not c or abs(c) < cutoff:
+            continue
+        letters = "".join("IXZY"[(key >> p & 1) + 2 * (key >> n + p & 1)] for p in range(n))
+        if abs(c.imag) > cutoff:
+            complex_parts.append((letters, c))
+        rows.append((letters, 0 if c.real > 0 else 2, abs(c.real)))
+    return min(complex_parts) if complex_parts else sorted(rows)
+
+
+@st.composite
+def merge_cases(draw):
+    """Terms on up to six of n <= 70 orbitals, so that strings merge:
+    ladder pairs with +hc (real coefficients among them, whose Y/X mixed
+    strings sum to exactly 0), number products, coefficients near
+    ``_RESIDUE`` and repeated values that cancel."""
+    n = draw(st.integers(min_value=1, max_value=70))
+    pool = sorted(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6, unique=True)))
+    value = st.one_of(st.floats(min_value=-2, max_value=2, allow_subnormal=False),
+                      st.floats(min_value=-3e-12, max_value=3e-12, allow_subnormal=False),
+                      st.sampled_from([0.5, -0.5, 1.0, 1e-12, -1e-12]))
+    terms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        n_pairs = draw(st.integers(min_value=0, max_value=min(2, len(pool) // 2)))
+        ends = sorted(draw(st.lists(st.sampled_from(pool), min_size=2 * n_pairs,
+                                    max_size=2 * n_pairs, unique=True)))
+        factors = []
+        for u, v in zip(ends[::2], ends[1::2]):
+            first, second = draw(st.sampled_from([(Raise, Lower), (Raise, Raise), (Lower, Lower)]))
+            factors += [first(u), second(v)]
+        factors += [Number(w) for w in draw(st.lists(st.sampled_from(pool), max_size=2, unique=True))]
+        imag = draw(value) if n_pairs and draw(st.booleans()) else 0.0
+        terms.append(FermionTerm(complex(draw(value), imag), tuple(factors), n_pairs > 0))
+    return terms, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(merge_cases())
+@example(([FermionTerm(0.5, (Raise(0), Lower(69)), True)] * 2, 70))
+@example(([FermionTerm(1.0, (Number(3),)), FermionTerm(-1.0, (Number(3),)),
+           FermionTerm(1e-12, (Raise(1), Lower(3)), True)], 5))
+def test_columnar_merge_matches_the_dict_merge(case):
+    terms, n = case
+    want = dict_collect(terms, n)
+    if isinstance(want, tuple):  # a non-real sum: named in the message
+        letters, c = want
+        with pytest.raises(ValueError, match=re.escape(f"({c:.3g} on {_shorten(letters)})")):
+            jw_transform(FermionHamiltonian(n, 6, tuple(terms)))
+        return
+    lcu = jw_transform(FermionHamiltonian(n, 6, tuple(terms)))
+    assert [(ps.letters, ps.phase, alpha) for alpha, ps in lcu.entries] == want
+    assert repr(lcu.total_alpha) == repr(sum(alpha for _, _, alpha in want))
 
 
 # --- closed-form ladder pairs -----------------------------------------------------

@@ -33,6 +33,8 @@ from fermiselect.select_synth import (
 )
 from fermiselect.select_synth import _pairs_and_numbers
 
+from conftest import scan_pairs_and_numbers
+
 
 def test_layout_widths():
     assert SelectionLayout(4, 2, "k2").width == 7
@@ -282,17 +284,6 @@ def test_encode_lcu_rows():
         assert str(decode_index(word, lay)) == str(ps)
 
 
-def scan_pairs_and_numbers(letters):
-    """Letter-by-letter split: consecutive X/Y endpoints pair up; an I
-    strictly inside a pair and a Z outside every pair are numbers."""
-    endpoints = [i for i, ch in enumerate(letters) if ch in "XY"]
-    pairs = list(zip(endpoints[::2], endpoints[1::2]))
-    covered = {w for u, v in pairs for w in range(u + 1, v)}
-    numbers = [w for w in covered if letters[w] == "I"]
-    numbers += [w for w, ch in enumerate(letters) if ch == "Z" and w not in covered]
-    return pairs, sorted(numbers)
-
-
 def set_bits(mask):
     return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
@@ -384,13 +375,19 @@ def canonical_hamiltonians(draw):
 @settings(max_examples=150, deadline=None)
 @given(canonical_hamiltonians())
 def test_carried_masks_match_the_letters(h):
+    # the table's one split matches a letter scan of every row
     n = h.n_orbitals
     lcu = jw_transform(h)
-    assert len(lcu.masks) == len(lcu.entries)
-    for (_, ps), mask in zip(lcu.entries, lcu.masks):
-        x, z, numbers = _pairs_and_numbers(ps.letters)
-        assert mask == x | z << n | numbers << 2 * n
-    # packing from the carried masks equals packing from the letters
+    x, z, numbers = lcu._columns.split
+    assert len(x) == len(lcu.entries)
+    for (_, ps), *masks in zip(lcu.entries, x, z, numbers):
+        pairs, want_numbers = scan_pairs_and_numbers(ps.letters)
+        assert [list(np.flatnonzero(m)) for m in masks] == [
+            [u for pair in pairs for u in pair],
+            [j for j, ch in enumerate(ps.letters) if ch in "YZ"],
+            want_numbers,
+        ]
+    # packing the transform's columns equals packing its rows as an API table
     k = max([2] + [slots_needed(ps) + slots_needed(ps) % 2 for _, ps in lcu.entries])
     layout = SelectionLayout(n, k, "general")
     assert encode_lcu(lcu, layout) == encode_lcu(PauliLCU(n, lcu.entries), layout)

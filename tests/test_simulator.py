@@ -302,6 +302,24 @@ def test_classical_control_matches_full_simulation(rng):
         assert np.abs(ref).max() < 1e-12
 
 
+CONTROLLED_CASES = [(2, n, v, c) for n in (3, 4, 5, 6) for v in ("plain", "star") for c in (1, 2)] + [
+    (4, n, v, 1) for n in (3, 4) for v in ("plain", "star")]
+
+
+@pytest.mark.parametrize("k,n,variant,controls", CONTROLLED_CASES)
+def test_controlled_select_plays_on_the_basis_walk(k, n, variant, controls, rng):
+    # every control word off but all-ones leaves the system alone; all-ones applies P_w
+    circuit = controlled_select(n, k, variant, controls)
+    layout = SelectionLayout(n, k, "k2" if k == 2 else "general")
+    words = list(layout.valid_states())
+    psi = random_state(n, rng)
+    for on in range(1 << controls):
+        _, outs = apply_classical_control(circuit, [on << layout.width | w for w in words], psi)
+        for w, out in zip(words, outs.T):
+            want = pauli_apply(decode_index(w, layout), psi) if on == (1 << controls) - 1 else psi
+            assert np.abs(out - want).max() < 1e-12
+
+
 @pytest.mark.parametrize(
     "circuit,layout",
     [
