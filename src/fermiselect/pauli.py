@@ -482,8 +482,9 @@ def _collect(terms: Iterable[FermionTerm], n: int) -> PauliLCU:
     into that string, is cancellation residue and is dropped.
 
     The merge runs on columns: every (key, coefficient) of every term, in
-    term order, the keys as little-endian bytes.  ``np.bincount`` adds the
-    contributions to a key in that order, as a running sum would.
+    term order, the keys as one uint64 each while 2n <= 64 and as
+    little-endian bytes beyond.  ``np.bincount`` adds the contributions to
+    a key in that order, as a running sum would.
     """
     keys: list[int] = []
     coefficients: list[complex] = []
@@ -494,8 +495,11 @@ def _collect(terms: Iterable[FermionTerm], n: int) -> PauliLCU:
         coefficients += expansion.values()
         counts.append(len(expansion))
         hc.append(term.include_hc)
-    width = n // 4 + 1  # bytes of a key below 2**(2n)
-    raw = np.frombuffer(b"".join(map(int.to_bytes, keys, repeat(width), repeat("little"))), dtype=f"V{width}")
+    if 2 * n <= 64:  # each key fits one uint64
+        width, raw = 8, np.array(keys, dtype="<u8")
+    else:
+        width = n // 4 + 1  # bytes of a key below 2**(2n)
+        raw = np.frombuffer(b"".join(map(int.to_bytes, keys, repeat(width), repeat("little"))), dtype=f"V{width}")
     c = np.array(coefficients, dtype=complex)
     del keys, coefficients  # the columns hold them now
     merged, at = np.unique(raw, return_inverse=True)

@@ -4,16 +4,18 @@ Qubit 0 is the most significant bit of the state index, matching the
 Pauli-string convention.  Two independent routes run a circuit:
 
 * ``apply_circuit`` / ``unitary_of`` run the statevector engine,
-  :mod:`fermiselect.kernels`, on every qubit: gates fused greedily into
-  blocks on at most ``_BLOCK_QUBITS`` qubits (a macro whole), each block's
-  matrix built by the one-qubit kernels on a small identity and applied
-  by ``kernels.apply_blocks`` with one matmul.
+  :mod:`fermiselect.kernels`, on every qubit: gates fused into blocks on
+  at most ``_BLOCK_QUBITS`` qubits (a macro whole), a block taking later
+  gates past the ones it leaves out wherever they share no qubit, each
+  block's matrix built by the one-qubit kernels on a small identity and
+  applied by ``kernels.apply_blocks`` with one matmul.
 * ``apply_classical_control`` and ``verify_select`` play the un-lowered
   circuit on basis states with the selection register classical: a bit
   column per qubit over (word, basis state) pairs and an integer phase
-  in eighths of a turn.  ``verify_select`` checks each word against the
-  Pauli oracle's action, a basis state times an eighth root of unity
-  too, so the check is exact.
+  in eighths of a turn, each gate read from a permutation and phase
+  table built once per local gate shape.  ``verify_select`` checks each
+  word against the Pauli oracle's action, a basis state times an eighth
+  root of unity too, so the check is exact.
 """
 
 from __future__ import annotations
@@ -47,13 +49,17 @@ MAX_DENSE_QUBITS = 24
 MAX_UNITARY_QUBITS = 12
 
 # unitary_of applies its blocks to at most this many identity amplitudes at once; verify_select
-# checks all system basis states while they are this many or fewer, this many pairs at a time.
+# checks all system basis states while they are this many or fewer.
 _CHUNK_AMPLITUDES = 1 << 16
+
+# verify_select plays whole words, at most this many bytes of bit columns (pairs times
+# qubits) at a time: 2**16 pairs of the 1,047-qubit SELECT at n = 1024 would hold 69 MB
+_CHUNK_BYTES = 1 << 21
 
 # the dense route fuses gates into blocks on at most this many qubits: one
 # matmul then costs 2**5 multiply-adds per amplitude, against a pass over
 # the state per gate (a 17-qubit SELECT at n = 8 lowers to 902 gates in
-# 97 blocks)
+# 57 blocks)
 _BLOCK_QUBITS = 5
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -108,23 +114,44 @@ def _block_unitary(qubits: Sequence[int], gates: Iterable[Gate]) -> np.ndarray:
 
 
 def _blocks(gates: Iterable[Gate], axis) -> Iterator[tuple[list[int], np.ndarray]]:
-    """``gates`` in time order, fused greedily into blocks.
+    """``gates`` fused into blocks that follow their qubit dependencies.
 
-    A block grows while its qubits number at most ``_BLOCK_QUBITS``; on
-    a smaller register that bound never binds, and one block takes every
-    gate.  Each block comes out on the axes ``axis[q]`` of its qubits,
-    with its ``_block_unitary`` matrix.
+    A block opens at the first gate not yet placed and sweeps the later
+    ones: it takes each gate that keeps it on at most ``_BLOCK_QUBITS``
+    qubits and shares no qubit with a gate the sweep passed over, and it
+    passes over every other gate.  A gate taken out of order is disjoint
+    from each gate it overtakes, so the product is unchanged; gates that
+    share a qubit keep their order.  The sweep stops once it has passed over
+    every qubit a later gate could still bring in.  On a register of at most
+    ``_BLOCK_QUBITS`` qubits one block takes every gate.  Each block comes
+    out on the axes ``axis[q]`` of its qubits, with its ``_block_unitary``
+    matrix.
     """
-    qubits: list[int] = []
-    run: list[Gate] = []
-    for g in gates:
-        new = [q for q in g.qubits if q not in qubits]
-        if len(qubits) + len(new) > _BLOCK_QUBITS:
-            yield [axis[q] for q in qubits], _block_unitary(qubits, run)
-            qubits, run, new = [], [], list(g.qubits)
-        qubits += new
-        run.append(g)
-    if run:
+    gates = list(gates)
+    masks = [sum(1 << q for q in set(g.qubits)) for g in gates]
+    everything = (1 << len(axis)) - 1
+    after = list(range(1, len(gates) + 1))  # the next unplaced gate after each one
+    head = 0
+    while head < len(gates):
+        run, qubits, mask, passed = [], [], 0, 0
+        before, i = None, head
+        while i < len(gates):
+            m = masks[i]
+            if not run or (not m & passed and (mask | m).bit_count() <= _BLOCK_QUBITS):
+                g = gates[i]
+                run.append(g)
+                qubits += [q for q in dict.fromkeys(g.qubits) if not mask >> q & 1]
+                mask |= m
+                if before is None:
+                    head = after[i]
+                else:
+                    after[before] = after[i]
+            else:
+                passed |= m
+                before = i
+                if not (mask if mask.bit_count() >= _BLOCK_QUBITS else everything) & ~passed:
+                    break
+            i = after[i]
         yield [axis[q] for q in qubits], _block_unitary(qubits, run)
 
 
@@ -186,23 +213,34 @@ def _table(g: Gate, gates: tuple[Gate, ...]) -> tuple:
 
 
 def _plan(c: Circuit) -> Optional[list[tuple]]:
-    """c's gates as ``_table`` entries in time order, each distinct one read once.
+    """c's gates as ``_table`` entries in time order, each on the gate's own qubits.
 
-    A ``conjugated`` span (``Circuit.spans``) around ``swap_up_star(n)`` plays as its
-    controlled swaps Π: the network is D·Π, D diagonal ±1, which cancels around the
+    A table is read once per call for each local shape: the gate's kind and arity and,
+    for each frame around it, which of its qubits the frame holds and its letter.  So a
+    gate repeated on other qubits, or under other frames of the same shape, reads no new
+    matrix.  A ``conjugated`` span (``Circuit.spans``) around ``swap_up_star(n)`` plays as
+    its controlled swaps Π: the network is D·Π, D diagonal ±1, which cancels around the
     span's body, so the body's product must be diagonal.  A ``basis_change`` span plays
     as its body, each gate conjugated by the frame and by every frame around it.  None
     unless each such span opens and closes with exactly what its builder writes.
     """
     table = cache(_table)
+    network = cache(lambda n: swap_up_star(n).gates)
+
+    @cache
+    def shape(kind: str, arity: int, framing: tuple) -> tuple:
+        g = Gate(kind, tuple(range(arity)))
+        unit = Circuit(arity)
+        with ExitStack() as stack:
+            for local, letter in framing:  # outermost first
+                stack.enter_context(basis_change(unit, local, letter))
+            unit.gates.append(g)
+        return table(g, tuple(unit.gates))[1:]
 
     def framed(g: Gate, frames: tuple) -> tuple:
-        unit = Circuit(c.n_qubits)
-        with ExitStack() as stack:
-            for qubits, letter in frames:  # outermost first
-                stack.enter_context(basis_change(unit, [q for q in g.qubits if q in qubits], letter))
-            unit.gates.append(g)
-        return table(g, tuple(unit.gates))
+        framing = tuple((local, letter) for held, letter in frames
+                        if (local := tuple(i for i, q in enumerate(g.qubits) if q in held)))
+        return (g.qubits, *shape(g.kind, len(g.qubits), framing))
 
     stand_ins: dict[int, tuple] = {}
     for start, body, end, stop, (builder, *args) in c.spans:
@@ -210,7 +248,7 @@ def _plan(c: Circuit) -> Optional[list[tuple]]:
         if builder is conjugated:
             net, to = args
             n = len(net.register_labels.get("data", ()))
-            if n < 2 or net.gates != swap_up_star(n).gates:
+            if n < 2 or net.gates != network(n):
                 continue  # not a star network: its gates play as themselves
             to, top = range(net.n_qubits) if to is None else to, address_bits(n) - 1
             swaps = [Gate("CSWAP", (to[top - j], to[top + 1 + a], to[top + 1 + b]))
@@ -238,7 +276,8 @@ def _plan(c: Circuit) -> Optional[list[tuple]]:
                 continue
             body, end, i, swaps, args = stand_ins[i]
             if swaps is None:
-                play(body, end, (*frames, args))
+                qubits, letter = args
+                play(body, end, (*frames, (frozenset(qubits), letter)))
             else:
                 plan.extend(framed(g, frames) for g in swaps)
                 play(body, end, frames)
@@ -332,10 +371,12 @@ def verify_select(
     it, before any synthesis.  Each word plays on all 2**n system basis states while
     they number at most ``_CHUNK_AMPLITUDES`` (``exhaustive``), else on all-zeros,
     all-ones and ``trials`` seeded random ones, against P|x> = i^(phase+#Y)·(-1)^(x·yz)
-    |x XOR flip>.  A pair's error is |1 - ω^d| on the oracle's basis state with the
-    selection restored and its phase d eighths off, else 1, and 2 for every word when
-    a span differs from what its builder writes.  The report names the worst error, its
-    word (``worst_word``, the selection bits) and string, and passes at error 0.
+    |x XOR flip>.  Words play whole, as many at a time as fit in ``_CHUNK_BYTES`` of
+    bit columns, one qubit a row (one word when a single word is larger).  A pair's
+    error is |1 - ω^d| on the oracle's basis state with the selection restored and its
+    phase d eighths off, else 1, and 2 for every word when a span differs from what its
+    builder writes.  The report names the worst error, its word (``worst_word``, the
+    selection bits) and string, and passes at error 0.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -365,7 +406,7 @@ def verify_select(
     plan = _plan(circuit)
     errors = np.full(len(all_words), 2.0)
     count = states.shape[1]
-    chunk = max(1, _CHUNK_AMPLITUDES // count)
+    chunk = max(1, _CHUNK_BYTES // (count * circuit.n_qubits))
     for lo in range(0, len(all_words) if plan is not None else 0, chunk):
         at = slice(lo, lo + chunk)
         out, turns, moved = _run(circuit, plan, all_words[at], states)

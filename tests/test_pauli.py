@@ -466,6 +466,12 @@ def merge_cases(draw):
 @example(([FermionTerm(0.5, (Raise(0), Lower(69)), True)] * 2, 70))
 @example(([FermionTerm(1.0, (Number(3),)), FermionTerm(-1.0, (Number(3),)),
            FermionTerm(1e-12, (Raise(1), Lower(3)), True)], 5))
+# the widest uint64 keys (2n = 64, Z on the last orbital sets the top bit) and the
+# narrowest byte keys (2n = 66)
+@example(([FermionTerm(0.5, (Raise(0), Lower(31)), True), FermionTerm(-0.25, (Number(31),)),
+           FermionTerm(0.5, (Raise(0), Lower(31)), True), FermionTerm(0.75, (Raise(30), Lower(31)), True)], 32))
+@example(([FermionTerm(0.5, (Raise(0), Lower(32)), True), FermionTerm(-0.25, (Number(32),)),
+           FermionTerm(0.5, (Raise(0), Lower(32)), True), FermionTerm(0.75, (Raise(31), Lower(32)), True)], 33))
 def test_columnar_merge_matches_the_dict_merge(case):
     terms, n = case
     want = dict_collect(terms, n)

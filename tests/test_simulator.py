@@ -4,9 +4,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermiselect import kernels, select_synth, simulator
-from fermiselect.circuit_ir import MACRO_KINDS, Circuit, Gate, conjugated, lower_macros
+from fermiselect.circuit_ir import (
+    _ARITY,
+    MACRO_KINDS,
+    Circuit,
+    Gate,
+    basis_change,
+    conjugated,
+    lower_macros,
+    terminal_gates,
+)
 from fermiselect.gadgets import swap_up_star
 from fermiselect.pauli import PauliString, pauli_apply
 from fermiselect.select_synth import (
@@ -230,6 +241,43 @@ def test_fused_route_matches_gate_by_gate_replay(rng):
         else:
             kernels.apply_controlled_one_qubit(want, n, *g.qubits, GATE_1Q[g.kind[1:]])
     assert np.abs(apply_circuit(c, v) - want).max() < 1e-12
+
+
+def _replay(c, v):
+    """v after one kernel call per terminal gate of c, macros expanded, in time order."""
+    out = v.copy()
+    for g in terminal_gates(c.gates):
+        if len(g.qubits) == 1:
+            kernels.apply_one_qubit(out, c.n_qubits, g.qubits[0], GATE_1Q[g.kind])
+        else:
+            kernels.apply_controlled_one_qubit(out, c.n_qubits, *g.qubits, GATE_1Q[g.kind[1:]])
+    return out
+
+
+@st.composite
+def macro_circuits(draw):
+    """Gates of every kind, macros among them, on 6 to 9 qubits."""
+    n = draw(st.integers(min_value=6, max_value=9))
+    c = Circuit(n)
+    for kind in draw(st.lists(st.sampled_from(sorted(_ARITY)), max_size=40)):
+        c.add(kind, *draw(st.permutations(range(n)))[: _ARITY[kind]])
+    return c, draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(macro_circuits())
+def test_fusion_out_of_order_matches_gate_by_gate_replay(case):
+    # a block takes later gates past ones it leaves out only where they share no qubit
+    c, seed = case
+    assert all(len(qubits) <= simulator._BLOCK_QUBITS for qubits, _ in simulator._blocks(c.gates, range(c.n_qubits)))
+    v = random_state(c.n_qubits, seed)
+    assert np.abs(apply_circuit(c, v) - _replay(c, v)).max() < 1e-12
+
+
+def test_benchmark_select_fuses_into_few_blocks():
+    # time-order fusion closed 97 blocks on the 902 gates of this 17-qubit SELECT
+    c = lower_macros(synth_select_k2(8, "star"))
+    assert len(list(simulator._blocks(c.gates, range(c.n_qubits)))) <= 60
 
 
 def test_apply_circuit_leaves_its_input_alone(rng):
@@ -581,15 +629,7 @@ def test_moves_keep_only_what_acts():
             table(kind, 0)
 
 
-def test_walk_builds_each_repeated_block_once(monkeypatch):
-    # each distinct gate's table is read once per call, however often the gate
-    # repeats and however many chunks of words verify_select plays
-    c = Circuit(4, [], {"system": (1, 2, 3)})
-    for _ in range(4):
-        c.add("X", 1)
-        c.add("T", 2)
-        c.add("CX", 1, 3)
-        c.add("CZ", 0, 2)
+def _count_builds(monkeypatch) -> list:
     built = []
     real = simulator._block_unitary
 
@@ -598,15 +638,84 @@ def test_walk_builds_each_repeated_block_once(monkeypatch):
         return real(qubits, gates)
 
     monkeypatch.setattr(simulator, "_block_unitary", counting)
-    apply_classical_control(c, [0, 1], random_state(3, 5))
-    assert sorted(built) == sorted({(g,) for g in c.gates})
+    return built
+
+
+def test_walk_builds_each_repeated_block_once(monkeypatch):
+    # each local shape (kind, arity, and which local qubits each frame around the gate
+    # holds, with its letter) has its table read once per call, however often and on
+    # whichever qubits it repeats, and however many chunks of words verify_select plays
+    c = Circuit(5, [], {"system": (1, 2, 3, 4)})
+    for _ in range(4):
+        c.add("X", 1)
+        c.add("X", 4)
+        c.add("T", 2)
+        c.add("CX", 1, 3)
+        c.add("CX", 4, 2)
+        c.add("CZ", 0, 2)
+        c.add("CZ", 3, 0)
+        with basis_change(c, [3], "X"):
+            c.add("CZ", 1, 3)  # a CX from 1 to 3
+            c.add("CZ", 2, 4)  # outside the frame
+        with basis_change(c, [4], "X"):
+            c.add("CZ", 2, 4)
+    built = _count_builds(monkeypatch)
+    words = [0, 1]
+    out = apply_classical_control(c, words, random_state(4, 5))
+    g = Gate
+    assert sorted(built) == sorted([(g("X", (0,)),), (g("T", (0,)),), (g("CX", (0, 1)),), (g("CZ", (0, 1)),),
+                                    (g("H", (1,)), g("CZ", (0, 1)), g("H", (1,)))])
+    for i, word in enumerate(words):  # against the dense route
+        full = np.zeros(32, dtype=complex)
+        full[16 * word : 16 * word + 16] = random_state(4, 5)
+        assert np.abs(apply_circuit(c, full)[16 * word : 16 * word + 16] - out[1][:, i]).max() < 1e-12
     built.clear()
     verify_select(5, 2, "star")
     once = len(built)
     built.clear()
-    monkeypatch.setattr(simulator, "_CHUNK_AMPLITUDES", 64)  # two words a chunk: 40 chunks
+    monkeypatch.setattr(simulator, "_CHUNK_BYTES", 2 * 32 * 14)  # two words a chunk: 40 chunks
     assert verify_select(5, 2, "star")["pass"]
     assert len(built) == once == len(set(built))
+
+
+def test_walk_at_large_n_builds_a_handful_of_tables(monkeypatch):
+    # keyed on absolute qubits, the star SELECT at n = 1024 read 8,187 tables
+    lay = SelectionLayout(1024, 2, "k2")
+    words = [lay.pack(p=3, q=700, P1=1, P2=0), lay.pack(p=17, q=1000, P1=0, P2=1)]
+    built = _count_builds(monkeypatch)
+    assert verify_select(1024, 2, "star", words=words)["pass"]
+    assert len(built) <= 16
+
+
+@pytest.mark.parametrize("n,variant,stride", [(5, "star", None), (4, "plain", None), (17, "star", 40)])
+def test_verify_select_chunks_give_the_same_report(monkeypatch, n, variant, stride):
+    # one extra selection-controlled Z fails half the words; the worst word and its
+    # error do not depend on how many words play at a time
+    real = simulator.controlled_select
+
+    def broken(n, k, variant):
+        c = real(n, k, variant)
+        c.add("CZ", 1, c.register_labels["system"][-1])
+        return c
+
+    monkeypatch.setattr(simulator, "controlled_select", broken)
+    lay = SelectionLayout(n, 2, "k2")
+    words = None if stride is None else sorted(lay.valid_states())[::stride]  # n = 17: not exhaustive
+    whole = verify_select(n, 2, variant, trials=3, seed=8, words=words)
+    assert not whole["pass"]
+    runs = []
+    real_run = simulator._run
+
+    def counting(c, plan, chunk, states):
+        runs.append(len(chunk))
+        return real_run(c, plan, chunk, states)
+
+    monkeypatch.setattr(simulator, "_run", counting)
+    monkeypatch.setattr(simulator, "_CHUNK_BYTES", 1)  # one word a chunk
+    assert verify_select(n, 2, variant, trials=3, seed=8, words=words) == whole
+    assert runs == [1] * whole["states_checked"]
+    monkeypatch.setattr(simulator, "_CHUNK_BYTES", 3 * whole["basis_states"] * (lay.width + n))
+    assert verify_select(n, 2, variant, trials=3, seed=8, words=words) == whole
 
 
 # --- verify_select ---------------------------------------------------------------
