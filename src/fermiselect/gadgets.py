@@ -39,7 +39,6 @@ __all__ = [
     "swap_up",
     "swap_up_star",
     "cswap_phase_incorrect",
-    "basis_change",
     "letter_select",
     "select_q",
     "select_p",

@@ -69,7 +69,6 @@ __all__ = [
     "Number",
     "FermionTerm",
     "FermionHamiltonian",
-    "identity_string",
     "pauli_mul",
     "pauli_apply",
     "jw_transform_term",
@@ -124,10 +123,6 @@ class PauliString:
     def __str__(self) -> str:
         sign = ("+", "+i", "-", "-i")[self.phase]
         return sign + self.letters
-
-
-def identity_string(n: int) -> PauliString:
-    return PauliString("I" * n, 0)
 
 
 def pauli_mul(a: PauliString, b: PauliString) -> PauliString:

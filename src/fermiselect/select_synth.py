@@ -42,13 +42,12 @@ from .gadgets import (
     swap_up,
     swap_up_star,
 )
-from .pauli import PauliLCU, PauliString, _Columns, _Rows, _shorten, _split, pauli_mul
+from .pauli import PauliLCU, PauliString, _Columns, _Rows, _shorten, pauli_mul
 
 __all__ = [
     "EncodingError",
     "DecodeError",
     "SelectionLayout",
-    "slots_needed",
     "encode_term",
     "encode_lcu",
     "decode_index",
@@ -228,18 +227,6 @@ def decode_index(bits: int, layout: SelectionLayout) -> PauliString:
     return result
 
 
-def _pairs_and_numbers(letters: str) -> tuple[int, int, int]:
-    """(x, z, numbers) bitmasks of a bare Pauli pattern, bit j for qubit j.
-
-    ``pauli._split`` of the pattern as one row: x marks the X/Y letters
-    (the pair endpoints) and z the Z/Y letters."""
-    split = _split(np.frombuffer(letters.encode(), dtype=np.uint8).reshape(1, -1))
-    x, z, numbers = (int.from_bytes(np.packbits(m, bitorder="little").tobytes(), "little") for m in split)
-    if x.bit_count() % 2:
-        raise EncodingError("odd number of X/Y letters cannot form pairs")
-    return x, z, numbers
-
-
 def _word_bits(table: _Columns, layout: SelectionLayout) -> np.ndarray:
     """Selection words of the table's rows as a (rows, width) 0/1 matrix.
 
@@ -293,12 +280,6 @@ class _Words(_Rows):
     def __init__(self, bits: np.ndarray, entries: Sequence[tuple[float, PauliString]]) -> None:
         super().__init__(len(bits), lambda i: (int((bits[i] | 48).tobytes(), 2), *entries[i]))
         self.bits = bits
-
-
-def slots_needed(pattern: PauliString) -> int:
-    """General-layout slots the pattern occupies (two per pair, one per Z)."""
-    x, _, numbers = _pairs_and_numbers(pattern.letters)
-    return x.bit_count() + numbers.bit_count()
 
 
 def encode_term(pattern: PauliString, layout: SelectionLayout) -> int:

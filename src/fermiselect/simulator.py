@@ -4,11 +4,11 @@ Qubit 0 is the most significant bit of the state index, matching the
 Pauli-string convention.  Two independent routes run a circuit:
 
 * ``apply_circuit`` / ``unitary_of`` run the statevector engine,
-  :mod:`fermiselect.kernels`, on every qubit: gates fused into blocks on
-  at most ``_BLOCK_QUBITS`` qubits (a macro whole), a block taking later
-  gates past the ones it leaves out wherever they share no qubit, each
-  block's matrix built by the one-qubit kernels on a small identity and
-  applied by ``kernels.apply_blocks`` with one matmul.
+  ``kernels.apply_blocks``, on every qubit: gates fused by first fit into
+  blocks on at most ``_BLOCK_QUBITS`` qubits (a macro whole), each gate
+  joining the first block that fits from the last one holding any of its
+  qubits, each block's matrix built by the one-qubit kernels on a small
+  identity and applied with one matmul.
 * ``apply_classical_control`` and ``verify_select`` play the un-lowered
   circuit on basis states with the selection register classical: a bit
   column per qubit over (word, basis state) pairs and an integer phase
@@ -114,45 +114,32 @@ def _block_unitary(qubits: Sequence[int], gates: Iterable[Gate]) -> np.ndarray:
 
 
 def _blocks(gates: Iterable[Gate], axis) -> Iterator[tuple[list[int], np.ndarray]]:
-    """``gates`` fused into blocks that follow their qubit dependencies.
+    """``gates`` fused into blocks by first fit along their qubit dependencies.
 
-    A block opens at the first gate not yet placed and sweeps the later
-    ones: it takes each gate that keeps it on at most ``_BLOCK_QUBITS``
-    qubits and shares no qubit with a gate the sweep passed over, and it
-    passes over every other gate.  A gate taken out of order is disjoint
-    from each gate it overtakes, so the product is unchanged; gates that
-    share a qubit keep their order.  The sweep stops once it has passed over
-    every qubit a later gate could still bring in.  On a register of at most
+    Each gate, a macro whole, joins the first block that stays on at most
+    ``_BLOCK_QUBITS`` qubits with it, searching from the last block that
+    holds any of its qubits (from the first block if none does); where no
+    block fits, it opens a new last block.  So a gate overtakes only blocks
+    that share no qubit with it, and the product is unchanged; gates that
+    share a qubit keep their order.  On a register of at most
     ``_BLOCK_QUBITS`` qubits one block takes every gate.  Each block comes
-    out on the axes ``axis[q]`` of its qubits, with its ``_block_unitary``
-    matrix.
+    out in order on the axes ``axis[q]`` of its qubits, in the order they
+    first appear, with its ``_block_unitary`` matrix.
     """
-    gates = list(gates)
-    masks = [sum(1 << q for q in set(g.qubits)) for g in gates]
-    everything = (1 << len(axis)) - 1
-    after = list(range(1, len(gates) + 1))  # the next unplaced gate after each one
-    head = 0
-    while head < len(gates):
-        run, qubits, mask, passed = [], [], 0, 0
-        before, i = None, head
-        while i < len(gates):
-            m = masks[i]
-            if not run or (not m & passed and (mask | m).bit_count() <= _BLOCK_QUBITS):
-                g = gates[i]
-                run.append(g)
-                qubits += [q for q in dict.fromkeys(g.qubits) if not mask >> q & 1]
-                mask |= m
-                if before is None:
-                    head = after[i]
-                else:
-                    after[before] = after[i]
-            else:
-                passed |= m
-                before = i
-                if not (mask if mask.bit_count() >= _BLOCK_QUBITS else everything) & ~passed:
-                    break
-            i = after[i]
-        yield [axis[q] for q in qubits], _block_unitary(qubits, run)
+    blocks: list[tuple[dict, list]] = []  # each block's qubits (a dict keeps their order) and gates
+    last: dict[int, int] = {}  # the last block holding each qubit
+    for g in gates:
+        qubits = dict.fromkeys(g.qubits)
+        b = max((last[q] for q in qubits if q in last), default=0)
+        while b < len(blocks) and len(blocks[b][0].keys() | qubits) > _BLOCK_QUBITS:
+            b += 1
+        if b == len(blocks):
+            blocks.append(({}, []))
+        blocks[b][0].update(qubits)
+        blocks[b][1].append(g)
+        last.update(dict.fromkeys(qubits, b))
+    for qubits, run in blocks:
+        yield [axis[q] for q in qubits], _block_unitary(list(qubits), run)
 
 
 def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
@@ -287,13 +274,16 @@ def _plan(c: Circuit) -> Optional[list[tuple]]:
     return plan
 
 
-def _run(c: Circuit, plan: list[tuple], words: np.ndarray, states: np.ndarray):
+def _run(c: Circuit, plan: list[tuple], words: Sequence[int], states: np.ndarray):
     """Play ``plan`` on every (word, ``states`` bit column) pair, words outermost: returns the
-    system bit columns, phases in eighths and whether the selection bits came back changed."""
+    system bit columns, phases in eighths and whether the selection bits came back changed.
+    ``words`` are Python ints, unpacked from their big-endian bytes, so any width plays."""
     system, sel = _selection_qubits(c)
+    size = (len(sel) + 7) // 8
+    raw = np.frombuffer(b"".join(w.to_bytes(size, "big") for w in words), dtype=np.uint8)
+    word_bits = np.unpackbits(raw.reshape(len(words), size), axis=1)[:, 8 * size - len(sel):]
     bits = np.empty((c.n_qubits, len(words) * states.shape[1]), dtype=np.uint8)
-    for r, q in enumerate(sel):
-        bits[q] = np.repeat(words >> (len(sel) - 1 - r) & 1, states.shape[1])
+    bits[sel] = word_bits.T.repeat(states.shape[1], axis=1)
     bits[list(system)] = np.tile(states, len(words))
     start = bits[sel]
     turns = np.zeros(bits.shape[1], dtype=np.uint8)  # wraps at 256, a multiple of 8
@@ -337,8 +327,9 @@ def apply_classical_control(
     state = np.asarray(system_state, dtype=np.complex128)
     if state.shape != (dim,):
         raise ValueError(f"system state must have {dim} amplitudes")
-    words = np.atleast_1d(np.asarray(selection_bits, dtype=np.int64))
-    if words.size and not (words.min() >= 0 and words.max() < (1 << len(sel))):
+    single = np.ndim(selection_bits) == 0
+    words = [int(w) for w in ([selection_bits] if single else selection_bits)]
+    if any(w < 0 or w >> len(sel) for w in words):
         raise ValueError(f"selection word needs {len(sel)} bits")
     plan = _plan(c)
     if plan is None:
@@ -347,11 +338,11 @@ def apply_classical_control(
     out, turns, moved = _run(c, plan, words, _every_basis_state(len(system)))
     moved = moved.reshape(len(words), dim).any(axis=1)
     if moved.any():
-        raise ValueError(f"selection register was not restored for word {int(words[moved.argmax()]):0{len(sel)}b}")
+        raise ValueError(f"selection register was not restored for word {words[moved.argmax()]:0{len(sel)}b}")
     states = np.zeros((len(words), dim), dtype=np.complex128)
     image = (1 << np.arange(len(system) - 1, -1, -1)) @ out
     states[np.arange(len(words)).repeat(dim), image] = _OMEGA[turns] * np.tile(state, len(words))
-    if np.ndim(selection_bits) == 0:
+    if single:
         return complex(1), states[0]
     return np.ones(len(words), dtype=np.complex128), np.ascontiguousarray(states.T)
 
@@ -383,11 +374,11 @@ def verify_select(
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     layout = SelectionLayout(n, k, "k2" if k == 2 else "general")
-    all_words = np.fromiter(layout.valid_states() if words is None else words, dtype=np.int64)
-    if not all_words.size:
+    all_words = [int(w) for w in (layout.valid_states() if words is None else words)]
+    if not all_words:
         raise ValueError("words is empty: there is nothing to verify")
     targets = []
-    for word in all_words.tolist():
+    for word in all_words:
         try:
             targets.append(decode_index(word, layout))
         except DecodeError as exc:
@@ -419,5 +410,5 @@ def verify_select(
     worst = int(errors.argmax())
     return {"n": n, "k": k, "variant": variant, "states_checked": len(all_words), "trials": trials,
             "basis_states": count, "exhaustive": exhaustive, "max_error": float(errors[worst]),
-            "worst_word": f"{int(all_words[worst]):0{layout.width}b}", "worst_string": str(targets[worst]),
+            "worst_word": f"{all_words[worst]:0{layout.width}b}", "worst_string": str(targets[worst]),
             "pass": bool(errors[worst] == 0)}

@@ -103,9 +103,8 @@ def splits_of_transform(argv, capsys, monkeypatch):
     run, and the printed strings.
 
     The run must read no row of ``PauliLCU.entries`` or of the encoded
-    words, build no ``PauliString``, and never run the one-string split or
-    ``slots_needed``."""
-    from fermiselect import cli, pauli, select_synth
+    words and build no ``PauliString``."""
+    from fermiselect import pauli
 
     split, seen = pauli._split, []
 
@@ -122,9 +121,6 @@ def splits_of_transform(argv, capsys, monkeypatch):
         monkeypatch.setattr(pauli._Rows, name, never)
     monkeypatch.setattr(pauli._Columns, "row", never)
     monkeypatch.setattr(pauli.PauliString, "__post_init__", never)
-    monkeypatch.setattr(select_synth, "_pairs_and_numbers", never)
-    monkeypatch.setattr(select_synth, "slots_needed", never)
-    assert not hasattr(cli, "slots_needed")
     monkeypatch.setattr("sys.stdin", io.StringIO("1 0 : adag 0 a 1 adag 2 a 3 +hc\n1 0 : n 2\n"))
     rc, out, _ = run(["transform", "-", "--n", "4", *argv], capsys)
     assert rc == 0 and out.splitlines()[0].startswith("# n=4 k=4 ")

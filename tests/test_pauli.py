@@ -20,7 +20,6 @@ from fermiselect.pauli import (
     PauliLCU,
     PauliString,
     Raise,
-    identity_string,
     jw_transform,
     jw_transform_term,
     pauli_apply,
@@ -33,12 +32,6 @@ from conftest import dense_pauli, kron_chain, SINGLE
 
 letters_st = st.text(alphabet="IXYZ", min_size=1, max_size=4)
 phase_st = st.integers(min_value=0, max_value=3)
-
-
-def test_identity_string():
-    ps = identity_string(3)
-    assert ps.letters == "III" and ps.phase == 0
-    assert ps.coefficient == 1
 
 
 def test_phase_normalization_and_coefficient():

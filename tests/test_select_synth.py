@@ -17,6 +17,7 @@ from fermiselect.pauli import (
     PauliLCU,
     PauliString,
     Raise,
+    _split,
     jw_transform,
 )
 from fermiselect.select_synth import (
@@ -27,11 +28,9 @@ from fermiselect.select_synth import (
     decode_index,
     encode_lcu,
     encode_term,
-    slots_needed,
     synth_select_general,
     synth_select_k2,
 )
-from fermiselect.select_synth import _pairs_and_numbers
 
 from conftest import scan_pairs_and_numbers
 
@@ -219,7 +218,6 @@ def test_general_encode_capacity():
     with pytest.raises(EncodingError):
         encode_term(PauliString("XXZ" + "III", 0), lay)  # pair + number > 2 slots
     lay4 = SelectionLayout(6, 4, "general")
-    assert slots_needed(PauliString("XXZIII", 0)) == 3
     word = encode_term(PauliString("XXZIII", 0), lay4)
     assert str(decode_index(word, lay4)) == "+XXZIII"
 
@@ -284,10 +282,6 @@ def test_encode_lcu_rows():
         assert str(decode_index(word, lay)) == str(ps)
 
 
-def set_bits(mask):
-    return [j for j in range(mask.bit_length()) if mask >> j & 1]
-
-
 def xy_parity(letters):
     return sum(ch in "XY" for ch in letters) % 2
 
@@ -302,23 +296,19 @@ odd_st = st.text(alphabet="IXYZ", min_size=1, max_size=12).filter(xy_parity)
 @example("XIZIYZ")
 @example("ZXYZXIIYZ")
 def test_mask_split_matches_letter_scan(letters):
-    x, z, numbers = _pairs_and_numbers(letters)
+    # pauli._split of the one-row letter matrix
+    x, z, numbers = (list(np.flatnonzero(m[0])) for m in
+                     _split(np.frombuffer(letters.encode(), dtype=np.uint8).reshape(1, -1)))
     pairs, want_numbers = scan_pairs_and_numbers(letters)
-    ends = set_bits(x)
-    assert list(zip(ends[::2], ends[1::2])) == pairs
-    assert set_bits(numbers) == want_numbers
-    assert set_bits(z) == [j for j, ch in enumerate(letters) if ch in "YZ"]
-    assert slots_needed(PauliString(letters)) == 2 * len(pairs) + len(want_numbers)
+    assert list(zip(x[::2], x[1::2])) == pairs
+    assert numbers == want_numbers
+    assert z == [j for j, ch in enumerate(letters) if ch in "YZ"]
 
 
 @settings(max_examples=60, deadline=None)
 @given(odd_st)
 def test_odd_xy_count_cannot_be_encoded(letters):
     odd = "odd number of X/Y letters"
-    with pytest.raises(EncodingError, match=odd):
-        _pairs_and_numbers(letters)
-    with pytest.raises(EncodingError, match=odd):
-        slots_needed(PauliString(letters))
     layouts = [SelectionLayout(len(letters), 4, "general")]
     if len(letters) >= 2:
         layouts.append(SelectionLayout(len(letters), 2, "k2"))
@@ -388,7 +378,8 @@ def test_carried_masks_match_the_letters(h):
             want_numbers,
         ]
     # packing the transform's columns equals packing its rows as an API table
-    k = max([2] + [slots_needed(ps) + slots_needed(ps) % 2 for _, ps in lcu.entries])
+    slots = np.count_nonzero(x | numbers, axis=1)  # endpoints plus numbers per row, as the CLI counts
+    k = max([2] + [int(s + s % 2) for s in slots])
     layout = SelectionLayout(n, k, "general")
     assert encode_lcu(lcu, layout) == encode_lcu(PauliLCU(n, lcu.entries), layout)
 

@@ -274,10 +274,47 @@ def test_fusion_out_of_order_matches_gate_by_gate_replay(case):
     assert np.abs(apply_circuit(c, v) - _replay(c, v)).max() < 1e-12
 
 
-def test_benchmark_select_fuses_into_few_blocks():
-    # time-order fusion closed 97 blocks on the 902 gates of this 17-qubit SELECT
-    c = lower_macros(synth_select_k2(8, "star"))
-    assert len(list(simulator._blocks(c.gates, range(c.n_qubits)))) <= 60
+def _plan_blocks(monkeypatch, c):
+    """c's blocks as (qubits, gates), with no matrix built."""
+    monkeypatch.setattr(simulator, "_block_unitary", lambda qubits, gates: list(gates))
+    return list(simulator._blocks(c.gates, range(c.n_qubits)))
+
+
+def test_fusion_places_each_gate_in_the_first_block_that_fits(monkeypatch):
+    g = Gate
+    c = Circuit(7)
+    c.extend([
+        g("CX", (0, 1)), g("CX", (2, 3)),
+        g("CX", (4, 5)),  # six qubits with block 0: opens block 1
+        g("T", (0,)),  # back to block 0, past the CX on 4 and 5
+        g("CX", (3, 4)),  # block 0 has room, but block 1 holds qubit 4
+        g("H", (6,)),  # on no block yet: block 0 has room
+        g("CZ", (1, 2)),
+        g("CX", (6, 5)),  # from block 1, the last to hold 5
+        g("TOFFOLI", (0, 4, 6)),  # a macro whole, into block 1
+        g("X", (2,)),  # back to block 0, past the TOFFOLI on 0
+        g("CZ", (0, 3)),  # block 1 now holds 0 and 3
+        g("CX", (1, 5)),  # block 1 would reach six qubits: opens block 2
+        g("CX", (2, 6)),  # from block 1, the last to hold 6, which is full: into block 2
+    ])
+    gates = c.gates
+    assert _plan_blocks(monkeypatch, c) == [
+        ([0, 1, 2, 3, 6], [gates[i] for i in (0, 1, 3, 5, 6, 9)]),
+        ([4, 5, 3, 6, 0], [gates[i] for i in (2, 4, 7, 8, 10)]),
+        ([1, 5, 2, 6], [gates[11], gates[12]]),
+    ]
+    monkeypatch.undo()
+    v = random_state(7, 3)
+    assert np.abs(apply_circuit(c, v) - _replay(c, v)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n,variant,count", [(8, "star", 57), (8, "plain", 53), (13, "star", 122),
+                                             (13, "plain", 129), (128, "star", 1942)])
+def test_lowered_select_fuses_into_a_pinned_block_count(monkeypatch, n, variant, count):
+    # n = 8 star is the benchmark's 17-qubit dense apply (902 gates), which
+    # time-order fusion closed into 97 blocks
+    c = lower_macros(synth_select_k2(n, variant))
+    assert len(_plan_blocks(monkeypatch, c)) == count
 
 
 def test_apply_circuit_leaves_its_input_alone(rng):
@@ -878,6 +915,47 @@ def test_verify_select_samples_basis_states_past_the_exhaustive_limit():
     assert not rep["exhaustive"] and rep["basis_states"] == 5  # all-zeros, all-ones and 3 drawn
     rep = verify_select(4, 2, "plain", trials=3)
     assert rep["exhaustive"] and rep["basis_states"] == 16
+
+
+def _wide_words():
+    # k = 12 at n = 5: a 73-bit selection word, wider than an int64 holds
+    lay = SelectionLayout(5, 12, "general")
+    signed_pair_and_number = lay.pack(sgn=1, addr0=1, addr1=3, i0=1, i1=1, P0=1, addr2=4, n2=1)
+    pair_in_slots_4_5 = lay.pack(addr4=0, addr5=2, i4=1, i5=1, P5=1)
+    return lay, [signed_pair_and_number, pair_in_slots_4_5]
+
+
+@pytest.mark.parametrize("variant", ["star", "plain"])
+def test_verify_select_plays_words_wider_than_63_bits(variant, monkeypatch):
+    lay, words = _wide_words()
+    assert lay.width == 73 and words[0] >= 1 << 72
+    rep = verify_select(5, 12, variant, trials=2, words=words)
+    assert rep["pass"] and rep["max_error"] == 0.0 and len(rep["worst_word"]) == 73
+    # negative control: a Z on a system qubit under the sign bit (qubit 0, the word's
+    # top bit) fails the signed word alone
+    real = simulator.controlled_select
+
+    def broken(n, k, variant):
+        c = real(n, k, variant)
+        c.add("CZ", 0, c.register_labels["system"][-1])
+        return c
+
+    monkeypatch.setattr(simulator, "controlled_select", broken)
+    rep = verify_select(5, 12, variant, trials=2, words=words)
+    assert not rep["pass"] and rep["max_error"] == 2.0
+    assert rep["worst_word"] == f"{words[0]:073b}"
+    assert rep["worst_string"] == str(decode_index(words[0], lay))
+
+
+def test_classical_control_plays_a_word_wider_than_63_bits(rng):
+    lay, words = _wide_words()
+    c = controlled_select(5, 12, "star")
+    psi = random_state(5, rng)
+    phase, out = apply_classical_control(c, words[0], psi)
+    assert phase == 1
+    assert np.abs(out - pauli_apply(decode_index(words[0], lay), psi)).max() < 1e-12
+    with pytest.raises(ValueError, match="needs 73 bits"):
+        apply_classical_control(c, 1 << 73, psi)
 
 
 def test_verify_select_fails_when_the_expected_string_is_wrong(monkeypatch):
