@@ -23,12 +23,11 @@ writes the flagged X/Y payload and ``circuit_ir.basis_change`` its frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .circuit_ir import Circuit, Gate, basis_change, conjugated, expand_macro
 
 __all__ = [
-    "MultiSwapLayout",
     "Component",
     "GADGETS",
     "address_bits",
@@ -122,7 +121,7 @@ def _fanout_gates(control: int, targets: Sequence[int]) -> list[Gate]:
     return first + _fanout_gates(control, inner) + spread
 
 
-def fanout_cnot(control: int, targets: Sequence[int], n_qubits: Optional[int] = None) -> Circuit:
+def fanout_cnot(control: int, targets: Sequence[int]) -> Circuit:
     """CNOT from one control onto every target, CX-depth <= 2*ceil(log2(m+1)).
 
     Exactly equivalent to applying CX(control, t) for each target in any
@@ -133,21 +132,12 @@ def fanout_cnot(control: int, targets: Sequence[int], n_qubits: Optional[int] = 
         raise ValueError("control cannot be a fanout target")
     if len(set(targets)) != len(targets):
         raise ValueError("duplicate fanout target")
-    if n_qubits is None:
-        n_qubits = max([control, *targets]) + 1
-    return Circuit(n_qubits, _fanout_gates(control, targets))
+    return Circuit(max([control, *targets]) + 1, _fanout_gates(control, targets))
 
 
 # ---------------------------------------------------------------------------
 # Controlled swap networks
 # ---------------------------------------------------------------------------
-
-
-class MultiSwapLayout(NamedTuple):
-    control: int
-    pairs: tuple[tuple[int, int], ...]
-    borrow: Optional[int]
-    n_qubits: int
 
 
 def _toggle_gates(
@@ -188,32 +178,15 @@ def _toggle_gates(
     return gates
 
 
-def multi_target_controlled_swap(m: int, layout: Optional[MultiSwapLayout] = None) -> Circuit:
+def multi_target_controlled_swap(m: int) -> Circuit:
     """One control qubit conditionally swapping m disjoint qubit pairs.
 
-    The default layout puts the control on qubit 0 and pair i on qubits
-    (2i+1, 2i+2) with no borrow.  Emits 2m CSWAPs for even m, 2m-1 for odd
-    m without a borrow, and exactly 2m when a borrow qubit is available.
+    The control is qubit 0 and pair i is on qubits (2i+1, 2i+2), with no
+    borrow: 2m CSWAPs for even m and 2m-1 for odd m.
     """
-    if layout is None:
-        if m < 1:
-            raise ValueError("need at least one pair")
-        layout = MultiSwapLayout(
-            control=0,
-            pairs=tuple((2 * i + 1, 2 * i + 2) for i in range(m)),
-            borrow=None,
-            n_qubits=2 * m + 1,
-        )
-    if len(layout.pairs) != m:
-        raise ValueError(f"layout has {len(layout.pairs)} pairs, expected {m}")
-    used = [layout.control, *[q for p in layout.pairs for q in p]]
-    if layout.borrow is not None:
-        used.append(layout.borrow)
-    if len(set(used)) != len(used):
-        raise ValueError("control, borrow and pair qubits must be disjoint")
-    return Circuit(
-        layout.n_qubits, _toggle_gates(layout.control, layout.pairs, layout.borrow)
-    )
+    if m < 1:
+        raise ValueError("need at least one pair")
+    return Circuit(2 * m + 1, _toggle_gates(0, [(2 * i + 1, 2 * i + 2) for i in range(m)], None))
 
 
 def _swap_levels(n: int) -> list[tuple[int, int, list[tuple[int, int]]]]:

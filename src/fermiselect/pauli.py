@@ -43,11 +43,14 @@ go through ``_mask_mul`` one factor at a time, in factor order (n_p does
 not commute with a_p).
 
 ``pauli_mul`` and ``pauli_apply`` stay letter-based on purpose: they are
-the oracle's code path, and sharing no code with the transform (or with
-the decoder) keeps them an independent check of it.  ``pauli_apply`` is
-the reference oracle the rest of the package is tested against; it and
-``simulator.verify_select`` read a string's flip/phase action from
-``_action_masks``, which deliberately shares no code with the simulator.
+the oracle's code path, and sharing no code with the transform or the
+decoder (which writes its letters in place) keeps them an independent
+check of both.  ``pauli_apply`` is the reference oracle the rest of the
+package is tested against; it reads a string's flip/phase action from its
+letters.  ``simulator.verify_select`` reads the same action for every
+word at once from ``_split`` of the decoded letters (flip = x, yz = z,
+#Y = x & z counted per row), which shares no code with the walk that
+plays the circuit.
 """
 
 from __future__ import annotations
@@ -146,12 +149,6 @@ def _parity(v: np.ndarray) -> np.ndarray:
     return (v & 1).astype(bool)
 
 
-def _action_masks(p: PauliString) -> tuple[int, int, int]:
-    """(flip, yz, #Y) of P |b> = i**(phase+#Y) * (-1)^(b . yz) |b XOR flip>, qubit 0 the top bit."""
-    bits = lambda letters: int("0" + "".join("01"[c in letters] for c in p.letters), 2)  # noqa: E731
-    return bits("XY"), bits("YZ"), p.letters.count("Y")
-
-
 def pauli_apply(p: PauliString, amps: np.ndarray) -> np.ndarray:
     """Apply a Pauli string to a statevector (reference oracle).
 
@@ -172,9 +169,9 @@ def pauli_apply(p: PauliString, amps: np.ndarray) -> np.ndarray:
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.ndim not in (1, 2) or amps.shape[0] != 1 << n:
         raise ValueError(f"state has shape {amps.shape}, expected ({1 << n},) or ({1 << n}, m)")
-    flip, diag, n_y = _action_masks(p)
+    flip, diag = (int("0" + "".join("01"[c in letters] for c in p.letters), 2) for letters in ("XY", "YZ"))
     idx = np.arange(1 << n, dtype=np.int64)
-    coeff = (1j ** ((p.phase + n_y) % 4)) * np.where(_parity(idx & diag), -1.0, 1.0)
+    coeff = (1j ** ((p.phase + p.letters.count("Y")) % 4)) * np.where(_parity(idx & diag), -1.0, 1.0)
     out = np.empty_like(amps)
     out[idx ^ flip] = coeff.reshape((-1,) + (1,) * (amps.ndim - 1)) * amps
     return out
@@ -238,6 +235,8 @@ class FermionHamiltonian:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
+        if self.n_orbitals < 0:
+            raise ValueError(f"number of orbitals must be non-negative, got {self.n_orbitals}")
         if self.k < 2 or self.k % 2:
             raise ValueError(f"interaction order k must be even and >= 2, got {self.k}")
         for t in self.terms:
@@ -352,7 +351,7 @@ class PauliLCU:
     @property
     def total_alpha(self) -> float:
         """The alphas summed one after another in row order."""
-        return sum(self._columns.alpha.tolist())
+        return sum(self._columns.alpha.tolist(), 0.0)
 
 
 def _validate_term(term: FermionTerm, n: int) -> None:

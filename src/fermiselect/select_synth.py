@@ -42,7 +42,7 @@ from .gadgets import (
     swap_up,
     swap_up_star,
 )
-from .pauli import PauliLCU, PauliString, _Columns, _Rows, _shorten, pauli_mul
+from .pauli import PauliLCU, PauliString, _Columns, _Rows, _shorten
 
 __all__ = [
     "EncodingError",
@@ -171,26 +171,30 @@ class SelectionLayout:
                                 yield base | letter | sign
 
 
-def _pair_string(n: int, u: int, v: int, letter_u: str, letter_v: str, phase: int = 0) -> PauliString:
-    return PauliString("I" * u + letter_u + "Z" * (v - u - 1) + letter_v + "I" * (n - v - 1), phase)
-
-
 def decode_index(bits: int, layout: SelectionLayout) -> PauliString:
-    """Pauli string a valid selection word selects; DecodeError otherwise."""
+    """Pauli string a valid selection word selects; DecodeError otherwise.
+
+    The letters are written in place: a pair puts its letters on u < v and
+    Z strictly between them, and a number factor flips its qubit I <-> Z.
+    The phase is the sign bit alone (k2 mode: P1's low bit).  No product of
+    the factors adds one: active pairs are disjoint and strictly ordered,
+    so no two pairs share a qubit, and a number avoids every endpoint, so
+    it meets only an I or a chain's Z.
+    """
     if not 0 <= bits < (1 << layout.width):
         raise DecodeError(f"word {bits} does not fit {layout.width} bits")
     n, f = layout.n, layout.fields(bits)
+    letters = bytearray(b"I" * n)
     if layout.mode == "k2":
         p, q, p1 = f["p"], f["q"], f["P1"]
         if not p < q < n:
             raise DecodeError(f"addresses must satisfy p < q < n, got {p}, {q}")
         # P1 is the letter at p (X 0, Y 1) over the sign bit; P2 the letter at q
-        return _pair_string(n, p, q, "XY"[p1 >> 1], "XY"[f["P2"]], 2 * (p1 & 1))
+        letters[p], letters[p + 1 : q], letters[q] = b"XY"[p1 >> 1], b"Z" * (q - p - 1), b"XY"[f["P2"]]
+        return PauliString(letters.decode(), 2 * (p1 & 1))
 
     addr, pfl, ifl, nfl = ([f[f"{name}{j}"] for j in range(layout.k)] for name in ("addr", "P", "i", "n"))
-    result = PauliString("I" * n, 2 * f["sgn"])
     prev_end = -1
-    endpoints: set[int] = set()
     for t in range(layout.k // 2):
         a, b = 2 * t, 2 * t + 1
         if ifl[a] != ifl[b]:
@@ -205,8 +209,7 @@ def decode_index(bits: int, layout: SelectionLayout) -> PauliString:
         if u <= prev_end:
             raise DecodeError("active pairs must be strictly ordered across slots")
         prev_end = v
-        endpoints.update((u, v))
-        result = pauli_mul(result, _pair_string(n, u, v, "XY"[pfl[a]], "XY"[pfl[b]]))
+        letters[u], letters[u + 1 : v], letters[v] = b"XY"[pfl[a]], b"Z" * (v - u - 1), b"XY"[pfl[b]]
     seen_numbers: set[int] = set()
     for j in range(layout.k):
         if ifl[j]:
@@ -220,11 +223,11 @@ def decode_index(bits: int, layout: SelectionLayout) -> PauliString:
         w = addr[j]
         if w >= n:
             raise DecodeError(f"number address {w} out of range")
-        if w in endpoints or w in seen_numbers:
+        if letters[w] in b"XY" or w in seen_numbers:  # only endpoints hold X or Y
             raise DecodeError(f"number address {w} collides")
         seen_numbers.add(w)
-        result = pauli_mul(result, PauliString("I" * w + "Z" + "I" * (n - w - 1), 0))
-    return result
+        letters[w] ^= ord("I") ^ ord("Z")  # I <-> Z
+    return PauliString(letters.decode(), 2 * f["sgn"])
 
 
 def _word_bits(table: _Columns, layout: SelectionLayout) -> np.ndarray:

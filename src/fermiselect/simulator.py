@@ -29,7 +29,7 @@ import numpy as np
 from . import kernels
 from .circuit_ir import Circuit, Gate, basis_change, conjugated, terminal_gates
 from .gadgets import _swap_levels, address_bits, swap_up_star
-from .pauli import _action_masks
+from .pauli import PauliString, _split
 from .select_synth import DecodeError, SelectionLayout, controlled_select, decode_index
 
 __all__ = [
@@ -359,15 +359,18 @@ def verify_select(
 
     Every valid word, or the given ``words`` (not empty: a check of no word proves
     nothing), is decoded first: a word the layout rejects raises DecodeError naming
-    it, before any synthesis.  Each word plays on all 2**n system basis states while
-    they number at most ``_CHUNK_AMPLITUDES`` (``exhaustive``), else on all-zeros,
-    all-ones and ``trials`` seeded random ones, against P|x> = i^(phase+#Y)·(-1)^(x·yz)
-    |x XOR flip>.  Words play whole, as many at a time as fit in ``_CHUNK_BYTES`` of
-    bit columns, one qubit a row (one word when a single word is larger).  A pair's
-    error is |1 - ω^d| on the oracle's basis state with the selection restored and its
-    phase d eighths off, else 1, and 2 for every word when a span differs from what its
-    builder writes.  The report names the worst error, its word (``worst_word``, the
-    selection bits) and string, and passes at error 0.
+    it, before any synthesis.  Only each string's letters (one row of a words × n
+    byte matrix) and phase are kept.  Each word plays on all 2**n system basis states
+    while they number at most ``_CHUNK_AMPLITUDES`` (``exhaustive``), else on
+    all-zeros, all-ones and ``trials`` seeded random ones, against
+    P|x> = i^(phase+#Y)·(-1)^(x·yz)|x XOR flip>, read from ``pauli._split`` of the
+    letters: flip = x, yz = z, #Y = x & z summed per row.  Words play whole, as many
+    at a time as fit in ``_CHUNK_BYTES`` of bit columns, one qubit a row (one word
+    when a single word is larger).  A pair's error is |1 - ω^d| on the oracle's basis
+    state with the selection restored and its phase d eighths off, else 1, and 2 for
+    every word when a span differs from what its builder writes.  The report names the
+    worst error, its word (``worst_word``, the selection bits) and string, and passes
+    at error 0.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -377,22 +380,23 @@ def verify_select(
     all_words = [int(w) for w in (layout.valid_states() if words is None else words)]
     if not all_words:
         raise ValueError("words is empty: there is nothing to verify")
-    targets = []
+    letters, phases = bytearray(), []
     for word in all_words:
         try:
-            targets.append(decode_index(word, layout))
+            target = decode_index(word, layout)
         except DecodeError as exc:
             raise DecodeError(f"selection word {word} ({word:0{layout.width}b}): {exc}") from None
+        letters += target.letters.encode()
+        phases.append(target.phase)
     circuit = controlled_select(n, k, variant)
 
     exhaustive = 1 << n <= _CHUNK_AMPLITUDES
     ends = np.repeat(np.uint8([[0, 1]]), n, axis=0)  # all-zeros and all-ones
     drawn = np.random.default_rng(seed).integers(0, 2, (n, trials), dtype=np.uint8)
     states = _every_basis_state(n) if exhaustive else np.hstack([ends, drawn])
-    masks = [_action_masks(t) for t in targets]
-    flips, yzs = (np.array([[m[i] >> (n - 1 - j) & 1 for j in range(n)] for m in masks], np.uint8).T[:, :, None]
-                  for i in (0, 1))
-    base = np.array([2 * (t.phase + n_y) for t, (_, _, n_y) in zip(targets, masks)])[:, None]
+    x, z, _ = _split(np.frombuffer(letters, dtype=np.uint8).reshape(len(all_words), n))
+    flips, yzs = (m.T.view(np.uint8)[:, :, None] for m in (x, z))
+    base = 2 * (np.array(phases) + (x & z).sum(axis=1))[:, None]
 
     plan = _plan(circuit)
     errors = np.full(len(all_words), 2.0)
@@ -408,7 +412,8 @@ def verify_select(
         errors[at] = error.reshape(-1, count).max(axis=1)
 
     worst = int(errors.argmax())
+    worst_string = PauliString(letters[worst * n : (worst + 1) * n].decode(), phases[worst])
     return {"n": n, "k": k, "variant": variant, "states_checked": len(all_words), "trials": trials,
             "basis_states": count, "exhaustive": exhaustive, "max_error": float(errors[worst]),
-            "worst_word": f"{all_words[worst]:0{layout.width}b}", "worst_string": str(targets[worst]),
+            "worst_word": f"{all_words[worst]:0{layout.width}b}", "worst_string": str(worst_string),
             "pass": bool(errors[worst] == 0)}

@@ -29,7 +29,7 @@ from fermiselect.circuit_ir import (
 )
 from fermiselect.gadgets import (
     GADGETS,
-    MultiSwapLayout,
+    _toggle_gates,
     address_bits,
     basis_change,
     cswap_phase_incorrect,
@@ -565,9 +565,7 @@ _SOURCES = [
     ("cswap_phase_incorrect", cswap_phase_incorrect),
     ("fanout_cnot", partial(fanout_cnot, 2, [0, 4, 1, 3, 5])),
     *((f"multi_swap-m{m}", partial(multi_target_controlled_swap, m)) for m in (1, 2, 3)),
-    ("multi_swap-borrow", partial(
-        multi_target_controlled_swap, 3, MultiSwapLayout(7, ((0, 1), (2, 3), (4, 5)), 6, 8)
-    )),
+    ("multi_swap-borrow", lambda: Circuit(8, _toggle_gates(7, ((0, 1), (2, 3), (4, 5)), 6))),
     *((f"select-k{k}-{v}-n{n}-c{nc}", partial(controlled_select, n, k, v, nc))
       for k, controls in ((2, (0, 1, 2)), (4, (0, 1)))
       for v in ("plain", "star") for n in (2, 3, 5) for nc in controls),

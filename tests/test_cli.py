@@ -168,6 +168,7 @@ def test_transform_parse_error_exit_code(tmp_path, capsys):
      "needs 4 endpoint and 0 number slots, but k=2"),
     ("1 0 : adag 0 a 5 +hc\n", ["--n", "4"], "orbital 5 out of range for n=4"),
     ("1 0 : adag 0 a 1\n", ["--n", "4"], "not Hermitian"),
+    ("", ["--n", "-3"], "number of orbitals must be non-negative, got -3"),
 ])
 def test_transform_rejections_exit_2(text, argv, msg, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))

@@ -156,10 +156,7 @@ def test_toggle_counts_and_stages(m):
 
 
 def test_toggle_with_borrow_uses_two_per_odd_unit():
-    layout = gadgets.MultiSwapLayout(
-        control=0, pairs=((1, 2), (3, 4), (5, 6)), borrow=7, n_qubits=8
-    )
-    c = gadgets.multi_target_controlled_swap(3, layout)
+    c = Circuit(8, gadgets._toggle_gates(0, ((1, 2), (3, 4), (5, 6)), 7))
     assert sum(1 for g in c.gates if g.kind == "CSWAP") == 6
     # the borrow wire returns to its input value: check on the unitary
     U = unitary_of(c)
@@ -167,10 +164,9 @@ def test_toggle_with_borrow_uses_two_per_odd_unit():
     assert np.abs(U - ref).max() < 1e-12
 
 
-def test_toggle_validates_layout():
-    layout = gadgets.MultiSwapLayout(control=0, pairs=((0, 1),), borrow=None, n_qubits=2)
+def test_toggle_validates_count():
     with pytest.raises(ValueError):
-        gadgets.multi_target_controlled_swap(1, layout)
+        gadgets.multi_target_controlled_swap(0)
 
 
 # --- swap-up networks ---------------------------------------------------------

@@ -256,6 +256,17 @@ def test_hamiltonian_validation():
         )  # 4 orbitals > k=2
 
 
+def test_hamiltonian_rejects_a_negative_orbital_count():
+    # it reached numpy, which failed on shapes (0,3) and (0,55)
+    with pytest.raises(ValueError, match="non-negative, got -3"):
+        jw_transform(FermionHamiltonian(-3, 2, ()))
+    assert len(jw_transform(FermionHamiltonian(0, 2, ())).entries) == 0  # no orbital at all is fine
+
+
+def test_empty_table_total_alpha_is_a_float():
+    assert repr(jw_transform(FermionHamiltonian(2, 2, ())).total_alpha) == "0.0"
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2),
@@ -475,7 +486,7 @@ def test_columnar_merge_matches_the_dict_merge(case):
         return
     lcu = jw_transform(FermionHamiltonian(n, 6, tuple(terms)))
     assert [(ps.letters, ps.phase, alpha) for alpha, ps in lcu.entries] == want
-    assert repr(lcu.total_alpha) == repr(sum(alpha for _, _, alpha in want))
+    assert repr(lcu.total_alpha) == repr(sum((alpha for _, _, alpha in want), 0.0))
 
 
 # --- closed-form ladder pairs -----------------------------------------------------

@@ -19,6 +19,7 @@ from fermiselect.pauli import (
     Raise,
     _split,
     jw_transform,
+    pauli_mul,
 )
 from fermiselect.select_synth import (
     DecodeError,
@@ -267,6 +268,37 @@ def test_number_inside_pair_interval_decodes():
     word = encode_term(PauliString("XIZY", 0), lay)
     ps = decode_index(word, lay)
     assert str(ps) == "+XIZY"  # Z at 2 from the pair, I at 1 from cancellation
+
+
+def _product_decode(word, lay):
+    """The string of a valid word as a product: its pair strings, then its
+    number Z's, multiplied by ``pauli_mul`` onto the sign."""
+    n, f = lay.n, lay.fields(word)
+
+    def pair(u, v, a, b):
+        return PauliString("I" * u + "XY"[a] + "Z" * (v - u - 1) + "XY"[b] + "I" * (n - v - 1))
+
+    if lay.mode == "k2":
+        return pauli_mul(PauliString("I" * n, 2 * (f["P1"] & 1)), pair(f["p"], f["q"], f["P1"] >> 1, f["P2"]))
+    out = PauliString("I" * n, 2 * f["sgn"])
+    for j in range(0, lay.k, 2):
+        if f[f"i{j}"]:
+            out = pauli_mul(out, pair(f[f"addr{j}"], f[f"addr{j + 1}"], f[f"P{j}"], f[f"P{j + 1}"]))
+    for j in range(lay.k):
+        if f[f"n{j}"]:
+            w = f[f"addr{j}"]
+            out = pauli_mul(out, PauliString("I" * w + "Z" + "I" * (n - w - 1)))
+    return out
+
+
+@pytest.mark.parametrize("n,k,mode", [*((n, 2, "k2") for n in range(2, 9)),
+                                      *((n, k, "general") for k in (2, 4) for n in range(1, 7)),
+                                      (4, 8, "general")])
+def test_decode_matches_the_product_form(n, k, mode):
+    # the decoder writes letters in place; the product of the factors must agree, phase included
+    lay = SelectionLayout(n, k, mode)
+    for word in lay.valid_states():
+        assert decode_index(word, lay) == _product_decode(word, lay), f"{word:0{lay.width}b}"
 
 
 def test_encode_lcu_rows():

@@ -1,6 +1,7 @@
 """Statevector kernels, dense simulation, and classical selection tracking."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -905,6 +906,26 @@ def test_verify_select_decodes_every_word_before_synthesis(monkeypatch):
     for word in (0, 1 << 7, -1):
         with pytest.raises(select_synth.DecodeError, match=f"selection word {word} "):
             verify_select(3, 2, "star", words=[good, word])
+
+
+def test_verify_select_keeps_no_decoded_string(monkeypatch):
+    # the words' letters and phases are kept as columns, not as one PauliString per word
+    alive, calls = weakref.WeakSet(), []
+    decode, synth = simulator.decode_index, simulator.controlled_select
+
+    def recording(bits, layout):
+        calls.append(bits)
+        alive.add(string := decode(bits, layout))
+        return string
+
+    def checking(*args):
+        assert len(alive) <= 1, f"{len(alive)} decoded strings alive at synthesis"
+        return synth(*args)
+
+    monkeypatch.setattr(simulator, "decode_index", recording)
+    monkeypatch.setattr(simulator, "controlled_select", checking)
+    report = verify_select(4, 4, "star")
+    assert report["pass"] and report["states_checked"] == len(calls) == 1122
 
 
 def test_verify_select_samples_basis_states_past_the_exhaustive_limit():
