@@ -75,6 +75,7 @@ _INVERSE = {
     "S": "Sdg", "Sdg": "S", "T": "Tdg", "Tdg": "T",
     "A": "Adg", "Adg": "A", "CS": "CSdg", "CSdg": "CS",
 }
+_FRAME = {"X": ("H",), "Y": ("Sdg", "H")}  # in time order, what takes one qubit into each frame
 
 
 class Gate(NamedTuple):
@@ -217,20 +218,24 @@ def conjugated(c: Circuit, net: Circuit, qubit_map: Optional[Sequence[int]] = No
     c.spans.append((start, start + len(gates), end, len(c.gates), (conjugated, net, qubit_map)))
 
 
+def _frame_gates(qubits: Sequence[int], letter: str) -> tuple[Iterator[Gate], Iterator[Gate]]:
+    """The gates opening and closing the ``letter`` frame of ``qubits``, qubit by qubit, made as read."""
+    kinds = _FRAME[letter]
+    return ((Gate(kind, (q,)) for q in qubits for kind in kinds),
+            (Gate(_INVERSE.get(kind, kind), (q,)) for q in qubits for kind in reversed(kinds)))
+
+
 @contextmanager
 def basis_change(c: Circuit, qubits: Sequence[int], letter: str):
-    """Run the block in the ``letter`` frame of ``qubits``: Z there acts as X or Y.
-
-    Before the block each qubit gets H (X) or Sdg·H (Y, time order);
-    after it, H or H·S.  Notes the span in ``c.spans``.
-    """
-    y = letter == "Y"
+    """Run the block in the ``letter`` frame of ``qubits`` (``_frame_gates``): Z there
+    acts as X or Y.  Notes the span in ``c.spans``."""
+    opening, closing = _frame_gates(qubits, letter)
     start = len(c.gates)
-    c.extend(Gate(kind, (q,)) for q in qubits for kind in (("Sdg", "H") if y else ("H",)))
+    c.extend(opening)
     body = len(c.gates)
     yield c
     end = len(c.gates)
-    c.extend(Gate(kind, (q,)) for q in qubits for kind in (("H", "S") if y else ("H",)))
+    c.extend(closing)
     c.spans.append((start, body, end, len(c.gates), (basis_change, qubits, letter)))
 
 

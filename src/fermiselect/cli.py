@@ -160,6 +160,7 @@ def _cmd_resources(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    SelectionLayout(args.n, args.k, "k2" if args.k == 2 else "general")  # a bad k is named before the caps
     if args.k == 2:
         if args.n > 12:
             raise ValueError("verify handles at most n=12 for k=2")

@@ -1,22 +1,17 @@
 """SELECT circuit assembly and the selection-register encoding.
 
-Two register layouts address the Pauli strings produced by the transform:
-
-* k2 mode, for strings with exactly two X/Y endpoints: addresses p < q,
-  P1 choosing the signed letter at p (+X, -X, +Y, -Y) and P2 the letter
-  at q.
-* general mode, for up to k/2 endpoint pairs plus number (Z) factors:
-  a sign bit and, per slot, an address, a letter flag, an interaction
-  flag and a number flag.  Inactive slots are all-zero; slot pairs
-  (0,1), (2,3), ... carry strictly ordered endpoint pairs and any free
-  slot may carry a number index (distinct from all endpoints).
-
-``SelectionLayout.registers()`` places every field in the word; the
-circuits, ``fields``/``pack``, the encoder and the decoder all read it.
-The encoder packs every row of a table at once: ``pauli._split`` of the
-letter matrix gives each row's endpoints and number factors, and the
-words are written as a (rows, width) bit matrix, field by field from
-``registers()``.  A bare string is encoded as a one-row table.
+A selection word names one Pauli string of the transform's table by a sign
+bit and k slots, each an address with a letter flag (X 0, Y 1), a pair
+flag and a number flag.  Slot pairs (0,1), (2,3), ... hold strictly
+ordered endpoint pairs; any other slot holds a number (Z) index apart from
+every endpoint, or is all zero.  ``SelectionLayout.registers()`` places
+every field in the word, and the layout reads it into one per-slot table
+that the SELECT circuits, the encoder, the decoder and the enumerator all
+use.  The k2 layout is the case of one pair that is always active: p and
+q are its two slots, it has no pair or number flags, and the sign is P1's
+low bit.  The encoder packs every row of a table at once, from
+``pauli._split`` of its letter matrix, as a (rows, width) bit matrix; a
+bare string is a one-row table.
 
 The synthesized circuits apply, for every valid selection basis state,
 exactly the decoded Pauli string to the system register — phases
@@ -96,9 +91,9 @@ class SelectionLayout:
         """Selection qubits of each field, in word order.
 
         The one statement of the word format.  Qubit i carries word bit
-        ``width-1-i`` (qubit 0 is the top bit), each field's value is
-        read most significant bit first, and the SELECT circuits, the
-        encoder and the decoder all place fields from this table.
+        ``width-1-i`` (qubit 0 is the top bit), each field's value is read
+        most significant bit first, ``fields``/``pack`` read it by name and
+        every other reader through the slot table built from it.
         """
         L = (self.n - 1).bit_length()  # address bits
         if self.mode == "k2":
@@ -123,6 +118,20 @@ class SelectionLayout:
         return {name: (self.width - 1 - qs[-1] if qs else 0, len(qs))
                 for name, qs in self.registers().items()}
 
+    @cached_property
+    def _slots(self) -> tuple[int, tuple[tuple[int, int, int, int, int], ...]]:
+        """The sign's shift and, per slot, (address shift, address mask, letter, pair
+        flag, number flag shifts), from ``_table``; a k2 slot's missing flags are the
+        bits above the word, ``width`` (read as 1) and ``width + 1`` (read as 0)."""
+        t, above = self._table, self.width
+        if self.mode == "k2":
+            sign, (p2, _) = t["P1"][0], t["P2"]
+            fields = [(t["p"], sign + 1, above, above + 1), (t["q"], p2, above, above + 1)]
+        else:
+            sign = t["sgn"][0]
+            fields = [(t[f"addr{j}"], t[f"P{j}"][0], t[f"i{j}"][0], t[f"n{j}"][0]) for j in range(self.k)]
+        return sign, tuple((shift, (1 << bits) - 1, *flags) for (shift, bits), *flags in fields)
+
     def fields(self, word: int) -> dict[str, int]:
         """The value of every field of ``word``, by register name."""
         return {name: word >> shift & (1 << bits) - 1 for name, (shift, bits) in self._table.items()}
@@ -141,138 +150,119 @@ class SelectionLayout:
 
     def valid_states(self) -> Iterator[int]:
         """Every selection word the SELECT contract covers, in order."""
-        if self.mode == "k2":
-            for p, q in itertools.combinations(range(self.n), 2):
-                for p1 in range(4):
-                    for p2 in range(2):
-                        yield self.pack(p=p, q=q, P1=p1, P2=p2)
-            return
-        half = self.k // 2
-        sign = self.pack(sgn=1)
+        sign, slots = self._slots
+        addr, _, letter, pair, number = zip(*slots)
+        half, paired = self.k // 2, pair[0] < self.width  # a k2 word is always one pair
         for active in itertools.chain.from_iterable(
-            itertools.combinations(range(half), r) for r in range(half + 1)
+            itertools.combinations(range(half), r) for r in range(0 if paired else half, half + 1)
         ):
             ends = [j for t in active for j in (2 * t, 2 * t + 1)]  # endpoint slots
-            if len(ends) > self.n:
-                continue
             free = [j for j in range(self.k) if j // 2 not in active]
-            letters = [self.pack(**{f"P{j}": pword >> s & 1 for s, j in enumerate(ends)})
-                       for pword in range(1 << len(ends))]
+            # the sign and letter bits, fastest first: a general word flips its sign, then
+            # the letters in slot order; a k2 word counts up in them
+            flips = sorted([sign, *(letter[j] for j in ends)], reverse=paired)
+            options = [sum((c >> i & 1) << s for i, s in enumerate(flips)) for c in range(1 << len(flips))]
+            flags = sum(1 << pair[j] for j in ends) & (1 << self.width) - 1
             for chosen in itertools.combinations(range(self.n), len(ends)):
-                pairs = {**{f"addr{j}": u for j, u in zip(ends, chosen)}, **{f"i{j}": 1 for j in ends}}
+                pairs = flags | sum(u << addr[j] for j, u in zip(ends, chosen))
                 others = [w for w in range(self.n) if w not in chosen]
                 for r in range(min(len(free), len(others)) + 1):
                     for numslots in itertools.combinations(free, r):
+                        marked = pairs | sum(1 << number[j] for j in numslots)
                         for values in itertools.permutations(others, r):
-                            base = self.pack(**pairs, **{f"addr{j}": w for j, w in zip(numslots, values)},
-                                             **{f"n{j}": 1 for j in numslots})
-                            for letter in letters:
-                                yield base | letter
-                                yield base | letter | sign
+                            base = marked | sum(w << addr[j] for j, w in zip(numslots, values))
+                            for option in options:
+                                yield base | option
 
 
 def decode_index(bits: int, layout: SelectionLayout) -> PauliString:
     """Pauli string a valid selection word selects; DecodeError otherwise.
 
-    The letters are written in place: a pair puts its letters on u < v and
-    Z strictly between them, and a number factor flips its qubit I <-> Z.
-    The phase is the sign bit alone (k2 mode: P1's low bit).  No product of
-    the factors adds one: active pairs are disjoint and strictly ordered,
-    so no two pairs share a qubit, and a number avoids every endpoint, so
-    it meets only an I or a chain's Z.
+    Each slot is read into one tuple through the layout's slot table (a k2
+    slot always reads as an endpoint).  A pair puts its letters on u < v
+    and Z strictly between them, and a number flips its qubit I <-> Z; the
+    phase is the sign bit alone.  No product of the factors adds one: the
+    active pairs are disjoint and strictly ordered, and a number avoids
+    every endpoint, so it meets only an I or a chain's Z.
     """
     if not 0 <= bits < (1 << layout.width):
         raise DecodeError(f"word {bits} does not fit {layout.width} bits")
-    n, f = layout.n, layout.fields(bits)
+    n, (sign, slots) = layout.n, layout._slots
+    word = bits | 1 << layout.width  # a missing pair flag reads 1, a missing number flag 0
+    read = [(word >> s & m, word >> p & 1, word >> i & 1, word >> z & 1) for s, m, p, i, z in slots]
     letters = bytearray(b"I" * n)
-    if layout.mode == "k2":
-        p, q, p1 = f["p"], f["q"], f["P1"]
-        if not p < q < n:
-            raise DecodeError(f"addresses must satisfy p < q < n, got {p}, {q}")
-        # P1 is the letter at p (X 0, Y 1) over the sign bit; P2 the letter at q
-        letters[p], letters[p + 1 : q], letters[q] = b"XY"[p1 >> 1], b"Z" * (q - p - 1), b"XY"[f["P2"]]
-        return PauliString(letters.decode(), 2 * (p1 & 1))
-
-    addr, pfl, ifl, nfl = ([f[f"{name}{j}"] for j in range(layout.k)] for name in ("addr", "P", "i", "n"))
     prev_end = -1
-    for t in range(layout.k // 2):
-        a, b = 2 * t, 2 * t + 1
-        if ifl[a] != ifl[b]:
-            raise DecodeError(f"interaction flags of slots {a},{b} disagree")
-        if not ifl[a]:
+    for a in range(0, len(read), 2):
+        (u, pu, iu, nu), (v, pv, iv, nv) = read[a], read[a + 1]
+        if iu != iv:
+            raise DecodeError(f"interaction flags of slots {a},{a + 1} disagree")
+        if not iu:
             continue
-        if nfl[a] or nfl[b]:
+        if nu or nv:
             raise DecodeError("a slot cannot be both endpoint and number")
-        u, v = addr[a], addr[b]
         if not u < v < n:
             raise DecodeError(f"pair addresses must be ordered, got {u}, {v}")
         if u <= prev_end:
             raise DecodeError("active pairs must be strictly ordered across slots")
         prev_end = v
-        letters[u], letters[u + 1 : v], letters[v] = b"XY"[pfl[a]], b"Z" * (v - u - 1), b"XY"[pfl[b]]
+        letters[u], letters[u + 1 : v], letters[v] = b"XY"[pu], b"Z" * (v - u - 1), b"XY"[pv]
     seen_numbers: set[int] = set()
-    for j in range(layout.k):
-        if ifl[j]:
+    for j, (w, letter, pair, number) in enumerate(read):
+        if pair:
             continue
-        if not nfl[j]:
-            if addr[j] or pfl[j]:
+        if not number:
+            if w or letter:
                 raise DecodeError(f"inactive slot {j} must be all zero")
             continue
-        if pfl[j]:
+        if letter:
             raise DecodeError(f"number slot {j} must have a zero letter flag")
-        w = addr[j]
         if w >= n:
             raise DecodeError(f"number address {w} out of range")
         if letters[w] in b"XY" or w in seen_numbers:  # only endpoints hold X or Y
             raise DecodeError(f"number address {w} collides")
         seen_numbers.add(w)
         letters[w] ^= ord("I") ^ ord("Z")  # I <-> Z
-    return PauliString(letters.decode(), 2 * f["sgn"])
+    return PauliString(letters.decode(), 2 * (word >> sign & 1))
 
 
 def _word_bits(table: _Columns, layout: SelectionLayout) -> np.ndarray:
     """Selection words of the table's rows as a (rows, width) 0/1 matrix.
 
-    Column i is selection qubit i, the word's top bit first; fields are
-    placed by ``layout.registers()``.  In a general word the endpoints
-    fill slots 0.. in qubit order and the numbers the next ones."""
+    Column i is selection qubit i, the word's top bit first.  Through the
+    slot table, the endpoints fill slots 0.. in qubit order and the numbers
+    the next ones; without pair flags (k2) the endpoints must fill every
+    slot, and without number flags there may be no numbers."""
     x, z, numbers = table.split
     ends, n_numbers = x.sum(axis=1), numbers.sum(axis=1)
     if (ends % 2).any():
         raise EncodingError("odd number of X/Y letters cannot form pairs")
-    k, regs = layout.k, {name: np.array(qs, dtype=np.intp) for name, qs in layout.registers().items()}
+    k, top, (sign, slots) = layout.k, layout.width - 1, layout._slots
+    addr, mask, letter, pair, number = (np.array(f) for f in zip(*slots))
+    paired = bool(pair[0] <= top)  # without pair flags (k2) every slot is an endpoint
+    bad = (ends + n_numbers > k) | (ends != k) & (not paired) | (n_numbers > 0) & (number[0] > top)
+    if bad.any():
+        i = bad.argmax()
+        name = _shorten(table.letters[i].tobytes().decode())
+        raise EncodingError(f"pattern {name} needs {ends[i]} endpoint and {n_numbers[i]} number slots, "
+                            f"but k={k}{'' if paired else ', all endpoints'}")
     bits = np.zeros((len(ends), layout.width), dtype=np.uint8)
 
-    def put(rows: np.ndarray, field: np.ndarray, slot, values: np.ndarray) -> None:
-        # each row's value into the columns field[slot], most significant bit first
-        for b in range(field.shape[1]):
-            bits[rows, field[slot, b]] = values >> field.shape[1] - 1 - b & 1
+    def put(rows: np.ndarray, shifts: np.ndarray, values: np.ndarray, mask: int = 1) -> None:
+        # bit b of each row's value, for each bit of the field's mask, into the column of word bit shifts + b
+        for b in range(int(mask).bit_length()):
+            bits[rows, top - shifts - b] = values >> b & 1
 
+    bits[:, top - sign] = table.negative
     rows, at = np.nonzero(x)
-    if layout.mode == "k2":
-        if ((ends != 2) | (n_numbers > 0)).any():
-            raise EncodingError("the two-endpoint layout holds exactly one interaction "
-                                "pair and no number factors")
-        rows, u, v = rows[::2], at[::2], at[1::2]
-        for name, value in (("p", u), ("q", v), ("P1", 2 * z[rows, u] + table.negative), ("P2", z[rows, v])):
-            put(rows, regs[name][None], 0, value.astype(np.intp))
-        return bits
-    over = ends + n_numbers > k
-    if over.any():
-        i = over.argmax()
-        raise EncodingError(f"pattern {_shorten(table.letters[i].tobytes().decode())} needs {ends[i]} "
-                            f"endpoint and {n_numbers[i]} number slots, but k={k}")
-    addr = np.array([regs[f"addr{j}"] for j in range(k)]).reshape(k, -1)  # (slot, bit) -> column
-    letter, pair, number = (np.array([regs[f"{flag}{j}"][0] for j in range(k)]) for flag in "Pin")
-    bits[:, regs["sgn"][0]] = table.negative
     slot = np.arange(len(rows)) - (np.cumsum(ends) - ends)[rows]
-    put(rows, addr, slot, at)
-    bits[rows, pair[slot]] = 1
-    bits[rows, letter[slot]] = z[rows, at]
+    put(rows, addr[slot], at, mask[0])
+    put(rows, letter[slot], z[rows, at])
+    if paired:
+        put(rows, pair[slot], 1)
     rows, at = np.nonzero(numbers)
     slot = np.arange(len(rows)) - (np.cumsum(n_numbers) - n_numbers)[rows] + ends[rows]
-    put(rows, addr, slot, at)
-    bits[rows, number[slot]] = 1
+    put(rows, addr[slot], at, mask[0])
+    put(rows, number[slot], 1)
     return bits
 
 
@@ -359,16 +349,16 @@ def synth_select_general(n: int, k: int, variant: str = "star") -> Circuit:
     star = _check_variant(variant)
     if n < 2:
         raise ValueError("need at least two system qubits")
-    c, regs, system = _select_host(SelectionLayout(n, k, "general"))
-    pflags = [regs[f"P{j}"][0] for j in range(k)]
-    iflags = [regs[f"i{j}"][0] for j in range(k)]
-    nflags = [regs[f"n{j}"][0] for j in range(k)]
-    c.add("Z", regs["sgn"][0], control_extension_point=True)
+    layout = SelectionLayout(n, k, "general")
+    c, _, system = _select_host(layout)
+    (sign, slots), top = layout._slots, layout.width - 1  # qubit top - s carries word bit s
+    pflags, iflags, nflags = ([top - slot[f] for slot in slots] for f in (2, 3, 4))
+    c.add("Z", top - sign, control_extension_point=True)
     for t in range(k // 2):
         c.add("Sdg", iflags[2 * t], control_extension_point=True)
 
     net = swap_up_star(n) if star else swap_up(n)
-    net_maps = [list(regs[f"addr{j}"]) + system for j in range(k)]
+    net_maps = [list(range(top + 1 - s - m.bit_length(), top + 1 - s)) + system for s, m, *_ in slots]
 
     def flagged_z(flags: list[int]) -> None:
         # swap-conjugated CZ(flag j, front system qubit) for every slot j

@@ -20,14 +20,13 @@ Pauli-string convention.  Two independent routes run a circuit:
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from functools import cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import kernels
-from .circuit_ir import Circuit, Gate, basis_change, conjugated, terminal_gates
+from .circuit_ir import Circuit, Gate, _frame_gates, _inverted, conjugated, terminal_gates
 from .gadgets import _swap_levels, address_bits, swap_up_star
 from .pauli import PauliString, _split
 from .select_synth import DecodeError, SelectionLayout, controlled_select, decode_index
@@ -209,7 +208,7 @@ def _plan(c: Circuit) -> Optional[list[tuple]]:
     its controlled swaps Π: the network is D·Π, D diagonal ±1, which cancels around the
     span's body, so the body's product must be diagonal.  A ``basis_change`` span plays
     as its body, each gate conjugated by the frame and by every frame around it.  None
-    unless each such span opens and closes with exactly what its builder writes.
+    unless each such span opens and closes with exactly what its builder writes, read in place.
     """
     table = cache(_table)
     network = cache(lambda n: swap_up_star(n).gates)
@@ -217,12 +216,10 @@ def _plan(c: Circuit) -> Optional[list[tuple]]:
     @cache
     def shape(kind: str, arity: int, framing: tuple) -> tuple:
         g = Gate(kind, tuple(range(arity)))
-        unit = Circuit(arity)
-        with ExitStack() as stack:
-            for local, letter in framing:  # outermost first
-                stack.enter_context(basis_change(unit, local, letter))
-            unit.gates.append(g)
-        return table(g, tuple(unit.gates))[1:]
+        frames = [_frame_gates(local, letter) for local, letter in framing]  # outermost first
+        opening = [h for gates, _ in frames for h in gates]
+        closing = [h for _, gates in reversed(frames) for h in gates]
+        return table(g, (*opening, g, *closing))[1:]
 
     def framed(g: Gate, frames: tuple) -> tuple:
         framing = tuple((local, letter) for held, letter in frames
@@ -231,13 +228,15 @@ def _plan(c: Circuit) -> Optional[list[tuple]]:
 
     stand_ins: dict[int, tuple] = {}
     for start, body, end, stop, (builder, *args) in c.spans:
-        swaps = None
+        opening, swaps = c.gates[start:body], None
         if builder is conjugated:
             net, to = args
             n = len(net.register_labels.get("data", ()))
             if n < 2 or net.gates != network(n):
                 continue  # not a star network: its gates play as themselves
             to, top = range(net.n_qubits) if to is None else to, address_bits(n) - 1
+            written = [(h.kind, tuple([to[q] for q in h.qubits]), *h[2:]) for h in net.gates]  # markers kept
+            closing = _inverted(opening)
             swaps = [Gate("CSWAP", (to[top - j], to[top + 1 + a], to[top + 1 + b]))
                      for j, _, pairs in _swap_levels(n) for a, b in pairs]
             inner = tuple(c.gates[body:end])  # one block; a lone gate keys the table it plays by
@@ -245,11 +244,9 @@ def _plan(c: Circuit) -> Optional[list[tuple]]:
             whole = inner[0] if len(inner) == 1 else Gate("body", qubits)
             if table(whole, inner)[3]:
                 return None
-        written = Circuit(c.n_qubits)
-        with builder(written, *args):
-            pass
-        _, opens, closes, _, _ = written.spans[0]
-        if c.gates[start:body] != written.gates[:opens] or c.gates[end:stop] != written.gates[closes:]:
+        else:
+            written, closing = map(list, _frame_gates(*args))
+        if opening != written or c.gates[end:stop] != closing:
             return None
         stand_ins[start] = (body, end, stop, swaps, args)
 

@@ -341,3 +341,10 @@ def test_verify_capacity_guard(capsys):
     assert rc == 2 and "at most" in err
     rc, _, err = run(["verify", "--n", "6", "--k", "4"], capsys)
     assert rc == 2 and "at most" in err
+
+
+@pytest.mark.parametrize("k", ["0", "3", "-2"])
+def test_verify_names_a_bad_k_before_the_size_cap(k, capsys):
+    rc, out, err = run(["verify", "--n", "6", "--k", k], capsys)
+    assert rc == 2 and not out
+    assert f"k must be even and >= 2, got {k}" in err and "at most" not in err

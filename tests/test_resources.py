@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fermiselect.circuit_ir import lower_macros
+from fermiselect.circuit_ir import lower_macros, schedule
 from fermiselect.gadgets import GADGETS, address_bits
 from fermiselect.resources import (
     FORMULAS,
@@ -74,6 +74,26 @@ def test_t_depth_bound_holds():
         for n in (4, 8, 16):
             report, _, _ = measure(name, n)
             assert report.t_depth <= ceiling[name, n], (name, n)
+
+
+_LAW_SIZES = [1 << L for L in range(1, 11)] + [3, 5, 6, 7, 12, 20, 33, 100, 200, 300, 600, 1000]
+
+
+@pytest.mark.parametrize("n", _LAW_SIZES)
+def test_select_depths_follow_the_papers_laws(n):
+    # T-depth O(log n) and Clifford depth O(log^2 n) as exact laws in L = ceil(log2 n): each
+    # depth equals its law at n = 2^L (plain T-depth from L = 2, plain Clifford depth from
+    # L = 4) and stays at or below it elsewhere; the star T-depth is 48L at every n
+    L, power = address_bits(n), n & (n - 1) == 0
+    star = schedule(lower_macros(synth_select_k2(n, "star")))
+    plain = schedule(lower_macros(synth_select_k2(n, "plain")))
+    assert star.t_depth == 48 * L
+    for depth, law, exact in ((star.clifford_depth, 12 * L * L + 40 * L + 28, power),
+                              (plain.t_depth, 128 * L - 64, power and L >= 2),
+                              (plain.clifford_depth, 32 * L * L + 108 * L + 214, power and L >= 4)):
+        assert depth == law if exact else depth <= law, (depth, law)
+    if n == 2:
+        assert plain.t_depth == 32  # the plain network is a single CSWAP
 
 
 def test_gadget_rows_are_the_formula_rows():

@@ -164,12 +164,32 @@ def test_k2_decode_examples():
 
 def test_k2_decode_rejects_bad_addresses():
     lay = SelectionLayout(4, 2, "k2")
-    with pytest.raises(DecodeError):
+    with pytest.raises(DecodeError, match="^pair addresses must be ordered, got 2, 2$"):
         decode_index(lay.pack(p=2, q=2, P1=0, P2=0), lay)  # p == q
-    with pytest.raises(DecodeError):
+    with pytest.raises(DecodeError, match="^pair addresses must be ordered, got 3, 1$"):
         decode_index(lay.pack(p=3, q=1, P1=0, P2=0), lay)  # p > q
-    with pytest.raises(DecodeError):
+    with pytest.raises(DecodeError, match="^word 128 does not fit 7 bits$"):
         decode_index(1 << lay.width, lay)  # word too wide
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_k2_words_round_trip_through_the_encoder(n):
+    lay = SelectionLayout(n, 2, "k2")
+    for word in lay.valid_states():
+        assert encode_term(decode_index(word, lay), lay) == word
+
+
+def test_decode_reads_no_field_dict(monkeypatch):
+    # the decoder reads each slot through the slot table, never through fields()
+    layouts = [SelectionLayout(5, 2, "k2"), SelectionLayout(4, 4, "general")]
+    want = {lay: [_product_decode(w, lay) for w in lay.valid_states()] for lay in layouts}
+
+    def refuse(self, word):
+        raise AssertionError("decode_index read the fields dict")
+
+    monkeypatch.setattr(SelectionLayout, "fields", refuse)
+    for lay in layouts:
+        assert [decode_index(w, lay) for w in lay.valid_states()] == want[lay]
 
 
 def test_k2_encode_examples():
@@ -227,39 +247,33 @@ def test_general_decode_rejections():
     lay = SelectionLayout(4, 4, "general")
     base = encode_term(PauliString("XXII", 0), lay)
     fields = lay.fields(base)
+
+    def rejects(message, layout=lay, **values):
+        with pytest.raises(DecodeError, match=f"^{message}$"):
+            decode_index(layout.pack(**values), layout)
+
+    with pytest.raises(DecodeError, match="^word 2097152 does not fit 21 bits$"):
+        decode_index(1 << lay.width, lay)
     # interaction flags of a slot pair must agree
-    bad = lay.pack(**{**fields, "i1": 0})
-    with pytest.raises(DecodeError):
-        decode_index(bad, lay)
+    rejects("interaction flags of slots 0,1 disagree", **{**fields, "i1": 0})
     # a slot cannot be both endpoint and number
-    bad = lay.pack(**{**fields, "n0": 1})
-    with pytest.raises(DecodeError):
-        decode_index(bad, lay)
+    rejects("a slot cannot be both endpoint and number", **{**fields, "n0": 1})
     # pair addresses must be strictly ordered
-    bad = lay.pack(**{**fields, "addr0": 1})
-    with pytest.raises(DecodeError):
-        decode_index(bad, lay)
-    # inactive slots must be all zero
-    bad = lay.pack(addr2=3)
-    with pytest.raises(DecodeError):
-        decode_index(bad, lay)
-    # number may not sit on an endpoint
-    bad = lay.pack(**{**fields, "addr2": 1, "n2": 1})
-    with pytest.raises(DecodeError):
-        decode_index(bad, lay)
-    # number address out of range: addr=3 is fine for n=4, so use n=3
-    lay3 = SelectionLayout(3, 2, "general")
-    bad = lay3.pack(addr0=3, n0=1)
-    with pytest.raises(DecodeError):
-        decode_index(bad, lay3)
-    # duplicate numbers
-    bad = lay.pack(addr0=2, addr1=2, n0=1, n1=1)
-    with pytest.raises(DecodeError):
-        decode_index(bad, lay)
+    rejects("pair addresses must be ordered, got 1, 1", **{**fields, "addr0": 1})
     # active pairs must be ordered across slot pairs
-    bad = lay.pack(addr0=2, addr1=3, addr3=1, i0=1, i1=1, i2=1, i3=1)
-    with pytest.raises(DecodeError):
-        decode_index(bad, lay)
+    rejects("active pairs must be strictly ordered across slots",
+            addr0=2, addr1=3, addr3=1, i0=1, i1=1, i2=1, i3=1)
+    # inactive slots must be all zero
+    rejects("inactive slot 2 must be all zero", addr2=3)
+    rejects("inactive slot 3 must be all zero", P3=1)
+    # a number carries no letter
+    rejects("number slot 2 must have a zero letter flag", addr2=3, n2=1, P2=1)
+    # number may not sit on an endpoint
+    rejects("number address 1 collides", **{**fields, "addr2": 1, "n2": 1})
+    # duplicate numbers
+    rejects("number address 2 collides", addr0=2, addr1=2, n0=1, n1=1)
+    # number address out of range: every 2-bit address is in range at n = 4, so use n = 3
+    rejects("number address 3 out of range", SelectionLayout(3, 2, "general"), addr0=3, n0=1)
 
 
 def test_number_inside_pair_interval_decodes():

@@ -599,9 +599,28 @@ def test_star_span_plays_as_its_cswaps_only_around_a_diagonal_body(payload, rng)
         full = np.zeros(32, dtype=complex)
         full[8 * word : 8 * word + 8] = psi
         assert np.abs(phases[word] * outs[:, word] - apply_circuit(c, full)[8 * word : 8 * word + 8]).max() < 1e-12
-    c.gates[0] = Gate("X", (0,))  # no longer what the builder wrote
+    start, _, _, stop, _ = c.spans[0]
+    for at in (start, stop - 1):  # an opening and a closing gate
+        changed = Circuit(c.n_qubits, list(c.gates), c.register_labels)
+        changed.spans = c.spans
+        changed.gates[at] = Gate("X", (0,))  # no longer what the builder wrote
+        with pytest.raises(ValueError, match="differs from what its builder writes"):
+            apply_classical_control(changed, words, psi)
+
+
+@pytest.mark.parametrize("letter", ["X", "Y"])
+@pytest.mark.parametrize("where", ["opening", "closing"])
+def test_basis_change_span_must_be_the_frame_it_records(letter, where, rng):
+    c = Circuit(3, [], {"system": (1, 2)})
+    with basis_change(c, [1, 2], letter):
+        c.add("CZ", 0, 1)
+    psi = random_state(2, rng)
+    apply_classical_control(c, [0, 1], psi)  # plays as written
+    start, _, _, stop, _ = c.spans[0]
+    at = start if where == "opening" else stop - 1
+    c.gates[at] = Gate("S" if c.gates[at].kind == "H" else "H", c.gates[at].qubits)
     with pytest.raises(ValueError, match="differs from what its builder writes"):
-        apply_classical_control(c, words, psi)
+        apply_classical_control(c, [0, 1], psi)
 
 
 def test_macro_cases_cover_every_macro_kind():
