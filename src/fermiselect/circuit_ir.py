@@ -19,11 +19,13 @@ a block in the X or Y frame of some qubits; both note the block in
 
 The back-end passes (``terminal_gates`` and so ``lower_macros``,
 remapping, ``schedule`` and ``emit_text``) do their per-gate work once per
-distinct gate within a call and reuse it for the repeats.
+distinct gate within a call and reuse it for the repeats.  ``emit_text``
+with ``lower`` renders each distinct macro's lowering once, so the CLI
+feeds it the un-lowered circuit and builds no lowered one.
 
 ``schedule`` measures T-depth and Clifford depth as longest dependency
 chains counting only gates of the respective class, so Cliffords never
-pad T-depth; ``chain_depth`` does the same for any set of kinds.
+pad T-depth.
 
 ``control_extension_point`` marks the gates of a SELECT circuit that gain
 global controls; gates sharing an ``extension_group`` id transform as one
@@ -52,7 +54,6 @@ __all__ = [
     "terminal_gates",
     "lower_macros",
     "schedule",
-    "chain_depth",
     "count_extension_points",
     "add_global_controls",
     "emit_text",
@@ -387,21 +388,6 @@ def _reject_macros(c: Circuit, caller: str) -> NoReturn:
     raise ValueError(f"{caller} needs a lowered circuit; found {sorted(bad)}")
 
 
-def chain_depth(c: Circuit, kinds: Iterable[str]) -> int:
-    """Longest dependency chain counting only gates of the given kinds.
-
-    The staged-execution analogue of T-depth for arbitrary gate classes:
-    gates outside ``kinds`` order the chain but add no weight.
-    """
-    want = set(kinds)
-    depth = [0] * c.n_qubits
-    for g in c.gates:
-        d = max(depth[q] for q in g.qubits) + (1 if g.kind in want else 0)
-        for q in g.qubits:
-            depth[q] = d
-    return max(depth, default=0)
-
-
 def count_extension_points(c: Circuit) -> int:
     """Number of control-extension units (a marked group counts once)."""
     groups: set[int] = set()
@@ -529,11 +515,14 @@ def add_global_controls(c: Circuit, num_controls: int) -> Circuit:
     return out
 
 
-def emit_text(c: Circuit) -> str:
+def emit_text(c: Circuit, lower: bool = False) -> str:
     """Deterministic text form of a lowered circuit.
 
     One gate per line, ``kind q[i],q[j];`` with a ``qubits N;`` header and
-    a comment line per named register.
+    a comment line per named register.  Each distinct gate is rendered
+    once.  A macro raises ValueError, unless ``lower``: then it is written
+    as the lines of its ``terminal_gates``, so the text equals
+    ``emit_text(lower_macros(c))`` and no lowered circuit is built.
     """
     lines = [f"qubits {c.n_qubits};"]
     for name, qs in c.register_labels.items():
@@ -542,13 +531,24 @@ def emit_text(c: Circuit) -> str:
         else:
             span = ",".join(f"q[{i}]" for i in qs)
         lines.append(f"# {name}: {span}")
-    text: dict[Gate, str] = {}  # each distinct gate rendered once
+    line: dict[tuple, str] = {}  # each terminal's line by (kind, qubits): markers change no line
+
+    def render(g: Gate) -> str:
+        text = line.get(g[:2])
+        if text is None:
+            text = line[g[:2]] = f"{g.kind.lower()} {','.join(f'q[{i}]' for i in g.qubits)};"
+        return text
+
+    chunk: dict[Gate, str] = {}  # each distinct gate's lines
     for g in c.gates:
-        line = text.get(g)
-        if line is None:
-            if g.kind in MACRO_KINDS:
+        text = chunk.get(g)
+        if text is None:
+            if g.kind in TERMINAL_KINDS:
+                text = render(g)
+            elif lower:
+                text = "\n".join(map(render, terminal_gates((g,))))
+            else:
                 _reject_macros(c, "emit_text")
-            args = ",".join(f"q[{i}]" for i in g.qubits)
-            line = text[g] = f"{g.kind.lower()} {args};"
-        lines.append(line)
+            chunk[g] = text
+        lines.append(text)
     return "\n".join(lines) + "\n"

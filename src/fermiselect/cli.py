@@ -4,8 +4,9 @@ Subcommands:
 
 * ``transform``  — parse a fermionic Hamiltonian file, Jordan-Wigner
   transform it, and print the selection-encoded LCU table.
-* ``synth``      — synthesize a SELECT circuit, lower it to one- and
-  two-qubit gates, and print it in text form.
+* ``synth``      — synthesize a SELECT circuit and print it in text form,
+  each macro written as its one- and two-qubit gates (``emit_text`` with
+  ``lower``; no lowered circuit is built).
 * ``resources``  — measure catalogued components against their
   closed-form costs and print a CSV.
 * ``verify``     — run the exact basis-state oracle check and print a JSON
@@ -26,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circuit_ir import emit_text, lower_macros
+from .circuit_ir import emit_text
 from .pauli import (
     FermionHamiltonian,
     FermionTerm,
@@ -36,7 +37,7 @@ from .pauli import (
     _validate_term,
     jw_transform,
 )
-from .select_synth import SelectionLayout, controlled_select, encode_lcu
+from .select_synth import SelectionLayout, controlled_select, encode_lcu, select_layout
 from .resources import check_against_formulas
 from .simulator import verify_select
 
@@ -139,7 +140,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     circuit = controlled_select(args.n, args.k, args.variant, args.controls)
-    _write(emit_text(lower_macros(circuit)), args.output)
+    _write(emit_text(circuit, lower=True), args.output)
     return 0
 
 
@@ -160,8 +161,7 @@ def _cmd_resources(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    SelectionLayout(args.n, args.k, "k2" if args.k == 2 else "general")  # a bad k is named before the caps
-    if args.k == 2:
+    if select_layout(args.n, args.k).mode == "k2":  # a bad k is named before the caps
         if args.n > 12:
             raise ValueError("verify handles at most n=12 for k=2")
     elif args.n > 5:

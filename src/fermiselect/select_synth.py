@@ -43,6 +43,7 @@ __all__ = [
     "EncodingError",
     "DecodeError",
     "SelectionLayout",
+    "select_layout",
     "encode_term",
     "encode_lcu",
     "decode_index",
@@ -173,6 +174,11 @@ class SelectionLayout:
                             base = marked | sum(w << addr[j] for j, w in zip(numslots, values))
                             for option in options:
                                 yield base | option
+
+
+def select_layout(n: int, k: int) -> SelectionLayout:
+    """The layout of the SELECT for n orbitals and k slots: k2 at k = 2, else general."""
+    return SelectionLayout(n, k, "k2" if k == 2 else "general")
 
 
 def decode_index(bits: int, layout: SelectionLayout) -> PauliString:
@@ -387,7 +393,8 @@ def controlled_select(
     extension points, which two controls cannot reach exactly, so that
     case raises before anything is synthesized.
     """
-    if k != 2 and num_controls == 2:
+    k2 = select_layout(n, k).mode == "k2"
+    if not k2 and num_controls == 2:
         raise ValueError(SDG_TWO_CONTROLS)
-    c = synth_select_k2(n, variant) if k == 2 else synth_select_general(n, k, variant)
+    c = synth_select_k2(n, variant) if k2 else synth_select_general(n, k, variant)
     return add_global_controls(c, num_controls) if num_controls else c

@@ -29,14 +29,12 @@ from . import kernels
 from .circuit_ir import Circuit, Gate, _frame_gates, _inverted, conjugated, terminal_gates
 from .gadgets import _swap_levels, address_bits, swap_up_star
 from .pauli import PauliString, _split
-from .select_synth import DecodeError, SelectionLayout, controlled_select, decode_index
+from .select_synth import DecodeError, controlled_select, decode_index, select_layout
 
 __all__ = [
     "MAX_DENSE_QUBITS",
     "MAX_UNITARY_QUBITS",
     "GATE_1Q",
-    "zero_state",
-    "basis_state",
     "random_state",
     "apply_circuit",
     "unitary_of",
@@ -77,18 +75,6 @@ GATE_1Q = {
     "A": np.array([[_C8, _S8], [-_S8, _C8]], dtype=np.complex128),
     "Adg": np.array([[_C8, -_S8], [_S8, _C8]], dtype=np.complex128),
 }
-
-
-def zero_state(n_qubits: int) -> np.ndarray:
-    state = np.zeros(1 << n_qubits, dtype=np.complex128)
-    state[0] = 1.0
-    return state
-
-
-def basis_state(n_qubits: int, index: int) -> np.ndarray:
-    state = np.zeros(1 << n_qubits, dtype=np.complex128)
-    state[index] = 1.0
-    return state
 
 
 def random_state(n_qubits: int, rng=None) -> np.ndarray:
@@ -373,7 +359,7 @@ def verify_select(
         raise ValueError(f"trials must be at least 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    layout = SelectionLayout(n, k, "k2" if k == 2 else "general")
+    layout = select_layout(n, k)
     all_words = [int(w) for w in (layout.valid_states() if words is None else words)]
     if not all_words:
         raise ValueError("words is empty: there is nothing to verify")

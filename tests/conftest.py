@@ -46,6 +46,30 @@ def scan_pairs_and_numbers(letters):
     return pairs, sorted(numbers)
 
 
+def basis_state(n_qubits: int, index: int) -> np.ndarray:
+    state = np.zeros(1 << n_qubits, dtype=complex)
+    state[index] = 1.0
+    return state
+
+
+def zero_state(n_qubits: int) -> np.ndarray:
+    return basis_state(n_qubits, 0)
+
+
+def chain_depth(c, kinds) -> int:
+    """Longest dependency chain of circuit c counting only gates of the given kinds.
+
+    The staged-execution analogue of T-depth for arbitrary gate classes:
+    gates outside ``kinds`` order the chain but add no weight.
+    """
+    depth = [0] * c.n_qubits
+    for g in c.gates:
+        d = max(depth[q] for q in g.qubits) + (g.kind in kinds)
+        for q in g.qubits:
+            depth[q] = d
+    return max(depth, default=0)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from fermiselect.circuit_ir import (
-    chain_depth,
     count_extension_points,
     lower_macros,
     schedule,
@@ -60,7 +59,7 @@ from fermiselect.simulator import (
 )
 from fermiselect.resources import GROWTH_CAP
 
-from conftest import permutation_matrix
+from conftest import chain_depth, permutation_matrix
 
 
 # --- 1. oracle equivalence, k=2 ---------------------------------------------------

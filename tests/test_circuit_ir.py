@@ -4,6 +4,7 @@ Macro references are built as explicit permutation/diagonal matrices,
 not from the package's own expansions.
 """
 
+import itertools
 from functools import partial
 
 import numpy as np
@@ -16,7 +17,6 @@ from fermiselect.circuit_ir import (
     MACRO_KINDS,
     TERMINAL_KINDS,
     add_global_controls,
-    chain_depth,
     compose,
     conjugated,
     count_extension_points,
@@ -44,7 +44,7 @@ from fermiselect.resources import FORMULAS
 from fermiselect.select_synth import controlled_select, synth_select_k2
 from fermiselect.simulator import unitary_of
 
-from conftest import permutation_matrix
+from conftest import chain_depth, permutation_matrix
 
 
 def ref_ccz():
@@ -525,6 +525,25 @@ def test_emit_text_renders_each_repeat_like_the_first(rng):
     assert lines[1:] == [
         f"{g.kind.lower()} " + ",".join(f"q[{q}]" for q in g.qubits) + ";" for g in gates
     ]
+
+
+def test_emit_text_lowers_macros_when_asked(rng):
+    c = Circuit(4, _repeated_macros(rng), {"a": (0, 1), "b": (3, 2)})
+    assert emit_text(c, lower=True) == emit_text(lower_macros(c))
+    with pytest.raises(ValueError, match=r"emit_text needs a lowered circuit; found \["):
+        emit_text(c)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 16])
+def test_emit_text_lowering_matches_lower_macros_on_every_select(n):
+    built = 0
+    for k, v, controls in itertools.product((2, 4, 6), ("plain", "star"), (0, 1, 2)):
+        if k != 2 and controls == 2:
+            continue  # the general layout takes at most one control
+        c = controlled_select(n, k, v, controls)
+        assert emit_text(c, lower=True) == emit_text(lower_macros(c)), (k, v, controls)
+        built += 1
+    assert built == 14
 
 
 def test_a_macro_after_many_repeats_is_still_rejected():

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from fermiselect import gadgets
-from fermiselect.circuit_ir import Circuit, Gate, chain_depth, expand_macro, lower_macros, schedule
-from fermiselect.simulator import apply_circuit, basis_state, unitary_of
+from fermiselect.circuit_ir import Circuit, Gate, expand_macro, lower_macros, schedule
+from fermiselect.simulator import apply_circuit, unitary_of
 
-from conftest import dense_pauli, permutation_matrix
+from conftest import basis_state, chain_depth, dense_pauli, permutation_matrix
 
 
 def address_block(U, x, n_data):

@@ -14,15 +14,18 @@ past 64 orbitals, before the transform held its table as columns);
 their inputs are generated here from a seeded ``random.Random``.  The
 n = 512 digests, the benchmark's size, were taken before lowering,
 remapping and emission reused their work on repeated gates within a
-call.
+call.  The ``fermiselect synth`` output, which the CLI renders from the
+un-lowered circuit, is checked against the same emit digests.
 """
 
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 
+from fermiselect import circuit_ir
 from fermiselect.circuit_ir import emit_text, lower_macros
 from fermiselect.cli import main
 from fermiselect.gadgets import GADGETS, cswap_phase_incorrect, select_p, select_q
@@ -167,6 +170,37 @@ LARGE_EMIT_GOLDEN = {
 @pytest.mark.parametrize("v", sorted(LARGE_EMIT_GOLDEN))
 def test_emitted_select_at_n512_is_unchanged(v):
     assert _sha(emit_text(lower_macros(synth_select_k2(512, v)))) == LARGE_EMIT_GOLDEN[v]
+
+
+# --- fermiselect synth: the CLI renders the un-lowered circuit itself ---------
+
+
+def synth_digest(capsys, n, k, v, c):
+    capsys.readouterr()
+    assert main(["synth", "--n", str(n), "--k", str(k), "--variant", v, "--controls", str(c)]) == 0
+    return _sha(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("n,k,v,c", EMIT_CASES)
+def test_synth_cli_prints_the_emitted_select(n, k, v, c, capsys):
+    assert synth_digest(capsys, n, k, v, c) == EMIT_GOLDEN[(n, k, v, c)]
+
+
+@pytest.mark.parametrize("v", sorted(LARGE_EMIT_GOLDEN))
+def test_synth_cli_at_n512_prints_the_emitted_select(v, capsys):
+    assert synth_digest(capsys, 512, 2, v, 0) == LARGE_EMIT_GOLDEN[v]
+
+
+def test_synth_cli_builds_no_lowered_circuit(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("fermiselect synth lowered the circuit")
+
+    original = circuit_ir.lower_macros
+    for name, module in list(sys.modules.items()):  # every binding of the name in the package
+        if name.split(".")[0] == "fermiselect" and getattr(module, "lower_macros", None) is original:
+            monkeypatch.setattr(module, "lower_macros", never)
+    for v in ("plain", "star"):
+        assert synth_digest(capsys, 8, 2, v, 1) == EMIT_GOLDEN[(8, 2, v, 1)]
 
 
 @pytest.mark.parametrize("ns", sorted(RESOURCES_GOLDEN))

@@ -34,14 +34,12 @@ from fermiselect.simulator import (
     MAX_UNITARY_QUBITS,
     apply_circuit,
     apply_classical_control,
-    basis_state,
     random_state,
     unitary_of,
     verify_select,
-    zero_state,
 )
 
-from conftest import dense_pauli
+from conftest import basis_state, dense_pauli, zero_state
 
 
 def test_states():
