@@ -19,9 +19,11 @@ a block in the X or Y frame of some qubits; both note the block in
 
 The back-end passes (``terminal_gates`` and so ``lower_macros``,
 remapping, ``schedule`` and ``emit_text``) do their per-gate work once per
-distinct gate within a call and reuse it for the repeats.  ``emit_text``
-with ``lower`` renders each distinct macro's lowering once, so the CLI
-feeds it the un-lowered circuit and builds no lowered one.
+distinct gate, or for ``schedule`` once per gate kind, within a call and
+reuse it for the repeats.  With ``lower``, ``emit_text`` renders each
+distinct macro's lowering once and ``schedule`` builds each macro kind's
+depth profile once, so the CLI feeds both the un-lowered circuit and
+builds no lowered one.
 
 ``schedule`` measures T-depth and Clifford depth as longest dependency
 chains counting only gates of the respective class, so Cliffords never
@@ -37,7 +39,9 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
+from math import inf
+from operator import add
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
 
 __all__ = [
     "Gate",
@@ -341,7 +345,7 @@ def lower_macros(c: Circuit, pure_clifford_t: bool = False) -> Circuit:
     return lowered
 
 
-def schedule(c: Circuit) -> ResourceReport:
+def schedule(c: Circuit, lower: bool = False) -> ResourceReport:
     """Count resources of a lowered circuit along dependency chains.
 
     T-count includes A/Adg (one T each).  Each depth is the longest path
@@ -349,18 +353,78 @@ def schedule(c: Circuit) -> ResourceReport:
     T-depth weights non-Cliffords 1 and Cliffords 0, Clifford depth the
     reverse.  Cliffords therefore never pad T-depth, matching how
     T-layers are batched in practice.
+
+    A macro raises ValueError, unless ``lower``: then the report equals
+    ``schedule(lower_macros(c))`` and no lowered circuit is built.  Each
+    macro kind's depth profile (``_Profile``) is built once per call, on
+    first sight, so a macro costs a constant amount of work, not a walk
+    over its terminal gates.
     """
     t_chain = [0] * c.n_qubits
     c_chain = [0] * c.n_qubits
-    t_count = 0
-    non_clifford: dict[str, bool] = {}  # each kind checked on first sight
-    for g in c.gates:
+    macro = _profile if lower else lambda kind: _reject_macros(c, "schedule")
+    t_count, size = _advance(c.gates, t_chain, c_chain, macro)
+    return ResourceReport(
+        t_count=t_count,
+        t_depth=max(t_chain, default=0),
+        clifford_count=size - t_count,
+        clifford_depth=max(c_chain, default=0),
+        total_qubits=c.n_qubits,
+    )
+
+
+class _Profile(NamedTuple):
+    """What one macro kind does to the two chains of ``schedule``.
+
+    Both chain updates are max-plus linear, so a macro on qubits
+    (q_0 .. q_m-1) sets chain[q_j] to max_i(in_i + D[i][j]), with D[i][j]
+    the longest path from its input i to its output j (-inf for none).
+    ``t_cols[j]`` and ``c_cols[j]`` hold column j of each chain's D.
+    """
+
+    t_count: int
+    size: int  # terminal gates
+    t_cols: tuple[tuple[float, ...], ...]
+    c_cols: tuple[tuple[float, ...], ...]
+
+
+def _profile(kind: str) -> _Profile:
+    """The ``_Profile`` of ``kind``, from the terminal gates of one such gate."""
+    m = _ARITY[kind]
+    terminals = list(terminal_gates((Gate(kind, tuple(range(m))),)))
+    t_rows, c_rows = [], []
+    for i in range(m):  # row i: the chains that input i alone reaches
+        t_row = [-inf] * m
+        t_row[i] = 0
+        c_row = t_row.copy()
+        t_count, size = _advance(terminals, t_row, c_row, _profile)  # no macro left
+        t_rows.append(t_row)
+        c_rows.append(c_row)
+    return _Profile(t_count, size, tuple(zip(*t_rows)), tuple(zip(*c_rows)))
+
+
+def _advance(gates: Sequence[Gate], t_chain: list, c_chain: list,
+             macro: Callable[[str], _Profile]) -> tuple[int, int]:
+    """Walk ``gates`` through both chains in place; (T-count, terminal gate count).
+
+    ``macro`` gives the profile of each macro kind on first sight.
+    """
+    t_count = extra = 0
+    seen: dict[str, object] = {}  # per kind: non-Clifford or not, or its macro profile
+    for g in gates:
         kind, qubits = g.kind, g.qubits
-        nc = non_clifford.get(kind)
+        nc = seen.get(kind)
         if nc is None:
-            if kind in MACRO_KINDS:
-                _reject_macros(c, "schedule")
-            nc = non_clifford[kind] = kind in NON_CLIFFORD_KINDS
+            nc = seen[kind] = macro(kind) if kind in MACRO_KINDS else kind in NON_CLIFFORD_KINDS
+        if nc is not True and nc is not False:
+            t_in = list(map(t_chain.__getitem__, qubits))
+            c_in = list(map(c_chain.__getitem__, qubits))
+            for q, t_col, c_col in zip(qubits, nc.t_cols, nc.c_cols):
+                t_chain[q] = max(map(add, t_in, t_col))
+                c_chain[q] = max(map(add, c_in, c_col))
+            t_count += nc.t_count
+            extra += nc.size - 1
+            continue
         t_count += nc
         if len(qubits) == 1:
             (q,) = qubits
@@ -374,13 +438,7 @@ def schedule(c: Circuit) -> ResourceReport:
         for q in qubits:
             t_chain[q] = t_here
             c_chain[q] = c_here
-    return ResourceReport(
-        t_count=t_count,
-        t_depth=max(t_chain, default=0),
-        clifford_count=len(c.gates) - t_count,
-        clifford_depth=max(c_chain, default=0),
-        total_qubits=c.n_qubits,
-    )
+    return t_count, len(gates) + extra
 
 
 def _reject_macros(c: Circuit, caller: str) -> NoReturn:

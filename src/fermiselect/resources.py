@@ -18,19 +18,24 @@ cost comes entirely from controlled swaps, so t_count divided by the
 number of controlled swaps must equal 7.  The SELECT rows named in
 ``GROWTH_CAP`` carry the growth of lowered Clifford depth relative to
 ``log2(n)**2``, pinned under a frozen cap.  ``check_against_formulas``
-measures lowered circuits and emits a CSV with one row per (component,
-n, metric).
+schedules each un-lowered circuit as its lowering (``schedule`` with
+``lower``), building no lowered circuit, and emits a CSV with one row
+per (component, n, metric).
 
 The k = 2 SELECT's lowered depths follow the paper's O(log n) T-depth and
 O(log² n) Clifford depth as exact laws, equal at n = 2^L and at most that
-elsewhere (tested to n = 1,024): star T-depth 48L (at every n), Clifford
-depth 12L² + 40L + 28; plain T-depth 128L − 64 (from L = 2; 32 at n = 2,
-one controlled swap), Clifford depth 32L² + 108L + 214 (from L = 4).
+elsewhere (tested to n = 1,024, and equal at n = 8,192): star T-depth 48L
+(at every n), Clifford depth 12L² + 40L + 28; plain T-depth 128L − 64
+(from L = 2; 32 at n = 2, one controlled swap), Clifford depth
+32L² + 108L + 214 (from L = 4).  The general k = 4 SELECT has T-count
+128(n − 1) + 56 star and 336(n − 1) + 56 plain (from n = 3), and T-depth
+128L + 32 star (at every n) and 384L − 160 plain (from L = 2, at most
+that elsewhere).
 """
 
 from __future__ import annotations
 
-from .circuit_ir import ResourceReport, count_extension_points, lower_macros, schedule
+from .circuit_ir import ResourceReport, count_extension_points, schedule
 from .gadgets import GADGETS, Component, address_bits
 from .select_synth import synth_select_k2
 
@@ -72,11 +77,11 @@ def _expected(c: Component, n: int) -> tuple[int, int, int]:
 
 
 def measure(name: str, n: int) -> tuple[ResourceReport, int, int]:
-    """(lowered schedule, extension points, controlled-swap count)."""
+    """(schedule of the lowering, extension points, controlled-swap count)."""
     circuit = FORMULAS[name].build(n)
     points = count_extension_points(circuit)
     cswaps = sum(1 for g in circuit.gates if g.kind in ("CSWAP", "CSWAP_STAR"))
-    report = schedule(lower_macros(circuit))
+    report = schedule(circuit, lower=True)
     return report, points, cswaps
 
 

@@ -571,6 +571,42 @@ def test_schedule_mixed_arities_by_hand():
     )
 
 
+def test_schedule_lowering_matches_lower_macros_on_any_qubit_order(rng):
+    # every macro kind on every ordered tuple of distinct qubits out of four, with random
+    # extension markers, among terminals that leave the chains unequal; each prefix is
+    # checked, so a profile read by qubit value instead of position in the gate shows
+    gates = [Gate(kind, qs, bool(rng.integers(2)), [None, 7][rng.integers(2)])
+             for kind in sorted(MACRO_KINDS)
+             for qs in itertools.permutations(range(4), len(MACRO_REFS[kind][0]))]
+    gates += [Gate("T", (q,)) for q in (0, 0, 1, 3)] + [Gate("H", (2,)), Gate("CX", (3, 1))] * 3
+    gates = [gates[i] for i in rng.permutation(len(gates))]
+    assert {g.qubits for g in gates if g.kind == "CSWAP"} == set(itertools.permutations(range(4), 3))
+    for end in range(len(gates) + 1):
+        c = Circuit(4, gates[:end])
+        assert schedule(c, lower=True) == schedule(lower_macros(c)), gates[:end]
+    with pytest.raises(ValueError, match=r"schedule needs a lowered circuit; found \['CCZ', "):
+        schedule(c)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 16, 32])
+def test_schedule_lowering_matches_lower_macros_on_every_formula(n):
+    for name, row in FORMULAS.items():
+        c = row.build(n)
+        assert schedule(c, lower=True) == schedule(lower_macros(c)), name
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 16])
+def test_schedule_lowering_matches_lower_macros_on_every_select(n):
+    built = 0
+    for k, v, controls in itertools.product((2, 4, 6), ("plain", "star"), (0, 1, 2)):
+        if k != 2 and controls == 2:
+            continue  # the general layout takes at most one control
+        c = controlled_select(n, k, v, controls)
+        assert schedule(c, lower=True) == schedule(lower_macros(c)), (k, v, controls)
+        built += 1
+    assert built == 14
+
+
 # --- gates from the unchecked paths ------------------------------------------
 
 _REGISTERED = {name: spec.build for name, spec in GADGETS.items()}

@@ -15,7 +15,9 @@ their inputs are generated here from a seeded ``random.Random``.  The
 n = 512 digests, the benchmark's size, were taken before lowering,
 remapping and emission reused their work on repeated gates within a
 call.  The ``fermiselect synth`` output, which the CLI renders from the
-un-lowered circuit, is checked against the same emit digests.
+un-lowered circuit, is checked against the same emit digests, and the
+``fermiselect resources`` output, which schedules the un-lowered
+circuits, against the resources digests.
 """
 
 import hashlib
@@ -25,7 +27,7 @@ import sys
 
 import pytest
 
-from fermiselect import circuit_ir
+from fermiselect import circuit_ir, resources
 from fermiselect.circuit_ir import emit_text, lower_macros
 from fermiselect.cli import main
 from fermiselect.gadgets import GADGETS, cswap_phase_incorrect, select_p, select_q
@@ -191,14 +193,19 @@ def test_synth_cli_at_n512_prints_the_emitted_select(v, capsys):
     assert synth_digest(capsys, 512, 2, v, 0) == LARGE_EMIT_GOLDEN[v]
 
 
-def test_synth_cli_builds_no_lowered_circuit(monkeypatch, capsys):
+def forbid_lowering(monkeypatch, command):
+    """Make every package binding of ``lower_macros`` raise."""
     def never(*args, **kwargs):
-        raise AssertionError("fermiselect synth lowered the circuit")
+        raise AssertionError(f"fermiselect {command} lowered the circuit")
 
     original = circuit_ir.lower_macros
-    for name, module in list(sys.modules.items()):  # every binding of the name in the package
+    for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "fermiselect" and getattr(module, "lower_macros", None) is original:
             monkeypatch.setattr(module, "lower_macros", never)
+
+
+def test_synth_cli_builds_no_lowered_circuit(monkeypatch, capsys):
+    forbid_lowering(monkeypatch, "synth")
     for v in ("plain", "star"):
         assert synth_digest(capsys, 8, 2, v, 1) == EMIT_GOLDEN[(8, 2, v, 1)]
 
@@ -206,6 +213,21 @@ def test_synth_cli_builds_no_lowered_circuit(monkeypatch, capsys):
 @pytest.mark.parametrize("ns", sorted(RESOURCES_GOLDEN))
 def test_resources_csv_is_unchanged(ns):
     assert resources_digest(ns) == RESOURCES_GOLDEN[ns]
+
+
+def test_resources_cli_builds_no_lowered_circuit(monkeypatch, capsys):
+    def cli_digest(*args):
+        capsys.readouterr()
+        assert main(["resources", *args]) == 0
+        return _sha(capsys.readouterr().out)
+
+    with monkeypatch.context() as m:  # a reference for sizes without a digest: schedule the lowering
+        m.setattr(resources, "schedule", lambda c, lower=False: circuit_ir.schedule(lower_macros(c)))
+        lowered = _sha(check_against_formulas([2, 3, 5, 64]))
+    forbid_lowering(monkeypatch, "resources")
+    assert cli_digest() == RESOURCES_GOLDEN[(4, 8, 16, 32)]
+    assert cli_digest("--n-list", "2") == RESOURCES_GOLDEN[(2,)]
+    assert cli_digest("--n-list", "2,3,5,64") == lowered
 
 
 @pytest.mark.parametrize("key", sorted(IR_BUILDERS))

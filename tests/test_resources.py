@@ -96,6 +96,24 @@ def test_select_depths_follow_the_papers_laws(n):
         assert plain.t_depth == 32  # the plain network is a single CSWAP
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 12, 16, 32, 64, 100, 128])
+def test_general_k4_select_follows_its_laws(n):
+    # T-count 128(n-1) + 56 star and 336(n-1) + 56 plain (from n = 3; the 56 is eight
+    # CCZ/TOFFOLI); T-depth 128L + 32 star at every n, 384L - 160 plain at n = 2^L from
+    # L = 2 and at or below it elsewhere
+    L, power = address_bits(n), n & (n - 1) == 0
+    star = schedule(synth_select_general(n, 4, "star"), lower=True)
+    plain = schedule(synth_select_general(n, 4, "plain"), lower=True)
+    assert star.t_count == 128 * (n - 1) + 56
+    assert star.t_depth == 128 * L + 32
+    if n == 2:  # one controlled swap per network, as for k = 2
+        assert (plain.t_count, plain.t_depth) == (224, 128)
+        return
+    assert plain.t_count == 336 * (n - 1) + 56
+    law = 384 * L - 160
+    assert plain.t_depth == law if power else plain.t_depth <= law, (plain.t_depth, law)
+
+
 def test_gadget_rows_are_the_formula_rows():
     # one row object per gadget, and the CSV keeps its component order
     assert list(FORMULAS) == [*GADGETS, "SelectK2Plain", "SelectK2Star"]
