@@ -15,15 +15,24 @@ Circuits are built in place: ``Circuit.append`` adds another circuit's
 gates through a qubit map, ``conjugated`` wraps a block of gates as
 net · block · net† with the net remapped once, and ``basis_change`` runs
 a block in the X or Y frame of some qubits; both note the block in
-``Circuit.spans``.  ``compose`` is a copy followed by ``append``.
+``Circuit.spans``.  ``compose`` is a copy followed by ``append``.  Each
+host keeps the gates these two wrappers wrote (``Circuit._reuse``), so a
+SELECT that wraps many payloads in the same network on the same qubits,
+or in the same frame, writes that block's gates once and repeats them.
+
+Repeated gates are shared objects: remapping, inverting and shifting
+under global controls make one gate per distinct gate within a call.
+A ``Gate`` is a tuple subclass, which CPython's garbage collector never
+untracks, so each full collection walks every gate object alive; sharing
+them keeps that walk to the distinct gates.
 
 The back-end passes (``terminal_gates`` and so ``lower_macros``,
-remapping, ``schedule`` and ``emit_text``) do their per-gate work once per
-distinct gate, or for ``schedule`` once per gate kind, within a call and
-reuse it for the repeats.  With ``lower``, ``emit_text`` renders each
-distinct macro's lowering once and ``schedule`` builds each macro kind's
-depth profile once, so the CLI feeds both the un-lowered circuit and
-builds no lowered one.
+``schedule`` and ``emit_text``) do their per-gate work once per
+distinct gate, or once per gate kind, within a call and reuse it for
+the repeats.  With ``lower``, ``emit_text`` fills one text template per
+gate kind (its terminal gates on qubits 0..m-1) and ``schedule`` builds
+one depth profile per macro kind, so the CLI feeds both the un-lowered
+circuit and builds no lowered one.
 
 ``schedule`` measures T-depth and Clifford depth as longest dependency
 chains counting only gates of the respective class, so Cliffords never
@@ -106,6 +115,10 @@ class Circuit:
     # (start, body, end, stop, how) per block wrapped in place: gates [start, body) open it,
     # [end, stop) close it, and ``how`` is the wrapper and its arguments after the circuit
     spans: list[tuple] = field(default_factory=list, init=False, compare=False, repr=False)
+    # the gates ``conjugated`` and ``basis_change`` wrote, kept for their next call with the
+    # same net and map, or the same qubits and letter: (net, its gates then, opening, closing)
+    # under (id(net), map), and (opening, closing) under (qubits, letter)
+    _reuse: dict[tuple, tuple] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for g in self.gates:
@@ -177,11 +190,16 @@ def _remapped(host: Circuit, b: Circuit, qubit_map: Optional[Sequence[int]]) -> 
 
 def _inverted(gates: Sequence[Gate]) -> list[Gate]:
     """Reversed gate list with each gate inverted; self-inverse gates are kept."""
-    return [
-        Gate(_INVERSE[g.kind], g.qubits, g.control_extension_point, g.extension_group)
-        if g.kind in _INVERSE else g
-        for g in reversed(gates)
-    ]
+    inverted: dict[Gate, Gate] = {}  # each distinct gate inverted once
+    out = []
+    for g in reversed(gates):
+        if g.kind in _INVERSE:
+            h = inverted.get(g)
+            if h is None:
+                h = inverted[g] = tuple.__new__(Gate, (_INVERSE[g.kind], *g[1:]))
+            g = h
+        out.append(g)
+    return out
 
 
 @dataclass(frozen=True)
@@ -211,15 +229,26 @@ def inverse(c: Circuit) -> Circuit:
 def conjugated(c: Circuit, net: Circuit, qubit_map: Optional[Sequence[int]] = None):
     """Wrap the gates the block adds to c as net · block · net†.
 
-    The net is remapped once; its inverse is built from those remapped
-    gates.  Yields c, and notes the span in ``c.spans``.
+    The net is remapped once per host and map; its inverse is built from
+    those remapped gates.  A later call on c with the same net object and
+    an equal map writes the same two gate lists again (kept in
+    ``c._reuse``, not read back from ``c.gates``), unless the net's gates
+    have changed since.  Yields c, and notes the span in ``c.spans``.
     """
-    gates = _remapped(c, net, qubit_map)
+    key = (id(net), None if qubit_map is None else tuple(qubit_map))
+    reused = c._reuse.get(key)
+    if reused is not None and reused[1] == net.gates:
+        gates, closing = reused[2:]
+    else:
+        gates, closing = _remapped(c, net, qubit_map), None
     start = len(c.gates)
     c.gates.extend(gates)
     yield c
     end = len(c.gates)
-    c.gates.extend(_inverted(gates))
+    if closing is None:
+        closing = _inverted(gates)
+        c._reuse[key] = (net, list(net.gates), gates, closing)  # the net is held, so its id stays its own
+    c.gates.extend(closing)
     c.spans.append((start, start + len(gates), end, len(c.gates), (conjugated, net, qubit_map)))
 
 
@@ -233,14 +262,26 @@ def _frame_gates(qubits: Sequence[int], letter: str) -> tuple[Iterator[Gate], It
 @contextmanager
 def basis_change(c: Circuit, qubits: Sequence[int], letter: str):
     """Run the block in the ``letter`` frame of ``qubits`` (``_frame_gates``): Z there
-    acts as X or Y.  Notes the span in ``c.spans``."""
-    opening, closing = _frame_gates(qubits, letter)
+    acts as X or Y.  Notes the span in ``c.spans``.
+
+    The first frame of these qubits and letter on c is checked gate by gate
+    (``Circuit.extend``) and kept in ``c._reuse``; a later one writes the
+    same gates again."""
+    key = (tuple(qubits), letter)
+    frame = c._reuse.get(key)
     start = len(c.gates)
-    c.extend(opening)
+    if frame is None:
+        opening, closing = _frame_gates(qubits, letter)  # closing made after the block, as before
+        c.extend(opening := list(opening))
+    else:
+        opening, closing = frame
+        c.gates.extend(opening)
     body = len(c.gates)
     yield c
     end = len(c.gates)
-    c.extend(closing)
+    if frame is None:
+        c._reuse[key] = (opening, closing := list(closing))
+    c.gates.extend(closing)
     c.spans.append((start, body, end, len(c.gates), (basis_change, qubits, letter)))
 
 
@@ -543,9 +584,12 @@ def add_global_controls(c: Circuit, num_controls: int) -> Circuit:
     out = Circuit(n, [], labels)
     done_groups: set[int] = set()
     at = []  # where each gate of c, and then its end, lands in out
+    shift: dict[Gate, Gate] = {}  # each distinct gate shifted once, its markers dropped
     for g in c.gates:
         at.append(len(out.gates))
-        shifted = Gate(g.kind, tuple(q + nc for q in g.qubits))
+        shifted = shift.get(g)
+        if shifted is None:
+            shifted = shift[g] = Gate(g.kind, tuple([q + nc for q in g.qubits]))
         if not g.control_extension_point:
             out.gates.append(shifted)
             continue
@@ -577,10 +621,12 @@ def emit_text(c: Circuit, lower: bool = False) -> str:
     """Deterministic text form of a lowered circuit.
 
     One gate per line, ``kind q[i],q[j];`` with a ``qubits N;`` header and
-    a comment line per named register.  Each distinct gate is rendered
-    once.  A macro raises ValueError, unless ``lower``: then it is written
-    as the lines of its ``terminal_gates``, so the text equals
-    ``emit_text(lower_macros(c))`` and no lowered circuit is built.
+    a comment line per named register.  A macro raises ValueError, unless
+    ``lower``: then it is written as the lines of its ``terminal_gates``,
+    so the text equals ``emit_text(lower_macros(c))`` and no lowered
+    circuit is built.  Each gate kind's lines are made once per call, as a
+    template on qubits 0..m-1 with each qubit a field, and each distinct
+    gate is rendered once, by filling its kind's template.
     """
     lines = [f"qubits {c.n_qubits};"]
     for name, qs in c.register_labels.items():
@@ -589,24 +635,19 @@ def emit_text(c: Circuit, lower: bool = False) -> str:
         else:
             span = ",".join(f"q[{i}]" for i in qs)
         lines.append(f"# {name}: {span}")
-    line: dict[tuple, str] = {}  # each terminal's line by (kind, qubits): markers change no line
-
-    def render(g: Gate) -> str:
-        text = line.get(g[:2])
-        if text is None:
-            text = line[g[:2]] = f"{g.kind.lower()} {','.join(f'q[{i}]' for i in g.qubits)};"
-        return text
-
-    chunk: dict[Gate, str] = {}  # each distinct gate's lines
+    template: dict[str, str] = {}  # per kind: its lines on qubits 0..m-1, each qubit a field
+    chunk: dict[Gate, str] = {}  # each distinct gate's lines; markers change no line
     for g in c.gates:
         text = chunk.get(g)
         if text is None:
-            if g.kind in TERMINAL_KINDS:
-                text = render(g)
-            elif lower:
-                text = "\n".join(map(render, terminal_gates((g,))))
-            else:
-                _reject_macros(c, "emit_text")
-            chunk[g] = text
+            kind = g.kind
+            form = template.get(kind)
+            if form is None:
+                if kind not in TERMINAL_KINDS and not lower:
+                    _reject_macros(c, "emit_text")
+                form = template[kind] = "\n".join(
+                    f"{h.kind.lower()} {','.join(f'q[{{{i}}}]' for i in h.qubits)};"
+                    for h in terminal_gates((Gate(kind, tuple(range(_ARITY[kind]))),)))
+            text = chunk[g] = form.format(*g.qubits)
         lines.append(text)
     return "\n".join(lines) + "\n"

@@ -194,7 +194,8 @@ def _plan(c: Circuit) -> Optional[list[tuple]]:
     its controlled swaps Π: the network is D·Π, D diagonal ±1, which cancels around the
     span's body, so the body's product must be diagonal.  A ``basis_change`` span plays
     as its body, each gate conjugated by the frame and by every frame around it.  None
-    unless each such span opens and closes with exactly what its builder writes, read in place.
+    unless each such span opens and closes with exactly what its builder writes, read in place;
+    each star network is rewritten once per call for each map its spans use.
     """
     table = cache(_table)
     network = cache(lambda n: swap_up_star(n).gates)
@@ -212,19 +213,29 @@ def _plan(c: Circuit) -> Optional[list[tuple]]:
                         if (local := tuple(i for i, q in enumerate(g.qubits) if q in held)))
         return (g.qubits, *shape(g.kind, len(g.qubits), framing))
 
+    def rewrite(net: Circuit, to: Optional[tuple]) -> Optional[tuple]:
+        """What a span of a star network under map ``to`` opens and closes with, and its swaps."""
+        n = len(net.register_labels.get("data", ()))
+        if n < 2 or net.gates != network(n):
+            return None  # not a star network: its gates play as themselves
+        to, top = range(net.n_qubits) if to is None else to, address_bits(n) - 1
+        written = [Gate(h.kind, tuple([to[q] for q in h.qubits]), *h[2:]) for h in net.gates]  # markers kept
+        swaps = [Gate("CSWAP", (to[top - j], to[top + 1 + a], to[top + 1 + b]))
+                 for j, _, pairs in _swap_levels(n) for a, b in pairs]
+        return written, _inverted(written), swaps
+
+    rewritten: dict[tuple, Optional[tuple]] = {}  # per network and map: one rewrite for all its spans
     stand_ins: dict[int, tuple] = {}
     for start, body, end, stop, (builder, *args) in c.spans:
         opening, swaps = c.gates[start:body], None
         if builder is conjugated:
             net, to = args
-            n = len(net.register_labels.get("data", ()))
-            if n < 2 or net.gates != network(n):
-                continue  # not a star network: its gates play as themselves
-            to, top = range(net.n_qubits) if to is None else to, address_bits(n) - 1
-            written = [(h.kind, tuple([to[q] for q in h.qubits]), *h[2:]) for h in net.gates]  # markers kept
-            closing = _inverted(opening)
-            swaps = [Gate("CSWAP", (to[top - j], to[top + 1 + a], to[top + 1 + b]))
-                     for j, _, pairs in _swap_levels(n) for a, b in pairs]
+            key = (id(net), None if to is None else tuple(to))  # the spans hold the net: its id stays its own
+            if key not in rewritten:
+                rewritten[key] = rewrite(net, key[1])
+            if rewritten[key] is None:
+                continue
+            written, closing, swaps = rewritten[key]
             inner = tuple(c.gates[body:end])  # one block; a lone gate keys the table it plays by
             qubits = tuple(dict.fromkeys(q for g in inner for q in g.qubits))
             whole = inner[0] if len(inner) == 1 else Gate("body", qubits)

@@ -26,6 +26,9 @@ from fermiselect.circuit_ir import (
     lower_macros,
     schedule,
     terminal_gates,
+    _frame_gates,
+    _inverted,
+    _remapped,
 )
 from fermiselect.gadgets import (
     GADGETS,
@@ -41,7 +44,7 @@ from fermiselect.gadgets import (
     swap_up,
 )
 from fermiselect.resources import FORMULAS
-from fermiselect.select_synth import controlled_select, synth_select_k2
+from fermiselect.select_synth import controlled_select, synth_select_general, synth_select_k2
 from fermiselect.simulator import unitary_of
 
 from conftest import chain_depth, permutation_matrix
@@ -313,6 +316,68 @@ def test_wrappers_note_their_spans_beside_the_gate_list():
     # equality, copies and emission ignore them
     assert c == Circuit(3, list(c.gates)) and compose(c, Circuit(3)).spans == []
     assert "span" not in repr(c) and emit_text(lower_macros(c)) == emit_text(Circuit(3, list(c.gates)))
+
+
+def _assert_spans_match_fresh_builds(c):
+    for start, body, end, stop, (builder, *args) in c.spans:
+        if builder is conjugated:
+            opening = _remapped(c, *args)
+            closing = _inverted(opening)
+        else:
+            opening, closing = map(list, _frame_gates(*args))
+        assert c.gates[start:body] == opening and c.gates[end:stop] == closing, builder.__name__
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
+def test_every_span_opens_and_closes_as_a_fresh_build(n):
+    # reused blocks are the gates a first call on the same net and map (or qubits and letter) writes
+    for row in FORMULAS.values():
+        _assert_spans_match_fresh_builds(row.build(n))
+    built = 0
+    for k, v, controls in itertools.product((2, 4, 6), ("plain", "star"), (0, 1, 2)):
+        if k != 2 and controls == 2:
+            continue  # the general layout takes at most one control
+        c = controlled_select(n, k, v, controls)
+        assert c.spans
+        _assert_spans_match_fresh_builds(c)
+        built += 1
+    assert built == 14
+
+
+def test_reused_blocks_ignore_edits_to_the_gate_list():
+    net = Circuit(2, [Gate("S", (0,)), Gate("CX", (0, 1))])
+    c = Circuit(3)
+    frame = [("Sdg", (0,)), ("H", (0,)), ("Sdg", (1,)), ("H", (1,)),
+             ("Z", (1,)),
+             ("H", (0,)), ("S", (0,)), ("H", (1,)), ("S", (1,))]
+
+    def wrap_and_read() -> list:
+        with conjugated(c, net, [2, 0]):
+            with basis_change(c, [0, 1], "Y"):
+                c.add("Z", 1)
+        return [(g.kind, g.qubits) for g in c.gates[c.spans[-1][0]:]]
+
+    for _ in range(3):  # the first call writes the blocks, the others reuse them
+        assert wrap_and_read() == [("S", (2,)), ("CX", (2, 0)), *frame, ("CX", (2, 0)), ("Sdg", (2,))]
+        del c.gates[0], c.gates[2]  # the net's first gate and the frame's first
+    net.add("H", 1)  # an edited net is remapped again
+    assert wrap_and_read() == [("S", (2,)), ("CX", (2, 0)), ("H", (0,)), *frame,
+                               ("H", (0,)), ("CX", (2, 0)), ("Sdg", (2,))]
+
+
+def test_select_shares_gate_objects():
+    # each repeated block is written from one set of gate objects: remapped, inverted and
+    # shifted gates are made once per distinct gate
+    def objects(c):
+        return len({id(g) for g in c.gates}), len(set(c.gates)), len(c.gates)
+
+    assert objects(synth_select_k2(512, "star")) == (11_255, 5_149, 68_966)
+    assert objects(synth_select_k2(512, "plain")) == (2_677, 1_922, 25_402)
+    assert objects(controlled_select(512, 2, "star", 1)) == (5_151, 5_148, 68_963)
+    assert objects(controlled_select(512, 2, "plain", 2)) == (1_930, 1_922, 25_415)
+    assert objects(synth_select_general(64, 4, "plain")) == (621, 355, 7_861)
+    first, second = _inverted([Gate("T", (0,)), Gate("T", (0,))])
+    assert first is second and first == Gate("Tdg", (0,))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])

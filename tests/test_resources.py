@@ -85,8 +85,10 @@ def test_select_depths_follow_the_papers_laws(n):
     # depth equals its law at n = 2^L (plain T-depth from L = 2, plain Clifford depth from
     # L = 4) and stays at or below it elsewhere; the star T-depth is 48L at every n
     L, power = address_bits(n), n & (n - 1) == 0
-    star = schedule(lower_macros(synth_select_k2(n, "star")))
-    plain = schedule(lower_macros(synth_select_k2(n, "plain")))
+    circuits = {v: synth_select_k2(n, v) for v in ("star", "plain")}
+    star, plain = (schedule(circuits[v], lower=True) for v in ("star", "plain"))
+    if n == 64:  # one size cross-checks the un-lowered schedule against the lowered circuit
+        assert [star, plain] == [schedule(lower_macros(circuits[v])) for v in ("star", "plain")]
     assert star.t_depth == 48 * L
     for depth, law, exact in ((star.clifford_depth, 12 * L * L + 40 * L + 28, power),
                               (plain.t_depth, 128 * L - 64, power and L >= 2),
