@@ -14,15 +14,13 @@ Conventions used throughout the package:
       n_p   ->  (I - Z_p) / 2
 
 Inside the transform a string is held in the symplectic form: a pair of
-int bitmasks (x, z), bit p set in x when qubit p carries X or Y and in z
-when it carries Z or Y.  A product is then an XOR with its phase taken
-from popcounts (Aaronson-Gottesman, quant-ph/0406196), and each image
-above is built in O(1).  The merge of all terms runs on columns: the keys
-as rows of bytes, merged by ``np.unique`` and summed by ``np.bincount``,
-and the kept keys decoded at once into a (rows, n) matrix of letters.  The
-LCU keeps that matrix (``PauliLCU._columns``); a row becomes a
-``PauliString`` only when ``PauliLCU.entries`` is read, and ``_split`` finds
-every row's pair endpoints and number factors at once for the encoder.
+bitmasks (x, z) of ⌈n/64⌉ uint64 words, bit p set in x when qubit p
+carries X or Y and in z when it carries Z or Y.  A product is then an XOR
+with its phase taken from popcounts (Aaronson-Gottesman, quant-ph/0406196).
+The terms are grouped by the kinds of their factors (their signature), and
+all terms of a signature are expanded at once, one unit at a time in
+factor order (n_p does not commute with a_p): a number image, a lone
+ladder's image, or two consecutive ladders in closed form.
 
 Two consecutive ladder factors f at p and g at q (p < q in every
 canonical term) multiply in closed form.  With P = 1 << p, Q = 1 << q and
@@ -33,14 +31,25 @@ chain, chain^Q, chain^P and chain^P^Q, for f's and g's image letters
 (X, X), (X, Y), (Y, X) and (Y, Y).  Each coefficient is f's and g's
 image coefficients times i^-1 where f gives X and i^+1 where it gives Y.
 In the Aaronson-Gottesman phase above, z1 & x2 = 0 here, so those four
-units depend on the two factor types alone (``_PAIR_UNITS``).  When no
-string of the running product touches qubits p..q, its product with the
-pair has phase 0: keys combine by OR and coefficients by one
-multiplication.  Every image coefficient is ±½ or ±½i, so these products
-equal the factor-by-factor ones exactly.  Number factors, a ladder not
-followed by a ladder, and a pair whose span the running product touches
-go through ``_mask_mul`` one factor at a time, in factor order (n_p does
-not commute with a_p).
+units depend on the two factor types alone (``_PAIR_UNITS``).  A ladder
+pairs with the next factor only when that is a ladder and no earlier
+unit of the term touches qubits p..q; otherwise it is a lone ladder.
+
+A unit that touches no qubit an earlier unit of its term touched has
+phase 0 with every string so far: keys combine by OR and coefficients by
+one multiplication.  Otherwise (a number on a ladder's orbital or inside
+a chain, a lone ladder whose Z string reaches an earlier unit) the phases
+come from popcounts and each term's equal strings are merged into the
+first, summed in row order.
+A term's rows then hold exactly the strings, order and values of the
+per-term product of dicts over the same units (the reference in
+``tests/conftest.py``).  The merge of all terms runs on columns: the keys
+``x | z << n`` as ⌈2n/64⌉ uint64 words, back in term order, merged by
+``np.unique`` and summed by ``np.bincount``, and the kept keys decoded at
+once into a (rows, n) matrix of letters.  The LCU keeps that matrix
+(``PauliLCU._columns``); a row becomes a ``PauliString`` only when
+``PauliLCU.entries`` is read, and ``_split`` finds every row's pair
+endpoints and number factors at once for the encoder.
 
 ``pauli_mul`` and ``pauli_apply`` stay letter-based on purpose: they are
 the oracle's code path, and sharing no code with the transform or the
@@ -59,8 +68,6 @@ import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from typing import Union
 
 import numpy as np
 
@@ -197,7 +204,9 @@ class Number:
     orbital: int
 
 
-Factor = Union[Raise, Lower, Number]
+# a PEP 604 union: typing.Union[...] would sit in typing's cache and keep
+# every re-imported copy of this module alive
+Factor = Raise | Lower | Number
 
 
 @dataclass(frozen=True)
@@ -393,33 +402,13 @@ def _shorten(letters: str) -> str:
     return letters if len(letters) <= 60 else f"{letters[:60]}… ({len(letters)} letters)"
 
 
-# Inside the transform a string is the int key ``x | z << n``.  One int,
-# not an (x, z) tuple, keeps the merge dicts small.
-_I_POWERS = tuple(1j ** k for k in range(4))
 # the ASCII letter of each 2 * (z bit) + (x bit)
 _LETTER_CODES = np.frombuffer(b"IXZY", dtype=np.uint8)
-
-
-def _mask_mul(acc: dict[int, complex], image, n: int) -> dict[int, complex]:
-    """Product acc · image of two sums of strings, like terms merged.
-
-    ``acc`` maps keys to coefficients; ``image`` holds (x, z, c) rows.
-    With a string read as i^|x&z| X^x Z^z, the product of (x1, z1) and
-    (x2, z2) is (x1^x2, z1^z2) times i to the power
-    |x1&z1| + |x2&z2| + 2|z1&x2| - |x3&z3| (Aaronson-Gottesman).
-    """
-    low = (1 << n) - 1
-    out: dict[int, complex] = {}
-    for key, ca in acc.items():
-        xa, za = key & low, key >> n
-        ya = (xa & za).bit_count()
-        for xb, zb, cb in image:
-            x, z = xa ^ xb, za ^ zb
-            k = ya + (xb & zb).bit_count() + 2 * (za & xb).bit_count() - (x & z).bit_count()
-            key_out = x | z << n
-            out[key_out] = out.get(key_out, 0.0) + ca * cb * _I_POWERS[k & 3]
-    return out
-
+# the set bits of each byte value, the masks (1 << b) - 1 for b = 0..64, and i**k
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)])
+_LOW = np.array([(1 << b) - 1 for b in range(65)], dtype=np.uint64)
+_I_POWERS = np.array([1j ** k for k in range(4)])
+_ORBITAL = operator.attrgetter("orbital")
 
 # the Y coefficient of a ladder's image, and (type(f), type(g)) -> the
 # coefficients of a pair's four strings, in the module docstring's order
@@ -428,35 +417,176 @@ _PAIR_UNITS = {(f, g): (0.5 * 0.5 * -1j, 0.5 * yg * -1j, yf * 0.5 * 1j, yf * yg 
                for f, yf in _Y_COEFF.items() for g, yg in _Y_COEFF.items()}
 
 
-def _term_expansion(term: FermionTerm, n: int) -> dict[int, complex]:
-    """String coefficients of the term, without its ``+hc`` part.
+def _span(lo, hi, words: int) -> np.ndarray:
+    """Masks with bits lo..hi-1 set, as rows of ``words`` uint64 words (word
+    0 holds bits 0..63), one row per entry of the column arrays lo and hi."""
+    base = np.arange(0, 64 * words, 64)
+    return _LOW[np.clip(hi - base, 0, 64)] ^ _LOW[np.clip(lo - base, 0, 64)]
 
-    a_p and a†_p map to Z^{<p} (X ± iY) / 2 and n_p to (I - Z_p) / 2;
-    consecutive ladders use the pair images of the module docstring.
+
+def _popcount(v: np.ndarray) -> np.ndarray:
+    """Set bits of each row of uint64 words (the last axis)."""
+    return _POPCOUNT[v.view(np.uint8)].sum(axis=-1)
+
+
+def _breaks_a_rule(kinds: tuple, orbitals: np.ndarray, n: int) -> bool:
+    """Whether a term of one factor signature breaks a rule of
+    ``_validate_term``; ``orbitals`` is the terms' (terms, factors) matrix."""
+    ladders = [i for i, kind in enumerate(kinds) if kind is not Number]
+    if len(ladders) not in (0, 2, 4) or any(kinds[a] is Lower and kinds[b] is Raise
+                                             for a, b in zip(ladders[::2], ladders[1::2])):
+        return True
+    bad = ((orbitals < 0) | (orbitals >= n)).any(axis=1)
+    for a, b in zip(ladders, ladders[1:]):  # pairs increase, and the first precedes the second
+        bad |= orbitals[:, a] >= orbitals[:, b]
+    return bool(bad.any())
+
+
+def _merge(at, x, z, c):
+    """Rows of each term with equal (x, z) merged into the first of them,
+    their coefficients added in row order; ``at`` names each row's term."""
+    order = np.lexsort((*z.T, *x.T, at))  # stable: equal rows keep their order
+    sa, sx, sz = at[order], x[order], z[order]
+    new = np.ones(len(at), dtype=bool)
+    new[1:] = (sa[1:] != sa[:-1]) | (sx[1:] != sx[:-1]).any(axis=1) | (sz[1:] != sz[:-1]).any(axis=1)
+    index = np.arange(len(at))
+    start = np.maximum.accumulate(np.where(new, index, 0))
+    rank, first = index - start, order[start]
+    for r in range(1, rank.max(initial=0) + 1):  # each first row takes one addend per pass
+        step = rank == r
+        c[first[step]] += c[order[step]]
+    keep = np.zeros(len(at), dtype=bool)
+    keep[order[new]] = True
+    return at[keep], x[keep], z[keep], c[keep]
+
+
+def _times(at, x, z, c, xs, zs, units, general: bool):
+    """Rows (term, x, z, c) times one unit: per term the strings (xs[j],
+    zs[j]), each a per-term mask row, with coefficients units[j].
+
+    ``general`` takes the phases from popcounts and merges each term's
+    equal strings; without it the unit must touch no qubit the rows touch.
     """
-    _validate_term(term, n)
-    acc: dict[int, complex] = {0: complex(term.coefficient)}
-    support = 0  # every qubit a string of acc may touch
-    factors, i = term.factors, 0
-    while i < len(factors):
-        f, g = factors[i], factors[i + 1] if i + 1 < len(factors) else None
-        bit = 1 << f.orbital
-        if isinstance(f, Number):
-            acc = _mask_mul(acc, ((0, 0, 0.5), (0, bit, -0.5)), n)
-            support |= bit
-        elif g is None or isinstance(g, Number) or support & ((2 << g.orbital) - bit):
-            image = ((bit, bit - 1, 0.5), (bit, (bit << 1) - 1, _Y_COEFF[type(f)]))
-            acc = _mask_mul(acc, image, n)
-            support |= (bit << 1) - 1
-        else:  # a pair on qubits no string of acc touches: OR the keys
-            top = 1 << g.orbital
-            key, zp, zq = bit | top | ((top - 1) ^ (bit - 1)) << n, bit << n, top << n
-            pair = tuple(zip((key, key ^ zq, key ^ zp, key ^ zp ^ zq), _PAIR_UNITS[type(f), type(g)]))
-            acc = {ka | kb: ca * u for ka, ca in acc.items() for kb, u in pair}
-            support |= (top << 1) - bit
-            i += 1
-        i += 1
-    return acc
+    xa, za = x[:, None], z[:, None]
+    xb, zb = np.stack(xs, axis=1)[at], np.stack(zs, axis=1)[at]
+    x, z, c = xa ^ xb, za ^ zb, c[:, None] * np.array(units)
+    if general:
+        k = _popcount(xa & za) + _popcount(xb & zb) + 2 * _popcount(za & xb) - _popcount(x & z)
+        c *= _I_POWERS[k & 3]
+    rows = np.repeat(at, len(units)), x.reshape(-1, x.shape[2]), z.reshape(-1, z.shape[2]), c.ravel()
+    return _merge(*rows) if general else rows
+
+
+def _keys(x: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+    """Keys ``x | z << n`` of (rows, ⌈n/64⌉-word) masks, as rows of
+    ⌈2n/64⌉ little-endian uint64 words: one word while 2n <= 64."""
+    keys = np.zeros((len(x), max(1, -(-2 * n // 64))), dtype="<u8")
+    keys[:, :x.shape[1]] = x
+    shift, s = divmod(n, 64)
+    for j in range(z.shape[1]):
+        keys[:, j + shift] |= z[:, j] << np.uint64(s)
+        if s and j + shift + 1 < keys.shape[1]:
+            keys[:, j + shift + 1] |= z[:, j] >> np.uint64(64 - s)
+    return keys
+
+
+def _expand_kinds(kinds: tuple, orbitals: np.ndarray, coefficients: np.ndarray, n: int):
+    """Strings of the terms with factor kinds ``kinds``, without ``+hc``.
+
+    ``orbitals`` is the terms' (terms, factors) matrix.  Returns rows (term,
+    key, c): the term's row in ``orbitals``, the key (``_keys``) and the
+    coefficient, each term's rows as the module docstring says.
+    """
+    count, size = orbitals.shape
+    words = max(1, -(-n // 64))
+    # The factor walk, for every term at once.  A ladder pairs with the next
+    # factor when that is a ladder and no earlier unit touches the pair's
+    # qubits; bit j of ``plan`` marks a pair opened by the term's ladder j.
+    # ``overlap`` marks the units that touch a qubit an earlier one touched.
+    support = np.zeros((count, words), dtype=np.uint64)
+    plan = np.zeros(count, dtype=np.int64)
+    overlap = np.zeros((count, size), dtype=bool)
+    closes = np.zeros(count, dtype=bool)  # this factor is the second of a pair
+    ladder = 0
+    for i, kind in enumerate(kinds):
+        p = orbitals[:, i, None]
+        if kind is Number:
+            span = _span(p, p + 1, words)
+        else:
+            span, pair = _span(0, p + 1, words), np.zeros(count, dtype=bool)
+            if i + 1 < size and kinds[i + 1] is not Number:
+                chain = _span(p, orbitals[:, i + 1, None] + 1, words)
+                pair = ~closes & ~(support & chain).any(axis=1)
+                span[pair] = chain[pair]
+                plan |= pair.astype(np.int64) << ladder
+            span[closes] = 0
+            closes, ladder = pair, ladder + 1
+        overlap[:, i] = (support & span).any(axis=1)
+        support |= span
+
+    parts = []
+    for code in sorted(set(plan.tolist())):
+        terms = np.flatnonzero(plan == code)
+        orbs = orbitals[terms]
+        at = np.arange(len(terms))  # each row's term, as a row of orbs
+        x = z = np.zeros((len(terms), words), dtype=np.uint64)
+        c = coefficients[terms]
+        i = ladder = 0
+        while i < size:
+            kind, p, general = kinds[i], orbs[:, i, None], bool(overlap[terms, i].any())
+            bit, step = _span(p, p + 1, words), 1
+            if kind is Number:
+                zero = np.zeros_like(bit)
+                xs, zs, units = (zero, zero), (zero, bit), (0.5, -0.5)
+            elif code >> ladder & 1:  # a pair on qubits no earlier unit touches
+                q, step = orbs[:, i + 1, None], 2
+                xs = (bit | _span(q, q + 1, words),) * 4
+                zs = (_span(p, q, words), _span(p, q + 1, words), _span(p + 1, q, words), _span(p + 1, q + 1, words))
+                units = _PAIR_UNITS[kind, kinds[i + 1]]
+            else:
+                xs, zs, units = (bit, bit), (_span(0, p, words), _span(0, p + 1, words)), (0.5, _Y_COEFF[kind])
+            at, x, z, c = _times(at, x, z, c, xs, zs, units, general)
+            i, ladder = i + step, ladder + (kind is not Number) * step
+        parts.append((terms[at], _keys(x, z, n), c))
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+
+
+def _expand(terms: Sequence[FermionTerm], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every term's strings, without its ``+hc`` part, in term order.
+
+    Returns (term, keys, c): each row's term index, its key ``x | z << n``
+    (``_keys``) and its coefficient.  Raises the ``_validate_term`` error of
+    the first bad term.
+    """
+    groups: dict[tuple, tuple[list[int], list[int]]] = {}
+    for t, term in enumerate(terms):  # one pass: each term's kinds and orbitals
+        factors = term.factors
+        kinds = tuple([type(f) for f in factors])  # from a sized list: no tuple resize
+        group = groups.get(kinds)
+        if group is None:
+            group = groups[kinds] = ([], [])
+        group[0].append(t)
+        group[1].extend(map(_ORBITAL, factors))
+    coefficients = np.array([term.coefficient for term in terms], dtype=complex)
+    empty = np.zeros((0, 1), dtype=np.uint64)
+    parts = [(np.zeros(0, dtype=np.int64), _keys(empty, empty, n), np.zeros(0, dtype=complex))]
+    for kinds, (index, flat) in groups.items():
+        try:
+            orbitals = np.array(flat, dtype=np.int64).reshape(len(index), len(kinds))
+        except OverflowError:
+            orbitals = None
+        if orbitals is None or _breaks_a_rule(kinds, orbitals, n):
+            for term in terms:  # raises at the first bad term, whatever its signature
+                _validate_term(term, n)
+        index = np.array(index, dtype=np.int64)
+        at, keys, c = _expand_kinds(kinds, orbitals, coefficients[index], n)
+        parts.append((index[at], keys, c))
+    term, keys, c = map(np.concatenate, zip(*parts))
+    del parts
+    order = np.argsort(term, kind="stable")  # each term's rows stay in their order
+    keys = keys[order]
+    c = c[order]
+    return term[order], keys, c
 
 
 def _key_letters(keys: np.ndarray, n: int) -> np.ndarray:
@@ -475,29 +605,17 @@ def _collect(terms: Iterable[FermionTerm], n: int) -> PauliLCU:
     exactly zero, or below ``_RESIDUE`` times the largest contribution merged
     into that string, is cancellation residue and is dropped.
 
-    The merge runs on columns: every (key, coefficient) of every term, in
+    The merge runs on columns: ``_expand`` gives every (key, coefficient)
+    of every term, expanded one factor signature at a time and put back in
     term order, the keys as one uint64 each while 2n <= 64 and as
-    little-endian bytes beyond.  ``np.bincount`` adds the contributions to
-    a key in that order, as a running sum would.
+    ⌈2n/64⌉ little-endian words beyond.  ``np.bincount`` adds the
+    contributions to a key in that order, as a running sum would.
     """
-    keys: list[int] = []
-    coefficients: list[complex] = []
-    counts, hc = [], []
-    for term in terms:
-        expansion = _term_expansion(term, n)
-        keys += expansion
-        coefficients += expansion.values()
-        counts.append(len(expansion))
-        hc.append(term.include_hc)
-    if 2 * n <= 64:  # each key fits one uint64
-        width, raw = 8, np.array(keys, dtype="<u8")
-    else:
-        width = n // 4 + 1  # bytes of a key below 2**(2n)
-        raw = np.frombuffer(b"".join(map(int.to_bytes, keys, repeat(width), repeat("little"))), dtype=f"V{width}")
-    c = np.array(coefficients, dtype=complex)
-    del keys, coefficients  # the columns hold them now
-    merged, at = np.unique(raw, return_inverse=True)
-    hc = np.repeat(np.array(hc, dtype=bool), counts)
+    terms = tuple(terms)
+    term, keys, c = _expand(terms, n)
+    width = 8 * keys.shape[1]
+    merged, at = np.unique(keys[:, 0] if width == 8 else keys.view(f"V{width}")[:, 0], return_inverse=True)
+    hc = np.array([t.include_hc for t in terms], dtype=bool)[term]
     scale = np.zeros(len(merged))
     np.maximum.at(scale, at, np.hypot(c.real, c.imag))
     re = np.bincount(at, np.where(hc, 2 * c.real, c.real), len(merged))

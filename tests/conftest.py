@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from fermiselect.pauli import Lower, Number, Raise, _validate_term
+
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -68,6 +70,72 @@ def chain_depth(c, kinds) -> int:
         for q in g.qubits:
             depth[q] = d
     return max(depth, default=0)
+
+
+# --- the per-term Jordan-Wigner expansion, one dict per term --------------------
+#
+# Strings are int keys ``x | z << n``: bit p of x marks an X/Y on qubit p,
+# bit p of z a Z/Y.  This is the transform's earlier route, kept as the
+# reference the columnar expansion in ``pauli`` must equal exactly.
+
+_I_POWERS = tuple(1j ** k for k in range(4))
+_Y_COEFF = {Raise: -0.5j, Lower: 0.5j}
+_PAIR_UNITS = {(f, g): (0.5 * 0.5 * -1j, 0.5 * yg * -1j, yf * 0.5 * 1j, yf * yg * 1j)
+               for f, yf in _Y_COEFF.items() for g, yg in _Y_COEFF.items()}
+
+
+def mask_mul(acc, image, n):
+    """Product acc · image of two sums of strings, like terms merged.
+
+    ``acc`` maps keys to coefficients; ``image`` holds (x, z, c) rows.
+    With a string read as i^|x&z| X^x Z^z, the product of (x1, z1) and
+    (x2, z2) is (x1^x2, z1^z2) times i to the power
+    |x1&z1| + |x2&z2| + 2|z1&x2| - |x3&z3| (Aaronson-Gottesman).
+    """
+    low = (1 << n) - 1
+    out = {}
+    for key, ca in acc.items():
+        xa, za = key & low, key >> n
+        ya = (xa & za).bit_count()
+        for xb, zb, cb in image:
+            x, z = xa ^ xb, za ^ zb
+            k = ya + (xb & zb).bit_count() + 2 * (za & xb).bit_count() - (x & z).bit_count()
+            key_out = x | z << n
+            out[key_out] = out.get(key_out, 0.0) + ca * cb * _I_POWERS[k & 3]
+    return out
+
+
+def term_expansion(term, n):
+    """String coefficients of the term, without its ``+hc`` part, as a dict
+    in first-occurrence order.
+
+    Number factors, a ladder not followed by a ladder, and a pair whose
+    span an earlier factor touched go through ``mask_mul`` one factor at a
+    time; a pair on untouched qubits ORs its four closed-form strings in.
+    """
+    _validate_term(term, n)
+    acc = {0: complex(term.coefficient)}
+    support = 0  # every qubit a string of acc may touch
+    factors, i = term.factors, 0
+    while i < len(factors):
+        f, g = factors[i], factors[i + 1] if i + 1 < len(factors) else None
+        bit = 1 << f.orbital
+        if isinstance(f, Number):
+            acc = mask_mul(acc, ((0, 0, 0.5), (0, bit, -0.5)), n)
+            support |= bit
+        elif g is None or isinstance(g, Number) or support & ((2 << g.orbital) - bit):
+            image = ((bit, bit - 1, 0.5), (bit, (bit << 1) - 1, _Y_COEFF[type(f)]))
+            acc = mask_mul(acc, image, n)
+            support |= (bit << 1) - 1
+        else:  # a pair on qubits no string of acc touches: OR the keys
+            top = 1 << g.orbital
+            key, zp, zq = bit | top | ((top - 1) ^ (bit - 1)) << n, bit << n, top << n
+            pair = tuple(zip((key, key ^ zq, key ^ zp, key ^ zp ^ zq), _PAIR_UNITS[type(f), type(g)]))
+            acc = {ka | kb: ca * u for ka, ca in acc.items() for kb, u in pair}
+            support |= (top << 1) - bit
+            i += 1
+        i += 1
+    return acc
 
 
 @pytest.fixture

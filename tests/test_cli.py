@@ -180,9 +180,12 @@ def test_transform_rejections_exit_2(text, argv, msg, capsys, monkeypatch):
 @pytest.mark.parametrize("text,line,msg", [
     ("1 0 : adag 0 a 20 +hc\n", 1, "orbital 20 out of range for n=4"),
     ("1 0 : n 1\n\n# comment\n1 0 : adag -1 a 1 +hc\n", 4, "orbital -1 out of range"),
+    ("1 0 : n 1\n1 0 : n 99999999999999999999\n", 2, "orbital 99999999999999999999 out of range"),
     ("1 0 : n 1\n1 0 : adag 2 a 1 +hc\n", 2, "indices must be strictly increasing"),
     ("1 0 : adag 0 a 1 +hc\n1 0 : a 0 adag 1 +hc\n", 2, "non-canonical ladder pair a a"),
     ("1 0 : adag 0 adag 2 a 1 a 3 +hc\n", 1, "first pair must precede second"),
+    # the first bad term wins over a later one whose factor signature came first
+    ("1 0 : n 1\n1 0 : adag 2 a 1 +hc\n1 0 : n 9\n", 2, "non-canonical ladder pair: indices must be strictly"),
 ])
 def test_transform_names_the_line_of_an_invalid_term(text, line, msg, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))

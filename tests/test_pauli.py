@@ -5,7 +5,11 @@ reference for everything here; pauli_mul / pauli_apply never touch
 matrices themselves.
 """
 
+import itertools
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,9 +30,9 @@ from fermiselect.pauli import (
     pauli_mul,
 )
 from fermiselect import pauli
-from fermiselect.pauli import _RESIDUE, _key_letters, _mask_mul, _shorten, _term_expansion
+from fermiselect.pauli import _RESIDUE, _key_letters, _shorten
 
-from conftest import dense_pauli, kron_chain, SINGLE
+from conftest import dense_pauli, kron_chain, mask_mul, term_expansion, SINGLE
 
 letters_st = st.text(alphabet="IXYZ", min_size=1, max_size=4)
 phase_st = st.integers(min_value=0, max_value=3)
@@ -311,7 +315,7 @@ def test_mask_product_matches_pauli_mul(pair, pa, pb):
     la, lb = pair
     n = len(la)
     (xa, za), (xb, zb) = masks_of(la), masks_of(lb)
-    got = _mask_mul({xa | za << n: 1j**pa}, [(xb, zb, 1j**pb)], n)
+    got = mask_mul({xa | za << n: 1j**pa}, [(xb, zb, 1j**pb)], n)
     want = pauli_mul(PauliString(la, pa), PauliString(lb, pb))
     x, z = masks_of(want.letters)
     assert got == {x | z << n: 1j**want.phase}
@@ -417,7 +421,7 @@ def dict_collect(terms, n):
     acc, scale = {}, {}
     for term in terms:
         hc = term.include_hc
-        for key, c in _term_expansion(term, n).items():
+        for key, c in term_expansion(term, n).items():
             size = abs(c)
             if hc:
                 c += c.conjugate()
@@ -493,7 +497,7 @@ def test_columnar_merge_matches_the_dict_merge(case):
 
 
 def per_factor_expansion(term, n):
-    """The term's strings, one factor image at a time through _mask_mul."""
+    """The term's strings, one factor image at a time through mask_mul."""
     acc = {0: complex(term.coefficient)}
     for f in term.factors:
         bit = 1 << f.orbital
@@ -502,7 +506,7 @@ def per_factor_expansion(term, n):
         else:
             y_coeff = -0.5j if isinstance(f, Raise) else 0.5j
             image = ((bit, bit - 1, 0.5), (bit, (bit << 1) - 1, y_coeff))
-        acc = _mask_mul(acc, image, n)
+        acc = mask_mul(acc, image, n)
     return acc
 
 
@@ -526,6 +530,16 @@ def mixed_terms(draw):
     return FermionTerm(complex(draw(part), draw(part)), tuple(factors), n_pairs > 0), n
 
 
+def columnar_expansion(terms, n):
+    """pauli._expand's rows as one {key: coefficient} dict per term, in row order."""
+    term, keys, c = pauli._expand(terms, n)
+    out = [{} for _ in terms]
+    for t, key, value in zip(term.tolist(), keys, c.tolist()):
+        out[t][int.from_bytes(key.tobytes(), "little")] = value
+    assert sum(map(len, out)) == len(term)  # no term holds a string twice
+    return out
+
+
 @settings(max_examples=300, deadline=None)
 @given(mixed_terms())
 @example((FermionTerm(0.3 - 0.7j, (Number(1), Raise(1), Lower(3)), True), 4))
@@ -534,25 +548,95 @@ def mixed_terms(draw):
 @example((FermionTerm(1.1, (Raise(0), Raise(1), Number(2), Lower(2), Lower(4)), True), 5))
 @example((FermionTerm(1.1, (Raise(0), Lower(3), Number(4), Raise(4), Raise(5)), True), 6))
 @example((FermionTerm(5e-324 + 1.5e-323j, (Raise(0), Raise(1), Lower(2), Lower(3)), True), 4))
+# a number on a pair's span before it: two lone ladders, whose subnormal
+# parts round differently from one closed-form pair
+@example((FermionTerm(-0.6 - 2.5e-323j, (Number(3), Raise(3), Raise(4)), True), 5))
+# multi-word keys: numbers on a pair's endpoints, inside its chain, and between
+# its ladders (which then expand as lone ladders), chains across a word boundary
+@example((FermionTerm(0.3 - 0.7j, (Number(0), Raise(0), Lower(32), Number(16), Number(32)), True), 33))
+@example((FermionTerm(-1.25 + 0.5j, (Raise(1), Number(20), Lower(31), Number(31)), True), 33))
+@example((FermionTerm(0.5 + 0.25j, (Raise(5), Number(64), Lower(69), Number(63)), True), 70))
+@example((FermionTerm(0.3 - 0.7j, (Number(63), Raise(5), Raise(63), Number(64), Lower(64), Lower(69)), True), 70))
+@example((FermionTerm(2.0 - 1.5j, (Raise(3), Raise(40), Number(50), Lower(60), Lower(69), Number(40),
+                                   Number(65)), True), 70))
 def test_term_expansion_matches_per_factor_product(case):
-    # == on the values: the two routes may differ in the sign of a zero
+    # the columnar expansion equals the per-term one exactly, in order too;
+    # == on the values: the routes may differ in the sign of a zero
     term, n = case
-    assert list(_term_expansion(term, n).items()) == list(per_factor_expansion(term, n).items())
+    want = term_expansion(term, n)
+    assert list(columnar_expansion((term,), n)[0].items()) == list(want.items())
+    assert list(want.items()) == list(per_factor_expansion(term, n).items())
 
 
 def test_ladder_terms_make_no_per_factor_products(monkeypatch):
-    calls = []
+    # the expansion runs once per factor signature, not once per term, and
+    # takes no popcount phases while each unit touches fresh qubits
+    signatures, popcounts = [], []
+    expand_kinds, popcount = pauli._expand_kinds, pauli._popcount
 
-    def counting(acc, image, n):
-        calls.append(image)
-        return _mask_mul(acc, image, n)
+    def counting_expand(kinds, *args):
+        signatures.append(kinds)
+        return expand_kinds(kinds, *args)
 
-    monkeypatch.setattr(pauli, "_mask_mul", counting)
-    ladders = [FermionTerm(0.4 - 0.2j, (Raise(0), Lower(3)), True),
-               FermionTerm(0.7, (Raise(1), Raise(4)), True),
-               FermionTerm(-0.3j, (Lower(2), Lower(5)), True),
-               FermionTerm(0.25 + 0.5j, (Raise(0), Raise(2), Lower(3), Lower(5)), True)]
+    def counting_popcount(v):
+        popcounts.append(v.shape)
+        return popcount(v)
+
+    monkeypatch.setattr(pauli, "_expand_kinds", counting_expand)
+    monkeypatch.setattr(pauli, "_popcount", counting_popcount)
+    ladders = [FermionTerm(0.4 - 0.2j, (Raise(p), Lower(q)), True) for p, q in itertools.combinations(range(6), 2)]
+    ladders += [FermionTerm(0.7, (Raise(1), Raise(4)), True), FermionTerm(-0.3j, (Lower(2), Lower(5)), True)]
+    ladders += [FermionTerm(0.25 + 0.5j, (Raise(p), Raise(q), Lower(r), Lower(s)), True)
+                for p, q, r, s in itertools.combinations(range(6), 4)]
     lcu = jw_transform(FermionHamiltonian(6, 4, tuple(ladders)))
-    assert lcu.entries and calls == []
-    jw_transform_term(FermionTerm(1.0, (Number(2), Raise(1), Lower(4)), True), 6)
-    assert len(calls) == 3  # numbers and a ladder not followed by a ladder keep it
+    assert lcu.entries and len(signatures) == len(set(signatures)) == 4 and popcounts == []
+    signatures.clear()
+    mixed = [FermionTerm(1.0, (Number(w), Raise(1), Lower(4)), True) for w in range(6)]
+    jw_transform(FermionHamiltonian(6, 4, tuple(mixed)))
+    assert signatures == [(Number, Raise, Lower)] and popcounts  # a number on a ladder's span takes phases
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.sampled_from([Raise, Lower, Number]), st.integers(-1, n)), max_size=6))))
+def test_signature_checks_agree_with_validate_term(case):
+    # the array checks of one factor signature flag exactly the terms
+    # _validate_term rejects
+    n, factors = case
+    term = FermionTerm(1.0, tuple(kind(p) for kind, p in factors))
+    try:
+        pauli._validate_term(term, n)
+        valid = True
+    except ValueError:
+        valid = False
+    orbitals = np.array([[p for _, p in factors]], dtype=np.int64).reshape(1, len(factors))
+    assert pauli._breaks_a_rule(tuple(kind for kind, _ in factors), orbitals, n) == (not valid)
+
+
+def test_first_bad_term_wins_across_factor_signatures():
+    # the first bad term is a non-canonical pair; a later one, whose factor
+    # signature appears first, has an orbital out of range
+    terms = (FermionTerm(1.0, (Number(1),)), FermionTerm(1.0, (Raise(2), Lower(1)), True),
+             FermionTerm(1.0, (Number(9),)))
+    with pytest.raises(ValueError, match="non-canonical ladder pair: indices must be strictly increasing"):
+        jw_transform(FermionHamiltonian(4, 2, terms))
+    with pytest.raises(ValueError, match="orbital 9 out of range for n=4"):
+        jw_transform(FermionHamiltonian(4, 2, terms[::2]))
+
+
+def test_reimport_frees_the_previous_module():
+    # nothing outside the module may hold its classes: a re-import (the
+    # benchmark re-imports fermiselect 15 times) must free the old copy
+    code = (
+        "import gc, sys, weakref\n"
+        "import fermiselect.pauli\n"
+        "ref = weakref.ref(fermiselect.pauli.FermionTerm)\n"
+        "for name in [m for m in sys.modules if m.split('.')[0] == 'fermiselect']:\n"
+        "    del sys.modules[name]\n"
+        "import fermiselect.pauli\n"
+        "gc.collect()\n"
+        "sys.exit(ref() is not None)\n"
+    )
+    src = os.path.dirname(os.path.dirname(pauli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
