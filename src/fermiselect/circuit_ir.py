@@ -29,10 +29,10 @@ them keeps that walk to the distinct gates.
 The back-end passes (``terminal_gates`` and so ``lower_macros``,
 ``schedule`` and ``emit_text``) do their per-gate work once per
 distinct gate, or once per gate kind, within a call and reuse it for
-the repeats.  With ``lower``, ``emit_text`` fills one text template per
-gate kind (its terminal gates on qubits 0..m-1) and ``schedule`` builds
-one depth profile per macro kind, so the CLI feeds both the un-lowered
-circuit and builds no lowered one.
+the repeats.  ``emit_text`` fills one text template per gate kind (its
+terminal gates on qubits 0..m-1) and ``schedule`` builds one depth
+profile per macro kind, so both read a macro as its lowering and take
+the un-lowered circuit; neither builds a lowered one.
 
 ``schedule`` measures T-depth and Clifford depth as longest dependency
 chains counting only gates of the respective class, so Cliffords never
@@ -50,7 +50,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import inf
 from operator import add
-from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
     "Gate",
@@ -386,8 +386,8 @@ def lower_macros(c: Circuit, pure_clifford_t: bool = False) -> Circuit:
     return lowered
 
 
-def schedule(c: Circuit, lower: bool = False) -> ResourceReport:
-    """Count resources of a lowered circuit along dependency chains.
+def schedule(c: Circuit) -> ResourceReport:
+    """Count resources of c's lowering along dependency chains.
 
     T-count includes A/Adg (one T each).  Each depth is the longest path
     through the gate dependency graph counting only gates of that class:
@@ -395,16 +395,14 @@ def schedule(c: Circuit, lower: bool = False) -> ResourceReport:
     reverse.  Cliffords therefore never pad T-depth, matching how
     T-layers are batched in practice.
 
-    A macro raises ValueError, unless ``lower``: then the report equals
-    ``schedule(lower_macros(c))`` and no lowered circuit is built.  Each
-    macro kind's depth profile (``_Profile``) is built once per call, on
-    first sight, so a macro costs a constant amount of work, not a walk
-    over its terminal gates.
+    The report equals ``schedule(lower_macros(c))``, and no lowered
+    circuit is built: each macro kind's depth profile (``_Profile``) is
+    built once per call, on first sight, so a macro costs a constant
+    amount of work, not a walk over its terminal gates.
     """
     t_chain = [0] * c.n_qubits
     c_chain = [0] * c.n_qubits
-    macro = _profile if lower else lambda kind: _reject_macros(c, "schedule")
-    t_count, size = _advance(c.gates, t_chain, c_chain, macro)
+    t_count, size = _advance(c.gates, t_chain, c_chain)
     return ResourceReport(
         t_count=t_count,
         t_depth=max(t_chain, default=0),
@@ -438,17 +436,16 @@ def _profile(kind: str) -> _Profile:
         t_row = [-inf] * m
         t_row[i] = 0
         c_row = t_row.copy()
-        t_count, size = _advance(terminals, t_row, c_row, _profile)  # no macro left
+        t_count, size = _advance(terminals, t_row, c_row)  # no macro left
         t_rows.append(t_row)
         c_rows.append(c_row)
     return _Profile(t_count, size, tuple(zip(*t_rows)), tuple(zip(*c_rows)))
 
 
-def _advance(gates: Sequence[Gate], t_chain: list, c_chain: list,
-             macro: Callable[[str], _Profile]) -> tuple[int, int]:
+def _advance(gates: Sequence[Gate], t_chain: list, c_chain: list) -> tuple[int, int]:
     """Walk ``gates`` through both chains in place; (T-count, terminal gate count).
 
-    ``macro`` gives the profile of each macro kind on first sight.
+    Each macro kind's ``_profile`` is built on first sight.
     """
     t_count = extra = 0
     seen: dict[str, object] = {}  # per kind: non-Clifford or not, or its macro profile
@@ -456,7 +453,7 @@ def _advance(gates: Sequence[Gate], t_chain: list, c_chain: list,
         kind, qubits = g.kind, g.qubits
         nc = seen.get(kind)
         if nc is None:
-            nc = seen[kind] = macro(kind) if kind in MACRO_KINDS else kind in NON_CLIFFORD_KINDS
+            nc = seen[kind] = _profile(kind) if kind in MACRO_KINDS else kind in NON_CLIFFORD_KINDS
         if nc is not True and nc is not False:
             t_in = list(map(t_chain.__getitem__, qubits))
             c_in = list(map(c_chain.__getitem__, qubits))
@@ -480,11 +477,6 @@ def _advance(gates: Sequence[Gate], t_chain: list, c_chain: list,
             t_chain[q] = t_here
             c_chain[q] = c_here
     return t_count, len(gates) + extra
-
-
-def _reject_macros(c: Circuit, caller: str) -> NoReturn:
-    bad = {g.kind for g in c.gates} & MACRO_KINDS
-    raise ValueError(f"{caller} needs a lowered circuit; found {sorted(bad)}")
 
 
 def count_extension_points(c: Circuit) -> int:
@@ -617,16 +609,16 @@ def add_global_controls(c: Circuit, num_controls: int) -> Circuit:
     return out
 
 
-def emit_text(c: Circuit, lower: bool = False) -> str:
-    """Deterministic text form of a lowered circuit.
+def emit_text(c: Circuit) -> str:
+    """Deterministic text form of c's lowering.
 
-    One gate per line, ``kind q[i],q[j];`` with a ``qubits N;`` header and
-    a comment line per named register.  A macro raises ValueError, unless
-    ``lower``: then it is written as the lines of its ``terminal_gates``,
-    so the text equals ``emit_text(lower_macros(c))`` and no lowered
-    circuit is built.  Each gate kind's lines are made once per call, as a
-    template on qubits 0..m-1 with each qubit a field, and each distinct
-    gate is rendered once, by filling its kind's template.
+    One terminal gate per line, ``kind q[i],q[j];`` with a ``qubits N;``
+    header and a comment line per named register.  A macro is written as
+    the lines of its ``terminal_gates``, so the text equals
+    ``emit_text(lower_macros(c))``, and no lowered circuit is built: each
+    gate kind's lines are made once per call, as a template on qubits
+    0..m-1 with each qubit a field, and each distinct gate is rendered
+    once, by filling its kind's template.
     """
     lines = [f"qubits {c.n_qubits};"]
     for name, qs in c.register_labels.items():
@@ -643,8 +635,6 @@ def emit_text(c: Circuit, lower: bool = False) -> str:
             kind = g.kind
             form = template.get(kind)
             if form is None:
-                if kind not in TERMINAL_KINDS and not lower:
-                    _reject_macros(c, "emit_text")
                 form = template[kind] = "\n".join(
                     f"{h.kind.lower()} {','.join(f'q[{{{i}}}]' for i in h.qubits)};"
                     for h in terminal_gates((Gate(kind, tuple(range(_ARITY[kind]))),)))

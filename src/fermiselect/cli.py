@@ -5,8 +5,8 @@ Subcommands:
 * ``transform``  — parse a fermionic Hamiltonian file, Jordan-Wigner
   transform it, and print the selection-encoded LCU table.
 * ``synth``      — synthesize a SELECT circuit and print it in text form,
-  each macro written as its one- and two-qubit gates (``emit_text`` with
-  ``lower``; no lowered circuit is built).
+  each macro written as its one- and two-qubit gates (``emit_text`` reads
+  a macro as its lowering; no lowered circuit is built).
 * ``resources``  — measure catalogued components against their
   closed-form costs and print a CSV.
 * ``verify``     — run the exact basis-state oracle check and print a JSON
@@ -140,7 +140,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     circuit = controlled_select(args.n, args.k, args.variant, args.controls)
-    _write(emit_text(circuit, lower=True), args.output)
+    _write(emit_text(circuit), args.output)
     return 0
 
 

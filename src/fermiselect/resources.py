@@ -18,9 +18,9 @@ cost comes entirely from controlled swaps, so t_count divided by the
 number of controlled swaps must equal 7.  The SELECT rows named in
 ``GROWTH_CAP`` carry the growth of lowered Clifford depth relative to
 ``log2(n)**2``, pinned under a frozen cap.  ``check_against_formulas``
-schedules each un-lowered circuit as its lowering (``schedule`` with
-``lower``), building no lowered circuit, and emits a CSV with one row
-per (component, n, metric).
+schedules each un-lowered circuit as its lowering (``schedule`` reads a
+macro that way), building no lowered circuit, and emits a CSV with one
+row per (component, n, metric).
 
 The k = 2 SELECT's lowered depths follow the paper's O(log n) T-depth and
 O(log² n) Clifford depth as exact laws, equal at n = 2^L and at most that
@@ -81,7 +81,7 @@ def measure(name: str, n: int) -> tuple[ResourceReport, int, int]:
     circuit = FORMULAS[name].build(n)
     points = count_extension_points(circuit)
     cswaps = sum(1 for g in circuit.gates if g.kind in ("CSWAP", "CSWAP_STAR"))
-    report = schedule(circuit, lower=True)
+    report = schedule(circuit)
     return report, points, cswaps
 
 

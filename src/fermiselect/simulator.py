@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .circuit_ir import Circuit, Gate, _frame_gates, _inverted, conjugated, terminal_gates
+from .circuit_ir import Circuit, Gate, _frame_gates, _inverted, _remapped, conjugated, terminal_gates
 from .gadgets import _swap_levels, address_bits, swap_up_star
 from .pauli import PauliString, _split
 from .select_synth import DecodeError, controlled_select, decode_index, select_layout
@@ -218,8 +218,8 @@ def _plan(c: Circuit) -> Optional[list[tuple]]:
         n = len(net.register_labels.get("data", ()))
         if n < 2 or net.gates != network(n):
             return None  # not a star network: its gates play as themselves
+        written = _remapped(c, net, to)  # as ``conjugated`` wrote it
         to, top = range(net.n_qubits) if to is None else to, address_bits(n) - 1
-        written = [Gate(h.kind, tuple([to[q] for q in h.qubits]), *h[2:]) for h in net.gates]  # markers kept
         swaps = [Gate("CSWAP", (to[top - j], to[top + 1 + a], to[top + 1 + b]))
                  for j, _, pairs in _swap_levels(n) for a, b in pairs]
         return written, _inverted(written), swaps

@@ -165,13 +165,6 @@ def test_pure_clifford_t_rejects_unmatched_a_gates(kinds, diff):
     assert len(lower_macros(c).gates) == len(kinds)
 
 
-def test_schedule_rejects_macros():
-    c = Circuit(3)
-    c.add("TOFFOLI", 0, 1, 2)
-    with pytest.raises(ValueError, match="lowered"):
-        schedule(c)
-
-
 def test_chain_depth_over_every_kind_is_asap_depth():
     # greedy ASAP layers are 1, 1, 2, 1: the deepest is layer 2
     c = Circuit(3)
@@ -519,13 +512,6 @@ def test_emit_text_registers_and_gates():
     ]
 
 
-def test_emit_text_rejects_macros():
-    c = Circuit(3)
-    c.add("CSWAP", 0, 1, 2)
-    with pytest.raises(ValueError):
-        emit_text(c)
-
-
 # --- reuse of repeated gates within one call ----------------------------------
 #
 # The back-end passes handle each distinct gate once per call and reuse the
@@ -594,9 +580,7 @@ def test_emit_text_renders_each_repeat_like_the_first(rng):
 
 def test_emit_text_lowers_macros_when_asked(rng):
     c = Circuit(4, _repeated_macros(rng), {"a": (0, 1), "b": (3, 2)})
-    assert emit_text(c, lower=True) == emit_text(lower_macros(c))
-    with pytest.raises(ValueError, match=r"emit_text needs a lowered circuit; found \["):
-        emit_text(c)
+    assert emit_text(c) == emit_text(lower_macros(c))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 16])
@@ -606,21 +590,19 @@ def test_emit_text_lowering_matches_lower_macros_on_every_select(n):
         if k != 2 and controls == 2:
             continue  # the general layout takes at most one control
         c = controlled_select(n, k, v, controls)
-        assert emit_text(c, lower=True) == emit_text(lower_macros(c)), (k, v, controls)
+        assert emit_text(c) == emit_text(lower_macros(c)), (k, v, controls)
         built += 1
     assert built == 14
 
 
-def test_a_macro_after_many_repeats_is_still_rejected():
+def test_a_macro_after_many_repeats_is_still_lowered():
     c = Circuit(3, [Gate("CX", (0, 1))] * 5000 + [Gate("T", (2,))] * 5000)
     c.add("SWAP", 1, 2)
     c.add("CX", 0, 1)
     c.add("CSWAP", 0, 1, 2)
-    found = r"needs a lowered circuit; found \['CSWAP', 'SWAP'\]"
-    with pytest.raises(ValueError, match="emit_text " + found):
-        emit_text(c)
-    with pytest.raises(ValueError, match="schedule " + found):
-        schedule(c)
+    lowered = lower_macros(c)
+    assert emit_text(c) == emit_text(lowered)
+    assert schedule(c) == schedule(lowered)
 
 
 def test_schedule_mixed_arities_by_hand():
@@ -648,16 +630,14 @@ def test_schedule_lowering_matches_lower_macros_on_any_qubit_order(rng):
     assert {g.qubits for g in gates if g.kind == "CSWAP"} == set(itertools.permutations(range(4), 3))
     for end in range(len(gates) + 1):
         c = Circuit(4, gates[:end])
-        assert schedule(c, lower=True) == schedule(lower_macros(c)), gates[:end]
-    with pytest.raises(ValueError, match=r"schedule needs a lowered circuit; found \['CCZ', "):
-        schedule(c)
+        assert schedule(c) == schedule(lower_macros(c)), gates[:end]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 16, 32])
 def test_schedule_lowering_matches_lower_macros_on_every_formula(n):
     for name, row in FORMULAS.items():
         c = row.build(n)
-        assert schedule(c, lower=True) == schedule(lower_macros(c)), name
+        assert schedule(c) == schedule(lower_macros(c)), name
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 16])
@@ -667,7 +647,7 @@ def test_schedule_lowering_matches_lower_macros_on_every_select(n):
         if k != 2 and controls == 2:
             continue  # the general layout takes at most one control
         c = controlled_select(n, k, v, controls)
-        assert schedule(c, lower=True) == schedule(lower_macros(c)), (k, v, controls)
+        assert schedule(c) == schedule(lower_macros(c)), (k, v, controls)
         built += 1
     assert built == 14
 

@@ -222,7 +222,7 @@ def test_resources_cli_builds_no_lowered_circuit(monkeypatch, capsys):
         return _sha(capsys.readouterr().out)
 
     with monkeypatch.context() as m:  # a reference for sizes without a digest: schedule the lowering
-        m.setattr(resources, "schedule", lambda c, lower=False: circuit_ir.schedule(lower_macros(c)))
+        m.setattr(resources, "schedule", lambda c: circuit_ir.schedule(lower_macros(c)))
         lowered = _sha(check_against_formulas([2, 3, 5, 64]))
     forbid_lowering(monkeypatch, "resources")
     assert cli_digest() == RESOURCES_GOLDEN[(4, 8, 16, 32)]

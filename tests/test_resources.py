@@ -86,7 +86,7 @@ def test_select_depths_follow_the_papers_laws(n):
     # L = 4) and stays at or below it elsewhere; the star T-depth is 48L at every n
     L, power = address_bits(n), n & (n - 1) == 0
     circuits = {v: synth_select_k2(n, v) for v in ("star", "plain")}
-    star, plain = (schedule(circuits[v], lower=True) for v in ("star", "plain"))
+    star, plain = (schedule(circuits[v]) for v in ("star", "plain"))
     if n == 64:  # one size cross-checks the un-lowered schedule against the lowered circuit
         assert [star, plain] == [schedule(lower_macros(circuits[v])) for v in ("star", "plain")]
     assert star.t_depth == 48 * L
@@ -104,8 +104,8 @@ def test_general_k4_select_follows_its_laws(n):
     # CCZ/TOFFOLI); T-depth 128L + 32 star at every n, 384L - 160 plain at n = 2^L from
     # L = 2 and at or below it elsewhere
     L, power = address_bits(n), n & (n - 1) == 0
-    star = schedule(synth_select_general(n, 4, "star"), lower=True)
-    plain = schedule(synth_select_general(n, 4, "plain"), lower=True)
+    star = schedule(synth_select_general(n, 4, "star"))
+    plain = schedule(synth_select_general(n, 4, "plain"))
     assert star.t_count == 128 * (n - 1) + 56
     assert star.t_depth == 128 * L + 32
     if n == 2:  # one controlled swap per network, as for k = 2
