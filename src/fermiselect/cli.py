@@ -108,9 +108,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
     terms = parse_hamiltonian(text)
-    max_orbitals = max((len(t.orbitals()) for t in terms), default=0)
-    try:
-        lcu = jw_transform(FermionHamiltonian(args.n, _even_at_least_two(max_orbitals), tuple(terms)))
+    try:  # a term with every orbital in range touches at most n of them
+        lcu = jw_transform(FermionHamiltonian(args.n, _even_at_least_two(args.n), tuple(terms)))
     except ValueError:  # name the line of a term the transform rejects
         for lineno, raw in enumerate(text.splitlines(), 1):
             for term in parse_hamiltonian(raw):

@@ -44,9 +44,9 @@ first, summed in row order.
 A term's rows then hold exactly the strings, order and values of the
 per-term product of dicts over the same units (the reference in
 ``tests/conftest.py``).  The merge of all terms runs on columns: the keys
-``x | z << n`` as ⌈2n/64⌉ uint64 words, back in term order, merged by
-``np.unique`` and summed by ``np.bincount``, and the kept keys decoded at
-once into a (rows, n) matrix of letters.  The LCU keeps that matrix
+(``_keys``, whose bytes sort as their letters), back in term order, merged
+and sorted by one ``np.unique`` and summed by ``np.bincount``, and the kept
+keys decoded at once into a (rows, n) letter matrix.  The LCU keeps that matrix
 (``PauliLCU._columns``); a row becomes a ``PauliString`` only when
 ``PauliLCU.entries`` is read, and ``_split`` finds every row's pair
 endpoints and number factors at once for the encoder.
@@ -402,13 +402,14 @@ def _shorten(letters: str) -> str:
     return letters if len(letters) <= 60 else f"{letters[:60]}… ({len(letters)} letters)"
 
 
-# the ASCII letter of each 2 * (z bit) + (x bit)
-_LETTER_CODES = np.frombuffer(b"IXZY", dtype=np.uint8)
+# the ASCII letter of each key code 2 * (z bit) + (x bit ^ z bit), in letter order
+_LETTER_CODES = np.frombuffer(b"IXYZ", dtype=np.uint8)
 # the set bits of each byte value, the masks (1 << b) - 1 for b = 0..64, and i**k
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)])
 _LOW = np.array([(1 << b) - 1 for b in range(65)], dtype=np.uint64)
 _I_POWERS = np.array([1j ** k for k in range(4)])
 _ORBITAL = operator.attrgetter("orbital")
+_KEY_ROWS = 1 << 10  # rows per block of ``_keys``
 
 # the Y coefficient of a ladder's image, and (type(f), type(g)) -> the
 # coefficients of a pair's four strings, in the module docstring's order
@@ -478,15 +479,16 @@ def _times(at, x, z, c, xs, zs, units, general: bool):
 
 
 def _keys(x: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
-    """Keys ``x | z << n`` of (rows, ⌈n/64⌉-word) masks, as rows of
-    ⌈2n/64⌉ little-endian uint64 words: one word while 2n <= 64."""
-    keys = np.zeros((len(x), max(1, -(-2 * n // 64))), dtype="<u8")
-    keys[:, :x.shape[1]] = x
-    shift, s = divmod(n, 64)
-    for j in range(z.shape[1]):
-        keys[:, j + shift] |= z[:, j] << np.uint64(s)
-        if s and j + shift + 1 < keys.shape[1]:
-            keys[:, j + shift + 1] |= z[:, j] >> np.uint64(64 - s)
+    """Keys of (rows, ⌈n/64⌉-word) masks: each string's 2-bit letter codes
+    (``_LETTER_CODES``), qubit 0 first, packed big-endian into rows of
+    8⌈2n/64⌉ bytes, so that the keys' byte order is the letters' order."""
+    keys = np.empty((len(x), 8 * max(1, -(-2 * n // 64))), dtype=np.uint8)
+    bits = np.zeros((min(len(x), _KEY_ROWS), 8 * keys.shape[1]), dtype=np.uint8)
+    for lo in range(0, len(x), _KEY_ROWS):  # a byte per key bit: one block of rows at a time
+        xb, zb = (np.unpackbits(m[lo:lo + _KEY_ROWS].astype("<u8").view(np.uint8), axis=1, count=n,
+                                bitorder="little") for m in (x, z))
+        bits[:len(xb), 0:2 * n:2], bits[:len(xb), 1:2 * n:2] = zb, xb ^ zb
+        keys[lo:lo + len(xb)] = np.packbits(bits[:len(xb)], axis=1)
     return keys
 
 
@@ -494,8 +496,8 @@ def _expand_kinds(kinds: tuple, orbitals: np.ndarray, coefficients: np.ndarray, 
     """Strings of the terms with factor kinds ``kinds``, without ``+hc``.
 
     ``orbitals`` is the terms' (terms, factors) matrix.  Returns rows (term,
-    key, c): the term's row in ``orbitals``, the key (``_keys``) and the
-    coefficient, each term's rows as the module docstring says.
+    key, c): the term's row in ``orbitals``, the key (a row of ``_keys``
+    bytes) and the coefficient, each term's rows as the module docstring says.
     """
     count, size = orbitals.shape
     words = max(1, -(-n // 64))
@@ -554,8 +556,8 @@ def _expand_kinds(kinds: tuple, orbitals: np.ndarray, coefficients: np.ndarray, 
 def _expand(terms: Sequence[FermionTerm], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every term's strings, without its ``+hc`` part, in term order.
 
-    Returns (term, keys, c): each row's term index, its key ``x | z << n``
-    (``_keys``) and its coefficient.  Raises the ``_validate_term`` error of
+    Returns (term, keys, c): each row's term index, its key (a row of
+    ``_keys`` bytes) and its coefficient.  Raises the ``_validate_term`` error of
     the first bad term.
     """
     groups: dict[tuple, tuple[list[int], list[int]]] = {}
@@ -590,10 +592,9 @@ def _expand(terms: Sequence[FermionTerm], n: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _key_letters(keys: np.ndarray, n: int) -> np.ndarray:
-    """ASCII IXYZ letters, qubit 0 first, of keys ``x | z << n`` given as
-    the rows of a matrix of their little-endian bytes."""
-    bits = np.unpackbits(keys, axis=1, count=2 * n, bitorder="little")
-    return _LETTER_CODES[2 * bits[:, n:] + bits[:, :n]]
+    """ASCII IXYZ letters, qubit 0 first, of the rows of ``_keys`` bytes."""
+    bits = np.unpackbits(keys, axis=1, count=2 * n)
+    return _LETTER_CODES[2 * bits[:, 0::2] + bits[:, 1::2]]
 
 
 def _collect(terms: Iterable[FermionTerm], n: int) -> PauliLCU:
@@ -607,14 +608,14 @@ def _collect(terms: Iterable[FermionTerm], n: int) -> PauliLCU:
 
     The merge runs on columns: ``_expand`` gives every (key, coefficient)
     of every term, expanded one factor signature at a time and put back in
-    term order, the keys as one uint64 each while 2n <= 64 and as
-    ⌈2n/64⌉ little-endian words beyond.  ``np.bincount`` adds the
-    contributions to a key in that order, as a running sum would.
+    term order.  One ``np.unique`` merges the keys and so sorts them by
+    letters; ``np.bincount`` adds the contributions to a key in term
+    order, as a running sum would.
     """
     terms = tuple(terms)
     term, keys, c = _expand(terms, n)
-    width = 8 * keys.shape[1]
-    merged, at = np.unique(keys[:, 0] if width == 8 else keys.view(f"V{width}")[:, 0], return_inverse=True)
+    width = keys.shape[1]
+    merged, at = np.unique(keys.view(">u8" if width == 8 else f"V{width}")[:, 0], return_inverse=True)
     hc = np.array([t.include_hc for t in terms], dtype=bool)[term]
     scale = np.zeros(len(merged))
     np.maximum.at(scale, at, np.hypot(c.real, c.imag))
@@ -623,8 +624,7 @@ def _collect(terms: Iterable[FermionTerm], n: int) -> PauliLCU:
     cutoff = _RESIDUE * scale
     keep = ((re != 0) | (im != 0)) & ~(np.hypot(re, im) < cutoff)
     letters = _key_letters(merged[keep].view(np.uint8).reshape(-1, width), n)
-    order = np.argsort(letters.view(f"S{n}")[:, 0]) if n else slice(None)
-    letters, re, im, cutoff = letters[order], re[keep][order], im[keep][order], cutoff[keep][order]
+    re, im, cutoff = re[keep], im[keep], cutoff[keep]
     complex_part = np.abs(im) > cutoff
     if complex_part.any():  # the first non-real sum by letters
         i = complex_part.argmax()

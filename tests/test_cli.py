@@ -169,6 +169,8 @@ def test_transform_parse_error_exit_code(tmp_path, capsys):
     ("1 0 : adag 0 a 5 +hc\n", ["--n", "4"], "orbital 5 out of range for n=4"),
     ("1 0 : adag 0 a 1\n", ["--n", "4"], "not Hermitian"),
     ("", ["--n", "-3"], "number of orbitals must be non-negative, got -3"),
+    # more orbitals than n: the line scan names the one out of range
+    ("1 0 : n 0 n 1 n 5\n", ["--n", "2"], "line 1: orbital 5 out of range for n=2"),
 ])
 def test_transform_rejections_exit_2(text, argv, msg, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))

@@ -321,15 +321,43 @@ def test_mask_product_matches_pauli_mul(pair, pa, pb):
     assert got == {x | z << n: 1j**want.phase}
 
 
+def letters_of(key, n):
+    """The letters of a ``mask_mul`` key ``x | z << n``."""
+    return "".join("IXZY"[(key >> p & 1) + 2 * (key >> n + p & 1)] for p in range(n))
+
+
+def edge_batch(n):
+    """Words of n letters that differ first at qubit 0, around the key word
+    boundaries (qubits 31/32 and 63/64) or at the last qubit."""
+    return ["I" * n] + [("Z" * p + c + "X" * n)[:n] for p in {0, 31, 32, 63, 64, n - 1} if 0 <= p < n
+                        for c in "ZYXI"]
+
+
+# every length the sort check must see: one key word, its boundary, and
+# keys that cross one and two word boundaries
 @settings(max_examples=100, deadline=None)
-@given(st.text(alphabet="IXYZ", max_size=40))
-@example("")
-@example("IIIIIIII")
-def test_mask_letters_roundtrip(letters):
-    n = len(letters)
-    x, z = masks_of(letters)
-    key = np.frombuffer((x | z << n).to_bytes(n // 4 + 1, "little"), dtype=np.uint8)
-    assert _key_letters(key.reshape(1, -1), n).tobytes().decode() == letters
+@given(st.one_of(st.sampled_from([0, 1, 31, 32, 33, 64, 65, 130]), st.integers(0, 140)).flatmap(
+    lambda n: st.lists(st.text(alphabet="IXYZ", min_size=n, max_size=n), min_size=1, max_size=6)))
+@example(["IIIIIIII"])
+@example(edge_batch(0))
+@example(edge_batch(1))
+@example(edge_batch(31))
+@example(edge_batch(32))
+@example(edge_batch(33))
+@example(edge_batch(64))
+@example(edge_batch(65))
+@example(edge_batch(130))
+def test_mask_letters_roundtrip(batch):
+    # letters -> masks -> _keys -> _key_letters gives the letters back, and
+    # the keys' bytes sort as the letters do
+    n, words = len(batch[0]), max(1, -(-len(batch[0]) // 64))
+    x, z = (np.frombuffer(b"".join(m.to_bytes(8 * words, "little") for m in ms), dtype="<u8").reshape(-1, words)
+            for ms in zip(*map(masks_of, batch)))
+    keys = pauli._keys(x, z, n)
+    assert keys.shape == (len(batch), 8 * max(1, -(-2 * n // 64)))
+    assert [row.tobytes().decode() for row in _key_letters(keys, n)] == batch
+    by_bytes = sorted(range(len(batch)), key=lambda i: keys[i].tobytes())
+    assert by_bytes == sorted(range(len(batch)), key=batch.__getitem__)
 
 
 def reference_jw(term, n):
@@ -436,7 +464,7 @@ def dict_collect(terms, n):
         cutoff = _RESIDUE * scale[key]
         if not c or abs(c) < cutoff:
             continue
-        letters = "".join("IXZY"[(key >> p & 1) + 2 * (key >> n + p & 1)] for p in range(n))
+        letters = letters_of(key, n)
         if abs(c.imag) > cutoff:
             complex_parts.append((letters, c))
         rows.append((letters, 0 if c.real > 0 else 2, abs(c.real)))
@@ -531,11 +559,11 @@ def mixed_terms(draw):
 
 
 def columnar_expansion(terms, n):
-    """pauli._expand's rows as one {key: coefficient} dict per term, in row order."""
+    """pauli._expand's rows as one {letters: coefficient} dict per term, in row order."""
     term, keys, c = pauli._expand(terms, n)
     out = [{} for _ in terms]
-    for t, key, value in zip(term.tolist(), keys, c.tolist()):
-        out[t][int.from_bytes(key.tobytes(), "little")] = value
+    for t, letters, value in zip(term.tolist(), _key_letters(keys, n), c.tolist()):
+        out[t][letters.tobytes().decode()] = value
     assert sum(map(len, out)) == len(term)  # no term holds a string twice
     return out
 
@@ -564,7 +592,8 @@ def test_term_expansion_matches_per_factor_product(case):
     # == on the values: the routes may differ in the sign of a zero
     term, n = case
     want = term_expansion(term, n)
-    assert list(columnar_expansion((term,), n)[0].items()) == list(want.items())
+    got = columnar_expansion((term,), n)[0]
+    assert list(got.items()) == [(letters_of(key, n), c) for key, c in want.items()]
     assert list(want.items()) == list(per_factor_expansion(term, n).items())
 
 
