@@ -2,8 +2,9 @@
 
 Subcommands:
 
-* ``transform``  — parse a fermionic Hamiltonian file, Jordan-Wigner
-  transform it, and print the selection-encoded LCU table.
+* ``transform``  — read a fermionic Hamiltonian file into per-signature
+  columns, Jordan-Wigner transform it, and print the selection-encoded LCU
+  table, formatting each distinct alpha once.
 * ``synth``      — synthesize a SELECT circuit and print it in text form,
   each macro written as its one- and two-qubit gates (``emit_text`` reads
   a macro as its lowering; no lowered circuit is built).
@@ -34,6 +35,7 @@ from .pauli import (
     Lower,
     Number,
     Raise,
+    _Terms,
     _validate_term,
     jw_transform,
 )
@@ -44,22 +46,25 @@ from .simulator import verify_select
 _FACTOR_KINDS = {"adag": Raise, "a": Lower, "n": Number}
 
 
-def parse_hamiltonian(text: str) -> list[FermionTerm]:
+def parse_hamiltonian(text: str) -> Sequence[FermionTerm]:
     """Terms from Hamiltonian text; raises ValueError with line numbers.
 
-    Factors are frozen, so each distinct ``<kind> <orbital>`` token pair
-    is built once per call and shared by every term that names it."""
-    terms, made = [], {}
+    Each line is read straight into columns: the term's coefficient,
+    ``+hc`` flag and line number, and its orbitals in the matrix of its
+    factor-kind signature.  The result is a read-only sequence that builds
+    each ``FermionTerm`` when it is read, like ``PauliLCU.entries``;
+    factors are frozen, so each distinct ``<kind> <orbital>`` pair is built
+    once per sequence and shared by every term that names it."""
+    coefficients, hc, lines, groups = [], [], [], {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        head, colon, tail = raw.split("#", 1)[0].partition(":")
+        if not colon:
+            if head.strip():
+                raise ValueError(f"line {lineno}: expected '<re> <im> : <factors>'")
             continue
-        if ":" not in line:
-            raise ValueError(f"line {lineno}: expected '<re> <im> : <factors>'")
-        head, tail = line.split(":", 1)
         parts = head.split()
         if len(parts) != 2:
-            raise ValueError(f"line {lineno}: coefficient needs two floats, got {head!r}")
+            raise ValueError(f"line {lineno}: coefficient needs two floats, got {head.lstrip()!r}")
         try:
             coefficient = complex(float(parts[0]), float(parts[1]))
             if not cmath.isfinite(coefficient):
@@ -67,26 +72,30 @@ def parse_hamiltonian(text: str) -> list[FermionTerm]:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad coefficient: {exc}") from None
         tokens = tail.split()
-        include_hc = False
-        if tokens and tokens[-1] == "+hc":
-            include_hc = True
-            tokens = tokens[:-1]
+        include_hc = tokens[-1] == "+hc" if tokens else False
+        if include_hc:
+            del tokens[-1]
         if not tokens or len(tokens) % 2:
             raise ValueError(f"line {lineno}: factors come as '<kind> <orbital>' pairs")
-        factors = []
-        for token in zip(tokens[::2], tokens[1::2]):
-            factor = made.get(token)
-            if factor is None:
-                kind, orb = token
+        key = tuple(tokens[::2])
+        group = groups.get(key)
+        try:
+            if group is None:
+                group = groups[key] = tuple([_FACTOR_KINDS[kind] for kind in key]), [], []
+            group[2].extend(map(int, tokens[1::2]))
+        except (KeyError, ValueError):  # name the first bad pair
+            for kind, orb in zip(key, tokens[1::2]):
                 if kind not in _FACTOR_KINDS:
-                    raise ValueError(f"line {lineno}: unknown factor kind {kind!r}")
+                    raise ValueError(f"line {lineno}: unknown factor kind {kind!r}") from None
                 try:
-                    factor = made[token] = _FACTOR_KINDS[kind](int(orb))
+                    int(orb)
                 except ValueError:
                     raise ValueError(f"line {lineno}: bad orbital index {orb!r}") from None
-            factors.append(factor)
-        terms.append(FermionTerm(coefficient, tuple(factors), include_hc))
-    return terms
+        group[1].append(len(coefficients))
+        coefficients.append(coefficient)
+        hc.append(include_hc)
+        lines.append(lineno)
+    return _Terms(coefficients, hc, groups.values(), np.array(lines))
 
 
 def _even_at_least_two(value: int) -> int:
@@ -109,14 +118,13 @@ def _cmd_transform(args: argparse.Namespace) -> int:
             text = fh.read()
     terms = parse_hamiltonian(text)
     try:  # a term with every orbital in range touches at most n of them
-        lcu = jw_transform(FermionHamiltonian(args.n, _even_at_least_two(args.n), tuple(terms)))
-    except ValueError:  # name the line of a term the transform rejects
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            for term in parse_hamiltonian(raw):
-                try:
-                    _validate_term(term, args.n)
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from None
+        lcu = jw_transform(FermionHamiltonian(args.n, _even_at_least_two(args.n), terms))
+    except ValueError:  # name the line of the first term the transform rejects
+        for term, lineno in zip(terms, terms.lines):
+            try:
+                _validate_term(term, args.n)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
         raise
     k, n, table = args.k, args.n, lcu._columns
     if k is None:  # count endpoints and numbers on the split the encoder reuses
@@ -126,14 +134,16 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     rows = encode_lcu(lcu, layout)
     width = layout.width
     header = f"# n={n} k={k} selection_width={width} terms={len(rows)}\n# total_alpha={lcu.total_alpha!r}\n"
-    # one "<word> %r <sign><letters>" line per row, then every alpha's repr in one format
+    # one "<word> %s <sign><letters>" line per row, filled with the repr of each distinct alpha, made once
     lines = np.empty((len(rows), width + n + 6), dtype=np.uint8)
     lines[:, :width] = rows.bits | ord("0")
-    lines[:, width:width + 4] = np.frombuffer(b" %r ", dtype=np.uint8)
+    lines[:, width:width + 4] = np.frombuffer(b" %s ", dtype=np.uint8)
     lines[:, width + 4] = np.where(table.negative, ord("-"), ord("+"))
     lines[:, width + 5:-1] = table.letters
     lines[:, -1] = ord("\n")
-    _write(header + lines.tobytes().decode() % tuple(table.alpha.tolist()), args.output)
+    distinct, at = np.unique(table.alpha, return_inverse=True)
+    reprs = np.array(list(map(repr, distinct.tolist())), dtype=object)
+    _write(header + lines.tobytes().decode() % tuple(reprs[at].tolist()), args.output)
     return 0
 
 

@@ -17,10 +17,10 @@ Inside the transform a string is held in the symplectic form: a pair of
 bitmasks (x, z) of ⌈n/64⌉ uint64 words, bit p set in x when qubit p
 carries X or Y and in z when it carries Z or Y.  A product is then an XOR
 with its phase taken from popcounts (Aaronson-Gottesman, quant-ph/0406196).
-The terms are grouped by the kinds of their factors (their signature), and
-all terms of a signature are expanded at once, one unit at a time in
-factor order (n_p does not commute with a_p): a number image, a lone
-ladder's image, or two consecutive ladders in closed form.
+The terms are held as columns grouped by the kinds of their factors (their
+signature, ``_Terms``), and all terms of a signature are expanded at once,
+one unit at a time in factor order (n_p does not commute with a_p): a
+number image, a lone ladder's image, or two consecutive ladders in closed form.
 
 Two consecutive ladder factors f at p and g at q (p < q in every
 canonical term) multiply in closed form.  With P = 1 << p, Q = 1 << q and
@@ -235,23 +235,27 @@ class FermionHamiltonian:
     """A sum of fermionic terms on ``n_orbitals`` modes.
 
     ``k`` is the interaction order bound used by the circuit encoder: no
-    term may touch more than k distinct orbitals.
+    term may touch more than k distinct orbitals.  ``terms`` is held as
+    columns (``_Terms``), each term built again when it is read.
     """
 
     n_orbitals: int
     k: int
-    terms: tuple[FermionTerm, ...]
+    terms: Sequence[FermionTerm]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(self.terms))
+        object.__setattr__(self, "terms", _Terms.of(self.terms))
         if self.n_orbitals < 0:
             raise ValueError(f"number of orbitals must be non-negative, got {self.n_orbitals}")
         if self.k < 2 or self.k % 2:
             raise ValueError(f"interaction order k must be even and >= 2, got {self.k}")
-        for t in self.terms:
-            touched = len(t.orbitals())
-            if touched > self.k:
-                raise ValueError(f"term touches {touched} orbitals, exceeding k={self.k}")
+        over = []  # each signature's first term over k; a sorted row changes once per extra orbital
+        for index, orbitals in self.terms.groups.values():
+            ordered = np.sort(orbitals, axis=1)
+            touched = 1 + (ordered[:, 1:] != ordered[:, :-1]).sum(axis=1)
+            over += [(index[t], touched[t]) for t in np.flatnonzero(touched > self.k)[:1]]
+        if over:
+            raise ValueError(f"term touches {min(over)[1]} orbitals, exceeding k={self.k}")
 
 
 class _Rows(Sequence):
@@ -286,6 +290,49 @@ class _Rows(Sequence):
 
     def __repr__(self) -> str:
         return repr(list(self))
+
+
+class _Terms(_Rows):
+    """Fermionic terms as columns, read-only; each ``FermionTerm`` is built
+    when it is read, and each distinct factor once per sequence.
+
+    ``coefficients`` and ``hc`` hold each term's coefficient and
+    ``include_hc``.  ``groups`` maps each factor-kind signature to its
+    terms' indices, ascending, and their (terms, factors) orbital matrix
+    (object dtype for an orbital beyond int64), built from (kinds, indices,
+    flat orbitals) lists.  ``lines`` holds each term's line number, or None.
+    """
+
+    def __init__(self, coefficients: list, hc: list, groups: Iterable[tuple], lines=None) -> None:
+        self._size, self.lines, self._made, self.groups = len(coefficients), lines, {}, {}
+        self.coefficients, self.hc = np.array(coefficients, dtype=complex), np.array(hc, dtype=bool)
+        for kinds, index, flat in groups:
+            try:
+                orbitals = np.array(flat, dtype=np.int64)
+            except OverflowError:  # beyond int64: out of range, and only the checks read it
+                orbitals = np.array(flat, dtype=object)
+            self.groups[kinds] = np.array(index, dtype=np.int64), orbitals.reshape(len(index), len(kinds))
+
+    @classmethod
+    def of(cls, terms: Iterable[FermionTerm]) -> "_Terms":
+        """``terms`` as columns; ``_Terms`` come back as they are."""
+        if isinstance(terms, _Terms):
+            return terms
+        terms, groups = tuple(terms), {}
+        for t, term in enumerate(terms):  # one pass: each term's kinds and orbitals
+            kinds = tuple([type(f) for f in term.factors])
+            group = groups.setdefault(kinds, (kinds, [], []))
+            group[1].append(t)
+            group[2].extend([f.orbital for f in term.factors])
+        return cls([t.coefficient for t in terms], [t.include_hc for t in terms], groups.values())
+
+    def _row(self, t: int) -> FermionTerm:
+        for kinds, (index, orbitals) in self.groups.items():
+            row = index.searchsorted(t)
+            if row < len(index) and index[row] == t:
+                made, orbs = self._made, orbitals[row].tolist()
+                factors = tuple([made.setdefault((kind, p), kind(p)) for kind, p in zip(kinds, orbs)])
+                return FermionTerm(complex(self.coefficients[t]), factors, bool(self.hc[t]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,7 +455,6 @@ _LETTER_CODES = np.frombuffer(b"IXYZ", dtype=np.uint8)
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)])
 _LOW = np.array([(1 << b) - 1 for b in range(65)], dtype=np.uint64)
 _I_POWERS = np.array([1j ** k for k in range(4)])
-_ORBITAL = operator.attrgetter("orbital")
 _KEY_ROWS = 1 << 10  # rows per block of ``_keys``
 
 # the Y coefficient of a ladder's image, and (type(f), type(g)) -> the
@@ -430,17 +476,17 @@ def _popcount(v: np.ndarray) -> np.ndarray:
     return _POPCOUNT[v.view(np.uint8)].sum(axis=-1)
 
 
-def _breaks_a_rule(kinds: tuple, orbitals: np.ndarray, n: int) -> bool:
-    """Whether a term of one factor signature breaks a rule of
-    ``_validate_term``; ``orbitals`` is the terms' (terms, factors) matrix."""
+def _breaks_a_rule(kinds: tuple, orbitals: np.ndarray, n: int) -> np.ndarray:
+    """Which terms of one factor signature break a rule of ``_validate_term``,
+    one bool per row of ``orbitals``, the terms' (terms, factors) matrix."""
     ladders = [i for i, kind in enumerate(kinds) if kind is not Number]
     if len(ladders) not in (0, 2, 4) or any(kinds[a] is Lower and kinds[b] is Raise
                                              for a, b in zip(ladders[::2], ladders[1::2])):
-        return True
+        return np.ones(len(orbitals), dtype=bool)
     bad = ((orbitals < 0) | (orbitals >= n)).any(axis=1)
     for a, b in zip(ladders, ladders[1:]):  # pairs increase, and the first precedes the second
         bad |= orbitals[:, a] >= orbitals[:, b]
-    return bool(bad.any())
+    return bad.astype(bool)
 
 
 def _merge(at, x, z, c):
@@ -553,35 +599,20 @@ def _expand_kinds(kinds: tuple, orbitals: np.ndarray, coefficients: np.ndarray, 
     return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
-def _expand(terms: Sequence[FermionTerm], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _expand(terms: _Terms, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every term's strings, without its ``+hc`` part, in term order.
 
     Returns (term, keys, c): each row's term index, its key (a row of
     ``_keys`` bytes) and its coefficient.  Raises the ``_validate_term`` error of
     the first bad term.
     """
-    groups: dict[tuple, tuple[list[int], list[int]]] = {}
-    for t, term in enumerate(terms):  # one pass: each term's kinds and orbitals
-        factors = term.factors
-        kinds = tuple([type(f) for f in factors])  # from a sized list: no tuple resize
-        group = groups.get(kinds)
-        if group is None:
-            group = groups[kinds] = ([], [])
-        group[0].append(t)
-        group[1].extend(map(_ORBITAL, factors))
-    coefficients = np.array([term.coefficient for term in terms], dtype=complex)
     empty = np.zeros((0, 1), dtype=np.uint64)
     parts = [(np.zeros(0, dtype=np.int64), _keys(empty, empty, n), np.zeros(0, dtype=complex))]
-    for kinds, (index, flat) in groups.items():
-        try:
-            orbitals = np.array(flat, dtype=np.int64).reshape(len(index), len(kinds))
-        except OverflowError:
-            orbitals = None
-        if orbitals is None or _breaks_a_rule(kinds, orbitals, n):
-            for term in terms:  # raises at the first bad term, whatever its signature
-                _validate_term(term, n)
-        index = np.array(index, dtype=np.int64)
-        at, keys, c = _expand_kinds(kinds, orbitals, coefficients[index], n)
+    bad = [index[_breaks_a_rule(kinds, orbitals, n)] for kinds, (index, orbitals) in terms.groups.items()]
+    if any(map(len, bad)):  # the first bad term's error, whatever its signature
+        _validate_term(terms[min(b[0] for b in bad if len(b))], n)
+    for kinds, (index, orbitals) in terms.groups.items():
+        at, keys, c = _expand_kinds(kinds, orbitals, terms.coefficients[index], n)
         parts.append((index[at], keys, c))
     term, keys, c = map(np.concatenate, zip(*parts))
     del parts
@@ -597,7 +628,7 @@ def _key_letters(keys: np.ndarray, n: int) -> np.ndarray:
     return _LETTER_CODES[2 * bits[:, 0::2] + bits[:, 1::2]]
 
 
-def _collect(terms: Iterable[FermionTerm], n: int) -> PauliLCU:
+def _collect(terms: _Terms, n: int) -> PauliLCU:
     """Merged LCU of ``terms``: positive alphas, sorted by letters.
 
     A term with ``include_hc`` contributes c and its conjugate to each
@@ -612,11 +643,10 @@ def _collect(terms: Iterable[FermionTerm], n: int) -> PauliLCU:
     letters; ``np.bincount`` adds the contributions to a key in term
     order, as a running sum would.
     """
-    terms = tuple(terms)
     term, keys, c = _expand(terms, n)
     width = keys.shape[1]
     merged, at = np.unique(keys.view(">u8" if width == 8 else f"V{width}")[:, 0], return_inverse=True)
-    hc = np.array([t.include_hc for t in terms], dtype=bool)[term]
+    hc = terms.hc[term]
     scale = np.zeros(len(merged))
     np.maximum.at(scale, at, np.hypot(c.real, c.imag))
     re = np.bincount(at, np.where(hc, 2 * c.real, c.real), len(merged))
@@ -655,7 +685,7 @@ def jw_transform_term(term: FermionTerm, n: int) -> PauliLCU:
         entries sorted by letters.  A coefficient that is zero or below
         1e-12 times the largest contribution to its string is dropped.
     """
-    return _collect((term,), n)
+    return _collect(_Terms.of((term,)), n)
 
 
 def jw_transform(h: FermionHamiltonian) -> PauliLCU:

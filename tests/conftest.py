@@ -1,9 +1,11 @@
 """Shared dense references built independently of the package internals."""
 
+import cmath
+
 import numpy as np
 import pytest
 
-from fermiselect.pauli import Lower, Number, Raise, _validate_term
+from fermiselect.pauli import FermionTerm, Lower, Number, Raise, _validate_term
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -136,6 +138,58 @@ def term_expansion(term, n):
             i += 1
         i += 1
     return acc
+
+
+# --- the per-line Hamiltonian reader, one FermionTerm per line ------------------
+#
+# The CLI's earlier reader, kept as the reference the columnar reader
+# ``cli.parse_hamiltonian`` must equal exactly: the same terms, and the same
+# error at the same line.
+
+_FACTOR_KINDS = {"adag": Raise, "a": Lower, "n": Number}
+
+
+def reference_parse(text):
+    """Terms from Hamiltonian text, one line at a time; raises ValueError
+    with line numbers."""
+    terms, made = [], {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if ":" not in line:
+            raise ValueError(f"line {lineno}: expected '<re> <im> : <factors>'")
+        head, tail = line.split(":", 1)
+        parts = head.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: coefficient needs two floats, got {head!r}")
+        try:
+            coefficient = complex(float(parts[0]), float(parts[1]))
+            if not cmath.isfinite(coefficient):
+                raise ValueError(f"{head.strip()!r} is not finite")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: bad coefficient: {exc}") from None
+        tokens = tail.split()
+        include_hc = False
+        if tokens and tokens[-1] == "+hc":
+            include_hc = True
+            tokens = tokens[:-1]
+        if not tokens or len(tokens) % 2:
+            raise ValueError(f"line {lineno}: factors come as '<kind> <orbital>' pairs")
+        factors = []
+        for token in zip(tokens[::2], tokens[1::2]):
+            factor = made.get(token)
+            if factor is None:
+                kind, orb = token
+                if kind not in _FACTOR_KINDS:
+                    raise ValueError(f"line {lineno}: unknown factor kind {kind!r}")
+                try:
+                    factor = made[token] = _FACTOR_KINDS[kind](int(orb))
+                except ValueError:
+                    raise ValueError(f"line {lineno}: bad orbital index {orb!r}") from None
+            factors.append(factor)
+        terms.append(FermionTerm(coefficient, tuple(factors), include_hc))
+    return terms
 
 
 @pytest.fixture

@@ -5,11 +5,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fermiselect.cli import main, parse_hamiltonian
 from fermiselect.pauli import Lower, Number, Raise
 
-from conftest import scan_pairs_and_numbers
+from conftest import reference_parse, scan_pairs_and_numbers
 
 
 def run(argv, capsys):
@@ -64,6 +66,62 @@ def test_parse_empty_is_empty():
 def test_parse_error_carries_line_number():
     with pytest.raises(ValueError, match="line 2"):
         parse_hamiltonian("1 0 : n 0\nbroken\n")
+
+
+def read(parse, text):
+    """(terms, None) from ``parse(text)``, or (None, its ValueError message)."""
+    try:
+        return list(parse(text)), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+# Token spellings that float() and int() accept, then ones they reject or that
+# break the line format; separators str.split takes; line breaks str.splitlines takes.
+_NUMBERS = ["1", "-0.5", "2.5e-3", "1E+2", "1_0", ".5", "-0.0"], ["nan", "-Infinity", "1e999", "x", "0x1"]
+_KINDS = ["adag", "a", "n"], ["b", "A", "+hc"]
+_ORBITALS = ["0", "1", "3", "1_0", "+2", "-1", "\u0663"], ["zero", "1.0", "99999999999999999999"]
+_COLONS = [":", " : ", "\t:"], ["", "::", ": : n 1"]
+_GAPS = [" ", " ", "\t", "  ", "\xa0", "\x1f"]
+_BREAKS = ["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
+@st.composite
+def hamiltonian_texts(draw):
+    """Hamiltonian text of up to 8 lines: terms, blank lines and comments.
+    About one term line in five may hold a token or shape the reader rejects."""
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        gap = lambda: draw(st.sampled_from(_GAPS))  # noqa: E731
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(draw(st.sampled_from(["", gap(), "# a comment", f"{gap()}# 1 0 : n 0"])))
+            continue
+        messy = draw(st.integers(0, 4)) == 0
+        token = lambda pool: draw(st.sampled_from(pool[0] + pool[1] * messy))  # noqa: E731
+        coefficient = gap().join(token(_NUMBERS) for _ in range(draw(st.sampled_from([2, 2, 1, 3][:1 + 3 * messy]))))
+        pairs = [f"{token(_KINDS)}{gap()}{token(_ORBITALS)}" for _ in range(draw(st.integers(not messy, 4)))]
+        factors = gap().join(pairs + draw(st.sampled_from([[], ["n"], ["+hc", "+hc"]][:1 + 2 * messy])))
+        tail = draw(st.sampled_from(["", f"{gap()}+hc", f"{gap()}# note"] + ["+hc"] * messy))
+        lines.append(f"{draw(st.sampled_from(['', gap()]))}{coefficient}{token(_COLONS)}{factors}{tail}")
+    return "".join(line + draw(st.sampled_from(_BREAKS)) for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hamiltonian_texts())
+@example("0.5 -0.25 : adag 0 a 2 +hc\n# comment\n\n1 0:n 0\n2e-1\t0 :\tn 1_0 n 3\n")
+@example("1 0 : n 0\x0b1 0 : adag 0 a 1 +hc\u20281 0 : n 1\n")
+@example("1 0 : n 0\n1 0 n 0\n")
+@example("1 0 : n 0\n 1 : n 0\n")
+@example("1 0 : n 0\nx y : n 0\n")
+@example("1 0 : n 0\n1 0 : n\n")
+@example("1 0 : n 0\n1 0 : n zero b 0\n")
+@example("1 0 : n 0\n1 0 : b 0 n zero\n")
+@example("1 0 : n 0\n1 0 : n 99999999999999999999 a 1\n")
+@example("1 0 : n 0\n1 inf : n 0\n")
+def test_reader_matches_the_per_line_reference(text):
+    # the columnar reader gives the terms of the per-line reader, or its
+    # error at the same line
+    assert read(parse_hamiltonian, text) == read(reference_parse, text)
 
 
 # --- transform -------------------------------------------------------------------
@@ -194,6 +252,22 @@ def test_transform_names_the_line_of_an_invalid_term(text, line, msg, capsys, mo
     rc, out, err = run(["transform", "-", "--n", "4"], capsys)
     assert rc == 2 and out == ""
     assert err.startswith(f"error: line {line}: ") and msg in err
+
+
+@pytest.mark.parametrize("bad,msg", [
+    ("n 0 adag 9 a 3 +hc", "orbital 9 out of range for n=4"),
+    ("n 0 adag 3 a 1 +hc", "non-canonical ladder pair: indices must be strictly increasing (got 3, 1)"),
+    ("n 0 adag 2 a 2 +hc", "got 2 twice: a†_2 a_2 is the number operator, write 'n 2'"),
+], ids=["out-of-range", "non-canonical", "repeated"])
+def test_transform_names_the_first_bad_line_in_file_order(bad, msg, capsys, monkeypatch):
+    # the first bad term's signature first appears after two valid ones, and
+    # a later row of the first signature holds an orbital beyond int64
+    text = ("1 0 : n 1\n0.5 0 : adag 0 a 1 +hc\n# comment\n\n"
+            f"1 0 : {bad}\n1 0 : n 99999999999999999999\n0.5 0 : adag 1 a 2 +hc\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    rc, out, err = run(["transform", "-", "--n", "4"], capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: line 5: ") and msg in err
 
 
 @pytest.mark.parametrize("text,line,msg", [

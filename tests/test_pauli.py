@@ -260,6 +260,19 @@ def test_hamiltonian_validation():
         )  # 4 orbitals > k=2
 
 
+def test_hamiltonian_names_the_first_term_over_k_in_term_order():
+    # orbitals are counted once each (n_1 n_1 n_2 touches two); the first term
+    # over k wins, whichever signature it is in
+    ok = FermionTerm(1.0, (Number(1), Number(1), Number(2)))
+    four = FermionTerm(1.0, (Raise(0), Number(1), Number(2), Lower(3)), True)
+    three = FermionTerm(1.0, (Number(0), Number(1), Number(2)))
+    with pytest.raises(ValueError, match=r"^term touches 4 orbitals, exceeding k=2$"):
+        FermionHamiltonian(4, 2, (ok, four, three))
+    with pytest.raises(ValueError, match=r"^term touches 3 orbitals, exceeding k=2$"):
+        FermionHamiltonian(4, 2, (ok, three, four))
+    assert FermionHamiltonian(4, 4, (ok, four, three)).terms == [ok, four, three]
+
+
 def test_hamiltonian_rejects_a_negative_orbital_count():
     # it reached numpy, which failed on shapes (0,3) and (0,55)
     with pytest.raises(ValueError, match="non-negative, got -3"):
@@ -560,7 +573,7 @@ def mixed_terms(draw):
 
 def columnar_expansion(terms, n):
     """pauli._expand's rows as one {letters: coefficient} dict per term, in row order."""
-    term, keys, c = pauli._expand(terms, n)
+    term, keys, c = pauli._expand(pauli._Terms.of(terms), n)
     out = [{} for _ in terms]
     for t, letters, value in zip(term.tolist(), _key_letters(keys, n), c.tolist()):
         out[t][letters.tobytes().decode()] = value
@@ -639,7 +652,7 @@ def test_signature_checks_agree_with_validate_term(case):
     except ValueError:
         valid = False
     orbitals = np.array([[p for _, p in factors]], dtype=np.int64).reshape(1, len(factors))
-    assert pauli._breaks_a_rule(tuple(kind for kind, _ in factors), orbitals, n) == (not valid)
+    assert list(pauli._breaks_a_rule(tuple(kind for kind, _ in factors), orbitals, n)) == [not valid]
 
 
 def test_first_bad_term_wins_across_factor_signatures():
