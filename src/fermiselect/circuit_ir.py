@@ -501,10 +501,8 @@ def _borrow_for(qubits: set[int], n: int) -> int:
 
 
 def _multi_controlled_x(controls: tuple[int, ...], target: int, n: int) -> list[Gate]:
-    """CX / Toffoli / C3X on a dirty borrow, all exact permutations."""
+    """Toffoli, or C3X on a dirty borrow: the global controls and one or two payload qubits."""
     G = Gate
-    if len(controls) == 1:
-        return [G("CX", (controls[0], target))]
     if len(controls) == 2:
         return [G("TOFFOLI", (*controls, target))]
     if len(controls) == 3:

@@ -232,11 +232,15 @@ class FermionTerm:
 
 @dataclass(frozen=True)
 class FermionHamiltonian:
-    """A sum of fermionic terms on ``n_orbitals`` modes.
+    """A sum of fermionic terms on ``n_orbitals`` modes, valid by construction.
 
     ``k`` is the interaction order bound used by the circuit encoder: no
     term may touch more than k distinct orbitals.  ``terms`` is held as
-    columns (``_Terms``), each term built again when it is read.
+    columns (``_Terms``), each term built again when it is read.  After n
+    and k, one pass over each signature's columns checks every term for a
+    finite coefficient, then the rules of ``_validate_term``, then k; the
+    first bad term raises the first it breaks, after ``line <l>: `` when
+    the terms carry line numbers.
     """
 
     n_orbitals: int
@@ -245,17 +249,26 @@ class FermionHamiltonian:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", _Terms.of(self.terms))
-        if self.n_orbitals < 0:
-            raise ValueError(f"number of orbitals must be non-negative, got {self.n_orbitals}")
-        if self.k < 2 or self.k % 2:
-            raise ValueError(f"interaction order k must be even and >= 2, got {self.k}")
-        over = []  # each signature's first term over k; a sorted row changes once per extra orbital
-        for index, orbitals in self.terms.groups.values():
-            ordered = np.sort(orbitals, axis=1)
+        terms, n, k = self.terms, self.n_orbitals, self.k
+        if n < 0:
+            raise ValueError(f"number of orbitals must be non-negative, got {n}")
+        if k < 2 or k % 2:
+            raise ValueError(f"interaction order k must be even and >= 2, got {k}")
+        bad = ~np.isfinite(terms.coefficients)
+        for kinds, (index, orbitals) in terms.groups.items():
+            ordered = np.sort(orbitals, axis=1)  # a sorted row changes once per extra orbital
             touched = 1 + (ordered[:, 1:] != ordered[:, :-1]).sum(axis=1)
-            over += [(index[t], touched[t]) for t in np.flatnonzero(touched > self.k)[:1]]
-        if over:
-            raise ValueError(f"term touches {min(over)[1]} orbitals, exceeding k={self.k}")
+            bad[index] |= _breaks_a_rule(kinds, orbitals, n) | (touched > k)
+        if bad.any():  # the first bad term's first broken check, built for that term alone
+            t = int(bad.argmax())
+            term, where = terms[t], "" if terms.lines is None else f"line {terms.lines[t]}: "
+            try:
+                if not np.isfinite(term.coefficient):
+                    raise ValueError(f"non-finite coefficient {term.coefficient}")
+                _validate_term(term, n)
+                raise ValueError(f"term touches {len(term.orbitals())} orbitals, exceeding k={k}")
+            except ValueError as exc:
+                raise ValueError(where + str(exc)) from None
 
 
 class _Rows(Sequence):
@@ -603,14 +616,11 @@ def _expand(terms: _Terms, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every term's strings, without its ``+hc`` part, in term order.
 
     Returns (term, keys, c): each row's term index, its key (a row of
-    ``_keys`` bytes) and its coefficient.  Raises the ``_validate_term`` error of
-    the first bad term.
+    ``_keys`` bytes) and its coefficient.  The terms must be those of a
+    ``FermionHamiltonian`` on n orbitals, which checked them.
     """
     empty = np.zeros((0, 1), dtype=np.uint64)
     parts = [(np.zeros(0, dtype=np.int64), _keys(empty, empty, n), np.zeros(0, dtype=complex))]
-    bad = [index[_breaks_a_rule(kinds, orbitals, n)] for kinds, (index, orbitals) in terms.groups.items()]
-    if any(map(len, bad)):  # the first bad term's error, whatever its signature
-        _validate_term(terms[min(b[0] for b in bad if len(b))], n)
     for kinds, (index, orbitals) in terms.groups.items():
         at, keys, c = _expand_kinds(kinds, orbitals, terms.coefficients[index], n)
         parts.append((index[at], keys, c))
@@ -672,7 +682,7 @@ def _collect(terms: _Terms, n: int) -> PauliLCU:
 
 
 def jw_transform_term(term: FermionTerm, n: int) -> PauliLCU:
-    """Transform a single Hermitian fermionic term into a Pauli LCU.
+    """``jw_transform`` of the one-term Hamiltonian, with a k that cannot bind.
 
     Args:
         term: a canonical fermionic term (see FermionTerm).  The term must
@@ -685,7 +695,7 @@ def jw_transform_term(term: FermionTerm, n: int) -> PauliLCU:
         entries sorted by letters.  A coefficient that is zero or below
         1e-12 times the largest contribution to its string is dropped.
     """
-    return _collect(_Terms.of((term,)), n)
+    return jw_transform(FermionHamiltonian(n, max(2, 2 * len(term.factors)), (term,)))
 
 
 def jw_transform(h: FermionHamiltonian) -> PauliLCU:

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fermiselect import pauli
 from fermiselect.cli import main, parse_hamiltonian
-from fermiselect.pauli import Lower, Number, Raise
+from fermiselect.pauli import FermionHamiltonian, Lower, Number, Raise
 
 from conftest import reference_parse, scan_pairs_and_numbers
 
@@ -227,7 +228,7 @@ def test_transform_parse_error_exit_code(tmp_path, capsys):
     ("1 0 : adag 0 a 5 +hc\n", ["--n", "4"], "orbital 5 out of range for n=4"),
     ("1 0 : adag 0 a 1\n", ["--n", "4"], "not Hermitian"),
     ("", ["--n", "-3"], "number of orbitals must be non-negative, got -3"),
-    # more orbitals than n: the line scan names the one out of range
+    # more orbitals than n: a rule broken beats k, so the one out of range is named
     ("1 0 : n 0 n 1 n 5\n", ["--n", "2"], "line 1: orbital 5 out of range for n=2"),
 ])
 def test_transform_rejections_exit_2(text, argv, msg, capsys, monkeypatch):
@@ -235,6 +236,33 @@ def test_transform_rejections_exit_2(text, argv, msg, capsys, monkeypatch):
     rc, out, err = run(["transform", "-", *argv], capsys)
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and msg in err
+
+
+def test_transform_names_a_negative_n_before_any_term(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 0 : n 0\n1 0 : adag 0 a 5 +hc\n"))
+    rc, out, err = run(["transform", "-", "--n", "-3"], capsys)
+    assert rc == 2 and out == ""
+    assert err == "error: number of orbitals must be non-negative, got -3\n"
+
+
+def test_hamiltonian_of_parsed_terms_names_the_line():
+    with pytest.raises(ValueError, match=r"^line 3: term touches 3 orbitals, exceeding k=2$"):
+        FermionHamiltonian(4, 2, parse_hamiltonian("1 0 : n 0\n\n1 0 : n 0 n 1 n 2\n1 0 : n 9\n"))
+
+
+@pytest.mark.parametrize("text,calls,msg", [
+    ("1 0 : n 0\n1 0 : adag 0 a 1\n", 0, "error: expansion has a non-real coefficient"),
+    ("1 0 : n 0\n1 0 : adag 1 a 0 +hc\n1 0 : n 7\n", 1, "error: line 2: non-canonical ladder pair"),
+])
+def test_transform_checks_the_terms_once(text, calls, msg, capsys, monkeypatch):
+    # the Hamiltonian's columnar pass finds the first bad term and builds only
+    # that one to name its error; on a non-Hermitian input no term is built
+    checked, row = [], pauli._Terms._row
+    monkeypatch.setattr(pauli._Terms, "_row", lambda terms, t: checked.append(t) or row(terms, t))
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    rc, out, err = run(["transform", "-", "--n", "4"], capsys)
+    assert rc == 2 and out == "" and err.startswith(msg)
+    assert len(checked) == calls
 
 
 @pytest.mark.parametrize("text,line,msg", [

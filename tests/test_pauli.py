@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -271,6 +272,57 @@ def test_hamiltonian_names_the_first_term_over_k_in_term_order():
     with pytest.raises(ValueError, match=r"^term touches 3 orbitals, exceeding k=2$"):
         FermionHamiltonian(4, 2, (ok, three, four))
     assert FermionHamiltonian(4, 4, (ok, four, three)).terms == [ok, four, three]
+
+
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), complex(1, float("nan"))], ids=["nan", "inf", "1+nanj"])
+def test_a_non_finite_coefficient_is_rejected(c):
+    # it passed every check: the transform made rows such as (nan, -II),
+    # with numpy warnings, and packed them into the LCU
+    term = FermionTerm(c, (Number(0),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^non-finite coefficient \("):
+            FermionHamiltonian(2, 2, (term,))
+        with pytest.raises(ValueError, match=r"^non-finite coefficient \("):
+            jw_transform_term(term, 2)
+
+
+def test_hamiltonian_names_the_first_bad_term_and_its_first_broken_check():
+    # the terms are checked when the Hamiltonian is built: within a term a
+    # non-finite coefficient comes first, then a rule, then k; across terms
+    # the first bad one wins, whichever check it breaks
+    both = FermionTerm(1.0, (Number(0), Number(1), Number(5)))  # out of range and over k=2
+    over = FermionTerm(1.0, (Number(0), Number(1), Number(2)))
+    rule = FermionTerm(1.0, (Raise(2), Lower(1)), True)
+    with pytest.raises(ValueError, match=r"^orbital 5 out of range for n=4$"):
+        FermionHamiltonian(4, 2, (both,))
+    with pytest.raises(ValueError, match=r"^non-finite coefficient \(inf\+0j\)$"):
+        FermionHamiltonian(4, 2, (FermionTerm(float("inf"), both.factors),))
+    with pytest.raises(ValueError, match=r"^non-canonical ladder pair: indices must be strictly increasing"):
+        FermionHamiltonian(4, 2, (rule, over))
+    with pytest.raises(ValueError, match=r"^term touches 3 orbitals, exceeding k=2$"):
+        FermionHamiltonian(4, 2, (over, rule))
+
+
+def test_jw_transform_term_is_the_one_term_hamiltonian():
+    # one entrance: the same checks, with a k that cannot bind
+    term = FermionTerm(0.5 - 0.25j, (Raise(0), Number(1), Number(2), Number(3), Lower(4)), True)
+    assert jw_transform_term(term, 5) == jw_transform(FermionHamiltonian(5, 10, (term,)))
+    with pytest.raises(ValueError, match="non-negative, got -1"):
+        jw_transform_term(term, -1)
+
+
+def test_pauli_mul_rejects_strings_of_different_lengths():
+    with pytest.raises(ValueError, match="different lengths"):
+        pauli_mul(PauliString("X"), PauliString("XY"))
+
+
+def test_lcu_rejects_an_imaginary_phase_and_a_wrong_length():
+    for phase in (1, 3):
+        with pytest.raises(ValueError, match=rf"^LCU entry phase must be \+/-1, got i\^{phase}$"):
+            PauliLCU(1, ((1.0, PauliString("Z", phase)),))
+    with pytest.raises(ValueError, match="^entry length does not match n_qubits$"):
+        PauliLCU(2, ((1.0, PauliString("Z")),))
 
 
 def test_hamiltonian_rejects_a_negative_orbital_count():

@@ -125,6 +125,32 @@ def test_layout_validation():
         SelectionLayout(4, 2, "weird")
 
 
+def test_general_layout_and_synthesis_reject_too_few_qubits():
+    with pytest.raises(ValueError, match="need at least one system qubit"):
+        SelectionLayout(0, 2, "general")
+    with pytest.raises(ValueError, match="need at least two system qubits"):
+        synth_select_general(1, 2)
+
+
+def test_transform_and_encoder_rows_read_as_lists():
+    # the LCU's entries and the encoder's rows are built when read; every
+    # read agrees with the list of all rows
+    h = FermionHamiltonian(3, 2, (FermionTerm(0.5, (Raise(0), Lower(2)), True), FermionTerm(-1.0, (Number(1),))))
+    lcu = jw_transform(h)
+    assert lcu == jw_transform(h) and hash(lcu) == hash(jw_transform(h))
+    assert lcu == PauliLCU(3, list(lcu.entries)) and hash(lcu) == hash(PauliLCU(3, list(lcu.entries)))
+    for rows in (lcu.entries, encode_lcu(lcu, SelectionLayout(3, 2, "general"))):
+        want = list(rows)
+        assert len(want) == 4 and rows == want and rows == tuple(want)
+        for part in (slice(None), slice(1, 3), slice(None, None, -1), slice(-1, 0, -2), slice(2, 99), slice(9, 1)):
+            assert rows[part] == want[part]
+        assert rows[-1] == want[-1] and rows[-4] == want[0] and rows[np.int64(2)] == want[2]
+        for i in (4, -5):
+            with pytest.raises(IndexError, match="row index out of range"):
+                rows[i]
+        assert repr(rows) == repr(want) and hash(rows) == hash(tuple(want))
+
+
 def test_k2_pack_unpack_roundtrip():
     lay = SelectionLayout(8, 2, "k2")
     for p, q in itertools.combinations(range(8), 2):

@@ -440,6 +440,12 @@ def test_classical_control_requires_system_label():
         apply_classical_control(c, 0, np.zeros(2, dtype=complex))
 
 
+def test_classical_control_rejects_a_wrong_size_system_state():
+    c = Circuit(2, [], {"system": (1,)})
+    with pytest.raises(ValueError, match="system state must have 2 amplitudes"):
+        apply_classical_control(c, 0, np.zeros(4, dtype=complex))
+
+
 def test_classical_control_rejects_superposing_gates():
     c = Circuit(2, [], {"system": (1,)})
     c.add("H", 0)
