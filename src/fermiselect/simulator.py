@@ -13,21 +13,25 @@ Pauli-string convention.  Two independent routes run a circuit:
   circuit on basis states with the selection register classical: a bit
   column per qubit over (word, basis state) pairs and an integer phase
   in eighths of a turn, each gate read from a permutation and phase
-  table built once per local gate shape.  ``verify_select`` checks each
-  word against the Pauli oracle's action, a basis state times an eighth
-  root of unity too, so the check is exact.
+  table built once per process for each local gate shape.  A span of a
+  swap network, plain or star, plays as the network's controlled swaps:
+  the plain network is those swaps exactly, and the star one is those
+  swaps times a ±1 diagonal that cancels around the diagonal body it
+  must wrap.  ``verify_select`` checks each word against the Pauli
+  oracle's action, a basis state times an eighth root of unity too, so
+  the check is exact.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import kernels
 from .circuit_ir import Circuit, Gate, _frame_gates, _inverted, _remapped, conjugated, terminal_gates
-from .gadgets import _swap_levels, address_bits, swap_up_star
+from .gadgets import _swap_levels, address_bits, swap_up, swap_up_star
 from .pauli import PauliString, _split
 from .select_synth import DecodeError, controlled_select, decode_index, select_layout
 
@@ -184,45 +188,83 @@ def _table(g: Gate, gates: tuple[Gate, ...]) -> tuple:
     return g.qubits, image.astype(np.uint8), phase.astype(np.uint8) if phase.any() else None, moved
 
 
+# The tables of ``_plan`` and the gates it compares networks with, filled on first use and
+# kept for the process: each is keyed by a local shape or a size, not by a circuit.
+
+@cache
+def _local_table(gates: tuple[Gate, ...]) -> tuple:
+    """(image, phase or None, moved bits) of ``gates``, on local qubits 0..m-1 (``_table``)."""
+    m = 1 + max((q for g in gates for q in g.qubits), default=-1)
+    return _table(Gate("local", tuple(range(m))), gates)[1:]
+
+
+@cache
+def _shape(kind: str, arity: int, framing: tuple) -> tuple:
+    """The ``_local_table`` of a ``kind`` gate on qubits 0..arity-1 inside ``framing``:
+    per frame around it, outermost first, the local qubits it holds and its letter."""
+    g = Gate(kind, tuple(range(arity)))
+    frames = [_frame_gates(local, letter) for local, letter in framing]
+    opening = [h for gates, _ in frames for h in gates]
+    closing = [h for _, gates in reversed(frames) for h in gates]
+    return _local_table((*opening, g, *closing))
+
+
+@lru_cache(maxsize=4)  # the networks of both variants at two sizes
+def _network(builder, n: int) -> list[Gate]:
+    """The gates of ``builder(n)``, ``swap_up`` or ``swap_up_star``."""
+    return builder(n).gates
+
+
+def _unplayable(gates: Sequence[Gate], lo: int, hi: int) -> ValueError:
+    """The error for ``gates``, standing for c.gates[lo:hi], whose product is not monomial."""
+    qubits = tuple(dict.fromkeys(q for g in gates for q in g.qubits))
+    where = f"gate {lo}" if hi == lo + 1 else f"gates {lo} to {hi - 1}"
+    return ValueError(f"cannot play {gates[0].kind if len(gates) == 1 else 'body'}{qubits} on basis states "
+                      f"({where} of the circuit): its matrix is not monomial")
+
+
 def _plan(c: Circuit) -> Optional[list[tuple]]:
     """c's gates as ``_table`` entries in time order, each on the gate's own qubits.
 
-    A table is read once per call for each local shape: the gate's kind and arity and,
-    for each frame around it, which of its qubits the frame holds and its letter.  So a
-    gate repeated on other qubits, or under other frames of the same shape, reads no new
-    matrix.  A ``conjugated`` span (``Circuit.spans``) around ``swap_up_star(n)`` plays as
-    its controlled swaps Π: the network is D·Π, D diagonal ±1, which cancels around the
-    span's body, so the body's product must be diagonal.  A ``basis_change`` span plays
-    as its body, each gate conjugated by the frame and by every frame around it.  None
-    unless each such span opens and closes with exactly what its builder writes, read in place;
-    each star network is rewritten once per call for each map its spans use.
+    Each table is read for a local shape: the gate's kind and arity and, for each frame
+    around it, which of its qubits the frame holds and its letter.  So a gate repeated on
+    other qubits, or under other frames of the same shape, reads no new matrix, and a
+    shape read once is kept for the process (``_shape``).  A ``conjugated`` span
+    (``Circuit.spans``) around ``swap_up(n)`` or ``swap_up_star(n)``, compared gate for
+    gate under the span's map, plays as the network's n - 1 controlled swaps Π
+    (``gadgets._swap_levels``).  The plain network is Π exactly.  The star network is
+    D·Π, D diagonal ±1, which cancels around the span's body only when the body's
+    product is diagonal, so its body must be; that test is kept per body renamed to
+    local qubits 0..m-1 in order of first appearance (``_local_table``).  A
+    ``basis_change`` span plays as its body, each gate conjugated by the frame and by
+    every frame around it.  None unless each such span opens and closes with exactly what
+    its builder writes, read in place; each network is rewritten once per call for each
+    map its spans use.  A gate, or a star body, whose matrix is not monomial raises
+    ValueError naming its qubits and where it stands in c.gates.
     """
-    table = cache(_table)
-    network = cache(lambda n: swap_up_star(n).gates)
 
-    @cache
-    def shape(kind: str, arity: int, framing: tuple) -> tuple:
-        g = Gate(kind, tuple(range(arity)))
-        frames = [_frame_gates(local, letter) for local, letter in framing]  # outermost first
-        opening = [h for gates, _ in frames for h in gates]
-        closing = [h for _, gates in reversed(frames) for h in gates]
-        return table(g, (*opening, g, *closing))[1:]
-
-    def framed(g: Gate, frames: tuple) -> tuple:
+    def framed(g: Gate, frames: tuple, lo: int, hi: int) -> tuple:
         framing = tuple((local, letter) for held, letter in frames
                         if (local := tuple(i for i, q in enumerate(g.qubits) if q in held)))
-        return (g.qubits, *shape(g.kind, len(g.qubits), framing))
+        try:
+            return (g.qubits, *_shape(g.kind, len(g.qubits), framing))
+        except ValueError:
+            raise _unplayable([g], lo, hi) from None
 
     def rewrite(net: Circuit, to: Optional[tuple]) -> Optional[tuple]:
-        """What a span of a star network under map ``to`` opens and closes with, and its swaps."""
+        """What a span of a swap network under map ``to`` opens and closes with, its swaps
+        and whether the network is the star one."""
         n = len(net.register_labels.get("data", ()))
-        if n < 2 or net.gates != network(n):
-            return None  # not a star network: its gates play as themselves
+        if n < 2:
+            return None
+        star = bool(net.gates) and net.gates[0].kind != "CSWAP"  # the plain network opens with one
+        if net.gates != _network(swap_up_star if star else swap_up, n):
+            return None  # not a swap network: its gates play as themselves
         written = _remapped(c, net, to)  # as ``conjugated`` wrote it
         to, top = range(net.n_qubits) if to is None else to, address_bits(n) - 1
         swaps = [Gate("CSWAP", (to[top - j], to[top + 1 + a], to[top + 1 + b]))
                  for j, _, pairs in _swap_levels(n) for a, b in pairs]
-        return written, _inverted(written), swaps
+        return written, _inverted(written), swaps, star
 
     rewritten: dict[tuple, Optional[tuple]] = {}  # per network and map: one rewrite for all its spans
     stand_ins: dict[int, tuple] = {}
@@ -235,12 +277,18 @@ def _plan(c: Circuit) -> Optional[list[tuple]]:
                 rewritten[key] = rewrite(net, key[1])
             if rewritten[key] is None:
                 continue
-            written, closing, swaps = rewritten[key]
-            inner = tuple(c.gates[body:end])  # one block; a lone gate keys the table it plays by
-            qubits = tuple(dict.fromkeys(q for g in inner for q in g.qubits))
-            whole = inner[0] if len(inner) == 1 else Gate("body", qubits)
-            if table(whole, inner)[3]:
-                return None
+            written, closing, swaps, star = rewritten[key]
+            if star:
+                inner = c.gates[body:end]
+                local: dict[int, int] = {}  # the body's qubits in order of first appearance
+                renamed = tuple(Gate(g.kind, tuple([local.setdefault(q, len(local)) for q in g.qubits]))
+                                for g in inner)
+                try:
+                    moved = _local_table(renamed)[2]
+                except ValueError:
+                    raise _unplayable(inner, body, end) from None
+                if moved:
+                    return None
         else:
             written, closing = map(list, _frame_gates(*args))
         if opening != written or c.gates[end:stop] != closing:
@@ -252,17 +300,17 @@ def _plan(c: Circuit) -> Optional[list[tuple]]:
     def play(i: int, stop: int, frames: tuple) -> None:
         while i < stop:
             if i not in stand_ins:
-                plan.append(framed(c.gates[i], frames))
+                plan.append(framed(c.gates[i], frames, i, i + 1))
                 i += 1
                 continue
-            body, end, i, swaps, args = stand_ins[i]
+            start, (body, end, i, swaps, args) = i, stand_ins[i]
             if swaps is None:
                 qubits, letter = args
                 play(body, end, (*frames, (frozenset(qubits), letter)))
             else:
-                plan.extend(framed(g, frames) for g in swaps)
+                plan.extend(framed(g, frames, start, body) for g in swaps)
                 play(body, end, frames)
-                plan.extend(framed(g, frames) for g in reversed(swaps))
+                plan.extend(framed(g, frames, end, i) for g in reversed(swaps))
 
     play(0, len(c.gates), ())
     return plan

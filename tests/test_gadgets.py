@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fermiselect import gadgets
+from fermiselect import gadgets, simulator
 from fermiselect.circuit_ir import Circuit, Gate, expand_macro, lower_macros, schedule
 from fermiselect.simulator import apply_circuit, unitary_of
 
@@ -258,19 +258,58 @@ def test_swap_up_star_levels_match_their_macros_densely(n):
         assert np.abs(unitary_of(level) - unitary_of(macros)).max() < 1e-12
 
 
+def _swaps_image(width, swaps):
+    """Where the controlled swaps (control, a, b), in order, send each basis state."""
+    image = np.arange(1 << width)
+    for control, a, b in swaps:
+        bit = lambda q: image >> (width - 1 - q) & 1  # noqa: E731
+        swapped = image ^ (1 << (width - 1 - a)) ^ (1 << (width - 1 - b))
+        image = np.where(bit(control) & (bit(a) ^ bit(b)), swapped, image)
+    return image
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_swap_up_star_is_a_sign_diagonal_times_its_cswaps(n):
     # swap_up_star(n) = D·Π: Π the plain CSWAPs of its levels, D diagonal ±1
     width = gadgets.address_bits(n) + n
-    image = np.arange(1 << width)  # where Π sends each basis state
-    for control, pairs, _ in _star_levels(n):
-        for a, b in pairs:
-            bit = lambda q: image >> (width - 1 - q) & 1  # noqa: E731
-            swapped = image ^ (1 << (width - 1 - a)) ^ (1 << (width - 1 - b))
-            image = np.where(bit(control) & (bit(a) ^ bit(b)), swapped, image)
+    image = _swaps_image(width, [(control, a, b) for control, pairs, _ in _star_levels(n) for a, b in pairs])
     u = unitary_of(gadgets.swap_up_star(n))
     signs = u[image, np.arange(1 << width)]
     assert np.abs(np.abs(signs.real) - 1).max() < 1e-12 and np.abs(signs.imag).max() < 1e-12
+
+
+def _level_swaps(n):
+    """(control, a, b) of each controlled swap of ``_swap_levels(n)``, on the network's qubits."""
+    bits = gadgets.address_bits(n)
+    return [(bits - 1 - j, bits + a, bits + b) for j, _, pairs in gadgets._swap_levels(n) for a, b in pairs]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_swap_up_is_exactly_its_level_swaps(n):
+    # the lemma by which the basis walk plays a plain span as its n - 1 swaps:
+    # lowered, swap_up(n) is Π itself, with no sign
+    width = gadgets.address_bits(n) + n
+    image = _swaps_image(width, _level_swaps(n))
+    u = unitary_of(lower_macros(gadgets.swap_up(n)))
+    # a unitary holding 1 at (image[i], i) in every column i is the permutation
+    assert np.abs(u[image, np.arange(1 << width)] - 1).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_swap_up_walks_as_its_level_swaps_on_every_basis_state(n):
+    # the same lemma on the basis walk of the network alone, gate by gate,
+    # every address value against every data basis state
+    c = gadgets.swap_up(n)
+    c.register_labels["system"] = c.register_labels["data"]
+    bits = gadgets.address_bits(n)
+    states = simulator._every_basis_state(n)
+    out, turns, moved = simulator._run(c, simulator._plan(c), range(1 << bits), states)
+    want = np.tile(states, 1 << bits)
+    words = np.arange(1 << bits).repeat(1 << n)
+    for control, a, b in _level_swaps(n):
+        on = (words >> (bits - 1 - control) & 1).astype(bool)
+        want[a - bits, on], want[b - bits, on] = want[b - bits, on], want[a - bits, on]
+    assert np.array_equal(out, want) and not turns.any() and not moved.any()
 
 
 def test_variant_validation():

@@ -453,6 +453,39 @@ def test_classical_control_rejects_superposing_gates():
         apply_classical_control(c, 0, zero_state(1))
 
 
+def test_classical_control_names_the_gate_it_cannot_play(rng):
+    # tables are read on local qubits; the error names the gate's own qubits and
+    # its index in c.gates, alone or inside a frame that makes it superpose
+    c = Circuit(5, [], {"system": (1, 2, 3, 4)})
+    c.add("X", 1)
+    c.add("CX", 0, 2)
+    c.add("H", 3)
+    with pytest.raises(ValueError, match=r"cannot play H\(3,\) on basis states \(gate 2 of the circuit\)"):
+        apply_classical_control(c, 0, random_state(4, rng))
+    c = Circuit(5, [], {"system": (1, 2, 3, 4)})
+    c.add("T", 2)
+    with basis_change(c, [4], "X"):
+        c.add("CZ", 0, 4)  # a CX from 0 to 4
+        c.add("T", 4)
+    with pytest.raises(ValueError, match=r"cannot play T\(4,\) on basis states \(gate 3 of the circuit\)"):
+        apply_classical_control(c, 0, random_state(4, rng))
+
+
+def test_star_span_names_a_body_it_cannot_play(rng):
+    # the star body test is read on the body renamed to local qubits; the error
+    # names the body's own qubits and where it stands in c.gates
+    net = swap_up_star(3)
+    for body, match in [([("H", 2)], r"H\(2,\) on basis states \(gate {0} of"),
+                        ([("CZ", 0, 4), ("H", 3)], r"body\(0, 4, 3\) on basis states \(gates {0} to {1} of")]:
+        c = Circuit(net.n_qubits, [], {"system": tuple(range(2, 5))})
+        with conjugated(c, net, range(5)):
+            for kind, *qubits in body:
+                c.add(kind, *qubits)
+        at = c.spans[0][1]
+        with pytest.raises(ValueError, match="cannot play " + match.format(at, at + 1)):
+            apply_classical_control(c, [0, 1], random_state(3, rng))
+
+
 def test_classical_control_rejects_system_control_onto_selection():
     c = Circuit(2, [], {"system": (1,)})
     c.add("CX", 1, 0)
@@ -690,8 +723,19 @@ def test_moves_keep_only_what_acts():
             table(kind, 0)
 
 
+class _Builds(list):
+    """The gate lists each block matrix was built for; clearing it empties the
+    simulator's per-process table caches too, so that each count starts cold."""
+
+    def clear(self) -> None:
+        super().clear()
+        simulator._shape.cache_clear()
+        simulator._local_table.cache_clear()
+
+
 def _count_builds(monkeypatch) -> list:
-    built = []
+    built = _Builds()
+    built.clear()
     real = simulator._block_unitary
 
     def counting(qubits, gates):
@@ -746,6 +790,17 @@ def test_walk_at_large_n_builds_a_handful_of_tables(monkeypatch):
     built = _count_builds(monkeypatch)
     assert verify_select(1024, 2, "star", words=words)["pass"]
     assert len(built) <= 16
+
+
+def test_tables_are_built_once_per_process(monkeypatch):
+    # every table is kept for the process under its local shape: a second call,
+    # and a call at another n of the same variant, build none
+    built = _count_builds(monkeypatch)
+    for variant in ("star", "plain"):
+        assert verify_select(5, 2, variant)["pass"]
+        first = len(built)
+        assert first and verify_select(5, 2, variant)["pass"] and verify_select(7, 2, variant)["pass"]
+        assert len(built) == first
 
 
 @pytest.mark.parametrize("n,variant,stride", [(5, "star", None), (4, "plain", None), (17, "star", 40)])
