@@ -24,6 +24,7 @@ import argparse
 import cmath
 import json
 import sys
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -171,7 +172,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report["pass"] else 1
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: each subcommand's ``_cmd_*`` function is
+    bound when the parser is first built, so replacing one later does not reach it."""
     parser = argparse.ArgumentParser(
         prog="fermiselect",
         description="SELECT-circuit synthesis for Jordan-Wigner Hamiltonians",

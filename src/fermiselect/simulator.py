@@ -173,29 +173,23 @@ _OMEGA = np.exp(1j * np.pi / 4 * np.arange(8))
 _PHASE_ERROR = np.abs(1 - _OMEGA)
 
 
-def _table(g: Gate, gates: tuple[Gate, ...]) -> tuple:
-    """(qubits, image, phase or None, moved bits) of ``gates`` on g's qubits: from their
-    ``_block_unitary`` matrix, whose column i must hold ω^``phase[i]`` at ``image[i]`` up to
-    float rounding (1e-9), else ValueError."""
-    m = len(g.qubits)
-    u = _block_unitary(g.qubits, gates)
-    cols = np.arange(1 << m)
-    image = np.abs(u).argmax(axis=0)
-    phase = np.rint(np.angle(u[image, cols]) * 4 / np.pi).astype(np.int64) % 8
-    if np.abs(u[image, cols] - _OMEGA[phase]).max() > 1e-9:
-        raise ValueError(f"cannot play {g.kind}{g.qubits} on basis states: its matrix is not monomial")
-    moved = tuple(i for i in range(m) if ((image ^ cols) >> (m - 1 - i) & 1).any())
-    return g.qubits, image.astype(np.uint8), phase.astype(np.uint8) if phase.any() else None, moved
-
-
 # The tables of ``_plan`` and the gates it compares networks with, filled on first use and
 # kept for the process: each is keyed by a local shape or a size, not by a circuit.
 
 @cache
 def _local_table(gates: tuple[Gate, ...]) -> tuple:
-    """(image, phase or None, moved bits) of ``gates``, on local qubits 0..m-1 (``_table``)."""
+    """(image, phase or None, moved bits) of ``gates`` on local qubits 0..m-1: from their
+    ``_block_unitary`` matrix, whose column i must hold ω^``phase[i]`` at ``image[i]`` up to
+    float rounding (1e-9), else ValueError."""
     m = 1 + max((q for g in gates for q in g.qubits), default=-1)
-    return _table(Gate("local", tuple(range(m))), gates)[1:]
+    u = _block_unitary(range(m), gates)
+    cols = np.arange(1 << m)
+    image = np.abs(u).argmax(axis=0)
+    phase = np.rint(np.angle(u[image, cols]) * 4 / np.pi).astype(np.int64) % 8
+    if np.abs(u[image, cols] - _OMEGA[phase]).max() > 1e-9:
+        raise ValueError("cannot play these gates on basis states: their matrix is not monomial")
+    moved = tuple(i for i in range(m) if ((image ^ cols) >> (m - 1 - i) & 1).any())
+    return image.astype(np.uint8), phase.astype(np.uint8) if phase.any() else None, moved
 
 
 @cache
@@ -224,7 +218,7 @@ def _unplayable(gates: Sequence[Gate], lo: int, hi: int) -> ValueError:
 
 
 def _plan(c: Circuit) -> Optional[list[tuple]]:
-    """c's gates as ``_table`` entries in time order, each on the gate's own qubits.
+    """c's gates in time order, each as its own qubits and its ``_local_table`` entries.
 
     Each table is read for a local shape: the gate's kind and arity and, for each frame
     around it, which of its qubits the frame holds and its letter.  So a gate repeated on

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fermiselect import pauli
+from fermiselect import cli, pauli
 from fermiselect.cli import main, parse_hamiltonian
 from fermiselect.pauli import FermionHamiltonian, Lower, Number, Raise
 
@@ -407,6 +407,18 @@ def test_resources_n_and_n_list_exclude_each_other(capsys):
         main(["resources", "--n", "3", "--n-list", "8"])
     err = capsys.readouterr().err
     assert exc.value.code == 2 and "--n-list" in err and "not allowed" in err
+
+
+def test_main_builds_one_parser_per_process(capsys):
+    # a bad argument still exits 2 from the parser that served a good call
+    cli._build_parser.cache_clear()
+    assert run(["resources", "--n", "4"], capsys)[0] == 0
+    assert run(["synth", "--n", "4"], capsys)[0] == 0
+    assert cli._build_parser.cache_info().misses == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--n", "four"])
+    assert exc.value.code == 2 and "--n" in capsys.readouterr().err
+    assert cli._build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("value", [",", "", " , "])
