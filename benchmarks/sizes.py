@@ -15,6 +15,11 @@ stdout then stderr, a circuit its ``emit_text`` and a report its sorted JSON.
 
 Stdout is one JSON document: host, git revision of ``--src``, repeats, seeds and rows,
 each also on stderr as it finishes.  ``--src`` is the ``src`` directory to import from.
+
+    python benchmarks/sizes.py --compare OLD.json NEW.json
+
+prints, for each size both documents hold, its best seconds new/old and its peak RSS
+change, then the sizes only one holds.  A changed sha256 is flagged, and exits 1.
 """
 
 import argparse
@@ -137,12 +142,37 @@ run, report = lambda: check_against_formulas(P["n_list"]), lambda text: (text, {
 }
 
 
+def _rows(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return {row["size"]: row for row in json.load(fh)["rows"]}
+
+
+def compare(old_path: str, new_path: str) -> int:
+    """Print what ``--compare`` prints; 1 if a size both documents hold changed its digest."""
+    old, new = _rows(old_path), _rows(new_path)
+    print(f"{'size':28} {'new/old best_s':>14} {'peak RSS':>12}")
+    changed = [name for name in new if name in old and new[name]["sha256"] != old[name]["sha256"]]
+    for name in (name for name in new if name in old):
+        a, b = old[name], new[name]
+        print(f"{name:28} {b['best_s'] / a['best_s']:14.3f} {b['peak_rss_mb'] - a['peak_rss_mb']:+9.1f} MB"
+              + "  sha256 CHANGED" * (name in changed))
+    for path, rows, other in ((old_path, old, new), (new_path, new, old)):
+        for name in (name for name in rows if name not in other):
+            print(f"{name:28} only in {path}")
+    if changed:
+        print(f"sha256 changed: {', '.join(changed)}")
+    return 1 if changed else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="the src directory to time")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--sizes", default=",".join(SIZES), help="comma-separated names from SIZES")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two documents instead")
     args = parser.parse_args()
+    if args.compare:
+        return compare(*args.compare)
     src, names = os.path.abspath(args.src), args.sizes.split(",")
     if unknown := [name for name in names if name not in SIZES]:
         parser.error(f"unknown sizes: {', '.join(unknown)}")

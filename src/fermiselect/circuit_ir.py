@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 from math import inf
 from operator import add
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -397,7 +398,7 @@ def schedule(c: Circuit) -> ResourceReport:
 
     The report equals ``schedule(lower_macros(c))``, and no lowered
     circuit is built: each macro kind's depth profile (``_Profile``) is
-    built once per call, on first sight, so a macro costs a constant
+    built once per process, on first sight, so a macro costs a constant
     amount of work, not a walk over its terminal gates.
     """
     t_chain = [0] * c.n_qubits
@@ -427,8 +428,9 @@ class _Profile(NamedTuple):
     c_cols: tuple[tuple[float, ...], ...]
 
 
+@cache
 def _profile(kind: str) -> _Profile:
-    """The ``_Profile`` of ``kind``, from the terminal gates of one such gate."""
+    """The ``_Profile`` of ``kind``, from the terminal gates of one such gate; kept for the process."""
     m = _ARITY[kind]
     terminals = list(terminal_gates((Gate(kind, tuple(range(m))),)))
     t_rows, c_rows = [], []
@@ -445,7 +447,7 @@ def _profile(kind: str) -> _Profile:
 def _advance(gates: Sequence[Gate], t_chain: list, c_chain: list) -> tuple[int, int]:
     """Walk ``gates`` through both chains in place; (T-count, terminal gate count).
 
-    Each macro kind's ``_profile`` is built on first sight.
+    Each macro kind's ``_profile`` is read on first sight.
     """
     t_count = extra = 0
     seen: dict[str, object] = {}  # per kind: non-Clifford or not, or its macro profile

@@ -11,9 +11,12 @@ Pauli-string convention.  Two independent routes run a circuit:
   identity and applied with one matmul.
 * ``apply_classical_control`` and ``verify_select`` play the un-lowered
   circuit on basis states with the selection register classical: a bit
-  column per qubit over (word, basis state) pairs and an integer phase
-  in eighths of a turn, each gate read from a permutation and phase
-  table built once per process for each local gate shape.  A span of a
+  row per qubit over (word, basis state) pairs and an integer phase in
+  eighths of a turn.  Each local gate shape's permutation and phase table
+  is compiled once per process into its polynomials, each moved bit's
+  change over GF(2) and the phase mod 8, and plays as row ops: a CX is
+  one XOR, a controlled swap XORs c & (a ^ b) into both rows, a phase
+  adds its weight times a monomial to the turns.  A span of a
   swap network, plain or star, plays as the network's controlled swaps:
   the plain network is those swaps exactly, and the star one is those
   swaps times a ±1 diagonal that cancels around the diagonal body it
@@ -25,7 +28,7 @@ Pauli-string convention.  Two independent routes run a circuit:
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -178,7 +181,7 @@ _PHASE_ERROR = np.abs(1 - _OMEGA)
 
 @cache
 def _local_table(gates: tuple[Gate, ...]) -> tuple:
-    """(image, phase or None, moved bits) of ``gates`` on local qubits 0..m-1: from their
+    """(image, phase, moved bits) of ``gates`` on local qubits 0..m-1: from their
     ``_block_unitary`` matrix, whose column i must hold ω^``phase[i]`` at ``image[i]`` up to
     float rounding (1e-9), else ValueError."""
     m = 1 + max((q for g in gates for q in g.qubits), default=-1)
@@ -189,18 +192,41 @@ def _local_table(gates: tuple[Gate, ...]) -> tuple:
     if np.abs(u[image, cols] - _OMEGA[phase]).max() > 1e-9:
         raise ValueError("cannot play these gates on basis states: their matrix is not monomial")
     moved = tuple(i for i in range(m) if ((image ^ cols) >> (m - 1 - i) & 1).any())
-    return image.astype(np.uint8), phase.astype(np.uint8) if phase.any() else None, moved
+    return image.astype(np.uint8), phase.astype(np.uint8), moved
 
 
 @cache
-def _shape(kind: str, arity: int, framing: tuple) -> tuple:
-    """The ``_local_table`` of a ``kind`` gate on qubits 0..arity-1 inside ``framing``:
-    per frame around it, outermost first, the local qubits it holds and its letter."""
-    g = Gate(kind, tuple(range(arity)))
+def _program(kind: str, arity: int, framing: tuple) -> Callable:
+    """play(rows, turns, qubits) for a ``kind`` gate on qubits 0..arity-1 inside ``framing``
+    (per frame around it, outermost first, the local qubits it holds and its letter): its
+    ``_local_table``, kept as ``play.table``, as polynomials read off by the Möbius transform,
+    each moved bit's change (output XOR input) over GF(2) and the phase mod 8."""
     frames = [_frame_gates(local, letter) for local, letter in framing]
     opening = [h for gates, _ in frames for h in gates]
     closing = [h for _, gates in reversed(frames) for h in gates]
-    return _local_table((*opening, g, *closing))
+    image, phase, moved = table = _local_table((*opening, Gate(kind, tuple(range(arity))), *closing))
+    ins, cols = _every_basis_state(arity)[list(moved)], np.arange(1 << arity)
+    coeffs = np.vstack([ins[:, image] ^ ins, phase]).astype(np.int64)
+    for bit in 1 << np.arange(arity):  # Möbius transform: entry s then weighs the product of the inputs in s
+        coeffs[:, cols & bit > 0] -= coeffs[:, cols[cols & bit > 0] ^ bit]
+    x = {1 << (arity - 1 - i): f"x{i}" for i in range(arity)}  # each input's bit in a monomial, and its row
+
+    def xor(monomials: list) -> str:  # a factor common to the monomials taken out
+        if len(monomials) > 1 and (common := np.bitwise_and.reduce(monomials)):
+            return f"{xor([common])} & ({xor([s ^ common for s in monomials])})"
+        return " ^ ".join(" & ".join(v for bit, v in x.items() if s & bit) or "1" for s in monomials)
+
+    changes: dict[str, list] = {}  # each distinct change and the rows it moves
+    for i, row in zip(moved, coeffs[:-1] % 2):
+        changes.setdefault(xor(list(np.flatnonzero(row))), []).append(i)
+    written = [f"x{i}" for i in moved]  # every change is taken before any row is written, a bare one copied
+    body = [f"{', '.join(x.values())}, = map(r.__getitem__, q)"]
+    body += [f"t += {w} * ({xor([s])})" for s, w in enumerate(coeffs[-1] % 8) if w]
+    body += [f"d{k} = {change}" + ".copy()" * (change in written) for k, change in enumerate(changes)]
+    body += [f"x{i} ^= d{k}" for k, rows in enumerate(changes.values()) for i in rows]
+    exec("def play(r, t, q):\n    " + "\n    ".join(body), namespace := {})
+    namespace["play"].table = table
+    return namespace["play"]
 
 
 @lru_cache(maxsize=4)  # the networks of both variants at two sizes
@@ -218,12 +244,12 @@ def _unplayable(gates: Sequence[Gate], lo: int, hi: int) -> ValueError:
 
 
 def _plan(c: Circuit) -> Optional[list[tuple]]:
-    """c's gates in time order, each as its own qubits and its ``_local_table`` entries.
+    """c's gates in time order, each as its own qubits and its ``_program``.
 
-    Each table is read for a local shape: the gate's kind and arity and, for each frame
+    Each program is read for a local shape: the gate's kind and arity and, for each frame
     around it, which of its qubits the frame holds and its letter.  So a gate repeated on
     other qubits, or under other frames of the same shape, reads no new matrix, and a
-    shape read once is kept for the process (``_shape``).  A ``conjugated`` span
+    shape read once is kept for the process (``_program``).  A ``conjugated`` span
     (``Circuit.spans``) around ``swap_up(n)`` or ``swap_up_star(n)``, compared gate for
     gate under the span's map, plays as the network's n - 1 controlled swaps Π
     (``gadgets._swap_levels``).  The plain network is Π exactly.  The star network is
@@ -241,7 +267,7 @@ def _plan(c: Circuit) -> Optional[list[tuple]]:
         framing = tuple((local, letter) for held, letter in frames
                         if (local := tuple(i for i, q in enumerate(g.qubits) if q in held)))
         try:
-            return (g.qubits, *_shape(g.kind, len(g.qubits), framing))
+            return g.qubits, _program(g.kind, len(g.qubits), framing)
         except ValueError:
             raise _unplayable([g], lo, hi) from None
 
@@ -313,7 +339,9 @@ def _plan(c: Circuit) -> Optional[list[tuple]]:
 def _run(c: Circuit, plan: list[tuple], words: Sequence[int], states: np.ndarray):
     """Play ``plan`` on every (word, ``states`` bit column) pair, words outermost: returns the
     system bit columns, phases in eighths and whether the selection bits came back changed.
-    ``words`` are Python ints, unpacked from their big-endian bytes, so any width plays."""
+    ``words`` are Python ints, unpacked from their big-endian bytes, so any width plays.
+    Each entry's ``_program`` plays its table as row ops in place on its qubits' bit rows
+    and the turns: a CX is one XOR, a CSWAP XORs c & (a ^ b) into both swapped rows."""
     system, sel = _selection_qubits(c)
     size = (len(sel) + 7) // 8
     raw = np.frombuffer(b"".join(w.to_bytes(size, "big") for w in words), dtype=np.uint8)
@@ -323,15 +351,9 @@ def _run(c: Circuit, plan: list[tuple], words: Sequence[int], states: np.ndarray
     bits[list(system)] = np.tile(states, len(words))
     start = bits[sel]
     turns = np.zeros(bits.shape[1], dtype=np.uint8)  # wraps at 256, a multiple of 8
-    for qubits, image, phase, moved in plan:
-        index = bits[qubits[0]]
-        for q in qubits[1:]:
-            index = index << 1 | bits[q]
-        if phase is not None:
-            turns += phase.take(index)
-        out = image.take(index) if moved else None
-        for i in moved:
-            bits[qubits[i]] = out >> (len(qubits) - 1 - i) & 1
+    rows = list(bits)
+    for qubits, play in plan:
+        play(rows, turns, qubits)
     return bits[list(system)], turns & 7, (bits[sel] != start).any(axis=0)
 
 

@@ -5,6 +5,7 @@ import cmath
 import numpy as np
 import pytest
 
+from fermiselect import simulator
 from fermiselect.pauli import FermionTerm, Lower, Number, Raise, _validate_term
 
 _I = np.eye(2, dtype=complex)
@@ -190,6 +191,36 @@ def reference_parse(text):
             factors.append(factor)
         terms.append(FermionTerm(coefficient, tuple(factors), include_hc))
     return terms
+
+
+# --- the gather player of the basis walk, one table lookup per plan entry ---------
+#
+# The walk's earlier player, kept as the reference the compiled programs of
+# ``simulator._program`` must equal bit for bit: each plan entry reads its
+# permutation and phase table at the index its qubits' bits spell.
+
+
+def reference_run(c, words, states):
+    """What ``simulator._run`` returns for c on every (word, ``states`` column) pair,
+    each gate gathered from the table its program was compiled from."""
+    system, sel = simulator._selection_qubits(c)
+    count = states.shape[1]
+    bits = np.empty((c.n_qubits, len(words) * count), dtype=np.uint8)
+    for i, word in enumerate(words):
+        bits[sel, i * count : (i + 1) * count] = [[word >> (len(sel) - 1 - j) & 1] for j in range(len(sel))]
+        bits[list(system), i * count : (i + 1) * count] = states
+    start = bits[sel]
+    turns = np.zeros(bits.shape[1], dtype=np.uint8)
+    for qubits, play in simulator._plan(c):
+        image, phase, moved = play.table
+        index = bits[qubits[0]]
+        for q in qubits[1:]:
+            index = index << 1 | bits[q]
+        turns += phase.take(index)
+        out = image.take(index) if moved else None
+        for i in moved:
+            bits[qubits[i]] = out >> (len(qubits) - 1 - i) & 1
+    return bits[list(system)], turns & 7, (bits[sel] != start).any(axis=0)
 
 
 @pytest.fixture

@@ -38,3 +38,28 @@ def test_sizes_script_names_an_unknown_size():
     run = subprocess.run([sys.executable, SCRIPT, "--sizes", "molecular18,molecular19"],
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 2 and "unknown sizes: molecular19" in run.stderr and not run.stdout
+
+
+def test_sizes_script_compares_two_documents(tmp_path):
+    def document(name, *rows):
+        path = tmp_path / name
+        path.write_text(json.dumps({"rows": [{"size": size, "best_s": best, "peak_rss_mb": rss, "sha256": digest}
+                                             for size, best, rss, digest in rows]}))
+        return str(path)
+
+    def compare(old, new):
+        run = subprocess.run([sys.executable, SCRIPT, "--compare", old, new], capture_output=True, text=True,
+                             timeout=60)
+        return run.returncode, [line.split() for line in run.stdout.splitlines()]
+
+    old = document("old.json", ("a", 2.0, 40.0, "0" * 64), ("b", 1.0, 50.0, "1" * 64), ("gone", 1.0, 1.0, "2" * 64))
+    # rows follow the new document; a size only one document holds is listed, not compared
+    same = document("same.json", ("b", 0.25, 48.5, "1" * 64), ("a", 1.0, 41.0, "0" * 64), ("new", 1.0, 1.0, "3" * 64))
+    assert compare(old, same) == (0, [["size", "new/old", "best_s", "peak", "RSS"], ["b", "0.250", "-1.5", "MB"],
+                                      ["a", "0.500", "+1.0", "MB"], ["gone", "only", "in", old],
+                                      ["new", "only", "in", same]])
+    # a changed digest is flagged on its row and named at the end, and exits 1
+    changed = document("changed.json", ("a", 2.0, 40.0, "f" * 64), ("b", 1.0, 50.0, "1" * 64))
+    code, lines = compare(old, changed)
+    assert code == 1 and lines[1] == ["a", "1.000", "+0.0", "MB", "sha256", "CHANGED"]
+    assert lines[2] == ["b", "1.000", "+0.0", "MB"] and lines[-1] == ["sha256", "changed:", "a"]

@@ -10,6 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from fermiselect import circuit_ir
 from fermiselect.circuit_ir import (
     Circuit,
     Gate,
@@ -650,6 +651,18 @@ def test_schedule_lowering_matches_lower_macros_on_every_select(n):
         assert schedule(c) == schedule(lower_macros(c)), (k, v, controls)
         built += 1
     assert built == 14
+
+
+def test_schedule_builds_each_profile_once_per_process():
+    # a profile is keyed by macro kind alone: a second call, and a call at another n, build none
+    circuit_ir._profile.cache_clear()
+    plain = controlled_select(8, 2, "plain", 1)
+    schedule(plain)
+    built = circuit_ir._profile.cache_info().misses
+    assert built == len({g.kind for g in plain.gates} & MACRO_KINDS) > 0
+    schedule(plain)
+    schedule(controlled_select(16, 2, "plain", 1))
+    assert circuit_ir._profile.cache_info().misses == built
 
 
 # --- gates from the unchecked paths ------------------------------------------

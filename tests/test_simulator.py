@@ -39,7 +39,7 @@ from fermiselect.simulator import (
     verify_select,
 )
 
-from conftest import basis_state, dense_pauli, zero_state
+from conftest import basis_state, dense_pauli, reference_run, zero_state
 
 
 def test_states():
@@ -706,19 +706,97 @@ def test_moves_keep_only_what_acts():
     # matrix there holds A·A† products that are the identity only up to rounding
     def table(kind, arity):
         image, phase, moved = simulator._local_table((Gate(kind, tuple(range(arity))),))
-        return image.tolist(), None if phase is None else phase.tolist(), moved
+        return image.tolist(), phase.tolist(), moved
 
     # CSWAP_STAR is CSWAP with -1 on |100>
     assert table("CSWAP_STAR", 3) == ([0, 1, 2, 3, 4, 6, 5, 7], [0, 0, 0, 0, 4, 0, 0, 0], (1, 2))
-    assert table("CSWAP", 3) == ([0, 1, 2, 3, 4, 6, 5, 7], None, (1, 2))
-    assert table("TOFFOLI", 3) == ([0, 1, 2, 3, 4, 5, 7, 6], None, (2,))
+    assert table("CSWAP", 3) == ([0, 1, 2, 3, 4, 6, 5, 7], [0] * 8, (1, 2))
+    assert table("TOFFOLI", 3) == ([0, 1, 2, 3, 4, 5, 7, 6], [0] * 8, (2,))
     assert table("CCZ", 3) == (list(range(8)), [0] * 7 + [4], ())
-    assert table("CX", 2) == ([0, 1, 3, 2], None, (1,))
+    assert table("CX", 2) == ([0, 1, 3, 2], [0] * 4, (1,))
     assert table("S", 1) == ([0, 1], [0, 2], ())
     assert table("Tdg", 1) == ([0, 1], [0, 7], ())
     for kind in ("H", "A"):
         with pytest.raises(ValueError, match="not monomial"):
             table(kind, 1)
+
+
+# --- the compiled programs against their tables and the gather player ------------
+
+_WALKED = [(n, 2, variant, nc) for n in range(2, 9) for variant in ("star", "plain") for nc in (0, 1, 2)]
+_WALKED += [(n, 4, variant, nc) for n in range(3, 6) for variant in ("star", "plain") for nc in (0, 1)]
+
+
+def _plays_its_table(shape) -> None:
+    """The program of ``shape`` takes every local basis state to its table's image and phase."""
+    play, arity = simulator._program(*shape), shape[1]
+    image, phase, _ = play.table
+    bits = simulator._every_basis_state(arity)
+    turns = np.zeros(1 << arity, dtype=np.uint8)
+    play(list(bits), turns, range(arity))
+    assert np.array_equal(bits, image >> np.arange(arity - 1, -1, -1)[:, None] & 1)
+    assert np.array_equal(turns & 7, phase)
+
+
+def test_programs_play_their_tables(monkeypatch):
+    # every shape the plans of the walked SELECTs read, and every gate kind bare and
+    # in each X or Y frame of any of its qubits
+    shapes = set()
+    real = simulator._program
+
+    def recording(*shape):
+        shapes.add(shape)
+        return real(*shape)
+
+    monkeypatch.setattr(simulator, "_program", recording)
+    for n, k, variant, nc in _WALKED:
+        simulator._plan(controlled_select(n, k, variant, nc))
+    monkeypatch.undo()
+    assert len(shapes) >= 10
+    for kind, arity in _ARITY.items():
+        shapes.add((kind, arity, ()))
+        for held in range(1, 1 << arity):
+            local = tuple(i for i in range(arity) if held >> i & 1)
+            shapes.update((kind, arity, ((local, letter),)) for letter in "XY")
+    playable = 0
+    for shape in shapes:
+        try:
+            _plays_its_table(shape)
+            playable += 1
+        except ValueError as exc:  # not monomial: no table, so no program
+            assert "not monomial" in str(exc)
+    assert playable == 51
+
+
+def test_a_change_read_from_a_moved_row_is_copied_first(monkeypatch):
+    # (x0, x1) -> (x1, x0 ^ x1): row 1 changes by x0, which row 0's change
+    # writes first, so the change is copied before any row is written
+    image = np.uint8([0, 3, 1, 2])
+    monkeypatch.setattr(simulator, "_local_table", lambda gates: (image, 0 * image, (0, 1)))
+    play = simulator._program.__wrapped__("CX", 2, ())
+    bits = simulator._every_basis_state(2)
+    play(list(bits), np.zeros(4, dtype=np.uint8), (0, 1))
+    assert (bits[0] << 1 | bits[1]).tolist() == image.tolist()
+
+
+@pytest.mark.parametrize("n,k,variant,nc", _WALKED)
+def test_run_equals_the_gather_player_on_every_word(n, k, variant, nc):
+    c = controlled_select(n, k, variant, nc)
+    valid = list(select_synth.select_layout(n, k).valid_states())
+    words = [ctrl << (c.n_qubits - n - nc) | w for ctrl in range(1 << nc) for w in valid]
+    states = simulator._every_basis_state(n)
+    got, want = simulator._run(c, simulator._plan(c), words, states), reference_run(c, words, states)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("variant", ["star", "plain"])
+def test_run_equals_the_gather_player_at_n_1024(variant, rng):
+    lay, c = SelectionLayout(1024, 2, "k2"), controlled_select(1024, 2, variant)
+    words = [lay.pack(p=int(p), q=int(q), P1=int(a), P2=int(b))
+             for p, q, a, b in zip(*rng.integers(0, 1024, (2, 64)), *rng.integers(0, 2, (2, 64)))]
+    states = np.hstack([np.repeat(np.uint8([[0, 1]]), 1024, axis=0), rng.integers(0, 2, (1024, 3), dtype=np.uint8)])
+    got, want = simulator._run(c, simulator._plan(c), words, states), reference_run(c, words, states)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class _Builds(list):
@@ -727,7 +805,7 @@ class _Builds(list):
 
     def clear(self) -> None:
         super().clear()
-        simulator._shape.cache_clear()
+        simulator._program.cache_clear()
         simulator._local_table.cache_clear()
 
 
@@ -791,14 +869,14 @@ def test_walk_at_large_n_builds_a_handful_of_tables(monkeypatch):
 
 
 def test_tables_are_built_once_per_process(monkeypatch):
-    # every table is kept for the process under its local shape: a second call,
-    # and a call at another n of the same variant, build none
+    # every table and its program are kept for the process under its local shape: a
+    # second call, and a call at another n of the same variant, build neither
     built = _count_builds(monkeypatch)
     for variant in ("star", "plain"):
         assert verify_select(5, 2, variant)["pass"]
-        first = len(built)
+        first, programs = len(built), simulator._program.cache_info().misses
         assert first and verify_select(5, 2, variant)["pass"] and verify_select(7, 2, variant)["pass"]
-        assert len(built) == first
+        assert len(built) == first and simulator._program.cache_info().misses == programs
 
 
 @pytest.mark.parametrize("n,variant,stride", [(5, "star", None), (4, "plain", None), (17, "star", 40)])
